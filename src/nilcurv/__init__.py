@@ -13,6 +13,7 @@ from .curvature import (
     MetricError,
     RicciReport,
     ricci_form,
+    ricci_frame,
     ricci_operator,
     sectional_K,
     sectional_kappa,
@@ -77,8 +78,8 @@ __all__ = [
     "NilpotentAlgebra", "Subspace", "ValidationReport",
     "CatalogEntry", "build", "list_catalog",
     "Metric", "MetricError", "RicciReport",
-    "ricci_form", "ricci_operator", "sectional_K", "sectional_kappa",
-    "u_operator",
+    "ricci_form", "ricci_frame", "ricci_operator", "sectional_K",
+    "sectional_kappa", "u_operator",
     "CandidateError", "ConvergenceTrace", "DeformationSpec",
     "ExtremalCandidate", "OverflowGuardError", "ScaledRicciLimit",
     "candidate_e1u2", "candidate_min_u1", "candidate_T1_T2",

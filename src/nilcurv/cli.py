@@ -36,6 +36,7 @@ from .deformation import (
     CandidateError,
     DeformationSpec,
     candidate_two_step,
+    complete_basis,
     convergence_check,
     deformed_ricci,
     derived_complement_frame,
@@ -44,6 +45,7 @@ from .deformation import (
     projective_distance,
     scaled_ricci_limit,
     spec_for_pattern,
+    sphere_grid,
 )
 from .io import (
     FormatError,
@@ -387,8 +389,11 @@ def _maxmin_candidates(a: NilpotentAlgebra, rng, samples: int):
                 notes.append(f"sample {k}: zero candidate")
                 continue
             u = derived_complement_frame(a, metric)
-            spec = spec_for_pattern(a, metric, [e],
-                                    [u[:, i] for i in range(u.shape[1])])
+            try:
+                spec = spec_for_pattern(a, metric, [e], list(u.T))
+            except CandidateError as exc:
+                notes.append(f"sample {k}: {exc}")
+                continue
             out.append((cand, spec))
         return out, notes
     ideal = a.find_codim1_abelian_ideal()
@@ -407,15 +412,7 @@ def _maxmin_candidates(a: NilpotentAlgebra, rng, samples: int):
             continue
         cu1 = a.bracket_float(c_vec, u1)
         have = [c_vec, u1, cu1]
-        rest = [np.eye(a.n)[:, i] for i in range(a.n)
-                if np.linalg.matrix_rank(
-                    np.column_stack(have + [np.eye(a.n)[:, i]]),
-                    tol=1e-8) == len(have) + 1]
-        comp = []
-        for v in rest:
-            if np.linalg.matrix_rank(np.column_stack(have + comp + [v]),
-                                     tol=1e-8) == len(have) + len(comp) + 1:
-                comp.append(v)
+        comp = complete_basis(have)
         if len(have) + len(comp) != a.n:
             notes.append(f"sample {k}: frame completion failed")
             continue
@@ -466,9 +463,8 @@ def cmd_maxmin(args) -> int:
             for r in runs]
         report["candidates_in_expected_subspace"] = int(sum(in_expected))
         # grid-coverage statistic over the expected subspace
-        from .verify import _sphere_grid
         if exp_basis.shape[0] <= 3:
-            grid = _sphere_grid(exp_basis.shape[0], 0.2) @ exp_basis
+            grid = sphere_grid(exp_basis.shape[0], 0.2) @ exp_basis
             tvecs = [np.asarray(r["T"]) for r in runs]
             report["coverage"] = {
                 "grid_resolution": 0.2,

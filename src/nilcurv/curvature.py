@@ -39,9 +39,9 @@ class Metric:
             self._chol = np.linalg.cholesky(self.gram)
         except np.linalg.LinAlgError:
             raise MetricError("gram must be positive definite")
-        # columns are an orthonormal frame: F^T G F = I
+        # columns are an orthonormal frame: F^T G F = I, so G^-1 = F F^T
         self.frame = np.linalg.inv(self._chol).T
-        self._inv = np.linalg.inv(self.gram)
+        self._inv = self.frame @ self.frame.T
 
     @property
     def n(self) -> int:
@@ -96,20 +96,54 @@ def u_operator(algebra: NilpotentAlgebra, metric: Metric, v, w) -> np.ndarray:
     return metric._inv @ f
 
 
-def sectional_K(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:
-    """Unnormalized sectional curvature K(x, y)."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    uxy = u_operator(algebra, metric, x, y)
-    uxx = u_operator(algebra, metric, x, x)
-    uyy = u_operator(algebra, metric, y, y)
-    bxy = algebra.bracket_float(x, y)
-    bxxy = algebra.bracket_float(x, bxy)
-    byyx = algebra.bracket_float(y, -bxy)
-    return (metric.norm2(uxy) - metric.inner(uxx, uyy)
-            - 0.75 * metric.norm2(bxy)
-            - 0.5 * metric.inner(bxxy, y)
-            - 0.5 * metric.inner(byyx, x))
+# planes per block in the batched sectional curvature; bounds its
+# temporary arrays
+_CHUNK = 4096
+
+
+def ad_images(c: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """[v, e_m]_k for every row v of vs, as an array indexed [row, m, k]."""
+    n = c.shape[0]
+    return (vs @ c.reshape(n, n * n)).reshape(len(vs), n, n)
+
+
+def sectional_K(algebra: NilpotentAlgebra, metric: Metric, x, y
+                ) -> float | np.ndarray:
+    """Unnormalized sectional curvature K(x, y).
+
+    K = |U(x,y)|^2 - <U(x,x), U(y,y)> - (3/4)|[x,y]|^2
+        - (1/2)<[x,[x,y]], y> - (1/2)<[y,[y,x]], x>.
+    Vectors x, y of shape (n,) give a float; arrays of shape (N, n) give
+    the N curvatures of the planes (x[r], y[r]). With the ad-images
+    A_v = (rows [v, e_m]) every term is a batched matmul:
+    <U(v, w), e_m> = -(1/2)(A_w G v + A_v G w)_m, [x, y] = y A_x,
+    <[x, [x, y]], y> = [x, y] . A_x G y and <[y, [y, x]], x> =
+    -[x, y] . A_y G x.
+    """
+    xs = np.asarray(x, float)
+    ys = np.asarray(y, float)
+    single = xs.ndim == 1
+    xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
+    if xs.shape != ys.shape or xs.shape[1] != algebra.n:
+        raise ValueError("vector length must equal algebra dimension")
+    c = algebra.structure_tensor()
+    g, ginv = metric.gram, metric._inv
+    out = np.empty(len(xs))
+    for s in range(0, len(xs), _CHUNK):
+        x, y = xs[s:s + _CHUNK], ys[s:s + _CHUNK]
+        ax, ay = ad_images(c, x), ad_images(c, y)
+        gxy = np.stack([x @ g, y @ g], axis=2)
+        px, py = ax @ gxy, ay @ gxy        # [..., 0]: A G x, [..., 1]: A G y
+        fxy = -0.5 * (py[..., 0] + px[..., 1])
+        fxx, fyy = -px[..., 0], -py[..., 1]
+        bxy = np.matmul(y[:, None, :], ax)[:, 0, :]
+        out[s:s + len(x)] = (
+            np.sum(fxy @ ginv * fxy, axis=1)
+            - np.sum(fxx @ ginv * fyy, axis=1)
+            - 0.75 * np.sum(bxy @ g * bxy, axis=1)
+            - 0.5 * np.sum(bxy * px[..., 1], axis=1)
+            + 0.5 * np.sum(bxy * py[..., 0], axis=1))
+    return float(out[0]) if single else out
 
 
 def sectional_kappa(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:
@@ -121,13 +155,34 @@ def sectional_kappa(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:
     return sectional_K(algebra, metric, x, y) / area2
 
 
+def ricci_frame(c: np.ndarray, weights: np.ndarray | None = None
+                ) -> np.ndarray:
+    """The Ricci form in an orthonormal frame, from its structure tensor.
+
+    R[a,b] = (1/4) sum_ij w_ijb c_ija c_ijb - (1/2) sum_ik w_aik c_aik c_bik
+    with c[i,j,k] = <e_k, [e_i, e_j]> (Milnor's formula for a nilpotent
+    algebra) and weights w symmetric in (i, j), all 1 by default. With
+    w_ijk = exp((l_k - l_i - l_j) t) it is the Ricci operator of the
+    deformed metric g_t in the coordinates of the undeformed frame; with
+    a 0/1 mask it keeps the leading terms of that expansion.
+
+    Both sums run over the pairs i > j of c_ijk = -c_jik only: the first
+    is twice its half, the second splits into its terms with i > a and
+    with i < a (c_aak = 0). This order of summation sets the rounding of
+    the limit operators, whose eigenvalues check_deformation_limit
+    compares to 1e-9 absolute.
+    """
+    wc = (c if weights is None else weights * c) \
+        * np.tri(c.shape[0], k=-1)[:, :, None]       # pairs i > j
+    return 0.5 * (np.einsum("ija,ijb->ab", c, wc)
+                  - np.einsum("iak,ibk->ab", wc, c)
+                  + np.einsum("aik,ibk->ab", wc, c))
+
+
 def ricci_form_matrix(algebra: NilpotentAlgebra, metric: Metric) -> np.ndarray:
     """Matrix R with Ric(X, Y) = X^T R Y in the original basis."""
-    c = frame_structure(algebra, metric)
-    r_frame = 0.25 * np.einsum("ija,ijb->ab", c, c) \
-        - 0.5 * np.einsum("aik,bik->ab", c, c)
     finv = np.linalg.inv(metric.frame)
-    return finv.T @ r_frame @ finv
+    return finv.T @ ricci_frame(frame_structure(algebra, metric)) @ finv
 
 
 def ricci_form(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:
@@ -151,19 +206,28 @@ class RicciReport:
     def min_eigenvector(self) -> np.ndarray:
         return self.eigenvectors[:, 0]
 
+    @classmethod
+    def from_frame_matrix(cls, r_frame: np.ndarray, frame: np.ndarray,
+                          scale: float = 1.0) -> "RicciReport":
+        """Report of the operator scale * r_frame, given in the coordinates
+        of the orthonormal frame (columns). Simplicity of the extreme
+        eigenvalues is decided on r_frame, relative to EIG_CLUSTER_REL."""
+        r_frame = 0.5 * (r_frame + r_frame.T)
+        vals, vecs_frame = np.linalg.eigh(r_frame)
+        gap_tol = EIG_CLUSTER_REL * (np.abs(vals).max() + 1.0)
+        n = len(vals)
+        min_simple = n < 2 or (vals[1] - vals[0]) > gap_tol
+        max_simple = n < 2 or (vals[-1] - vals[-2]) > gap_tol
+        with np.errstate(over="ignore"):
+            op = frame @ (r_frame * scale) @ np.linalg.inv(frame) \
+                if np.isfinite(scale) else np.full((n, n), np.nan)
+            vals = vals * scale
+        return cls(operator=op, eigenvalues=vals,
+                   eigenvectors=frame @ vecs_frame,
+                   min_simple=min_simple, max_simple=max_simple)
+
 
 def ricci_operator(algebra: NilpotentAlgebra, metric: Metric) -> RicciReport:
     """Ricci operator ric with <ric X, Y> = Ric(X, Y), plus its spectrum."""
-    c = frame_structure(algebra, metric)
-    r_frame = 0.25 * np.einsum("ija,ijb->ab", c, c) \
-        - 0.5 * np.einsum("aik,bik->ab", c, c)
-    r_frame = 0.5 * (r_frame + r_frame.T)
-    vals, vecs_frame = np.linalg.eigh(r_frame)
-    vecs = metric.frame @ vecs_frame
-    op = metric.frame @ r_frame @ np.linalg.inv(metric.frame)
-    gap_tol = EIG_CLUSTER_REL * (np.abs(vals).max() + 1.0)
-    n = len(vals)
-    min_simple = n < 2 or (vals[1] - vals[0]) > gap_tol
-    max_simple = n < 2 or (vals[-1] - vals[-2]) > gap_tol
-    return RicciReport(operator=op, eigenvalues=vals, eigenvectors=vecs,
-                       min_simple=min_simple, max_simple=max_simple)
+    return RicciReport.from_frame_matrix(
+        ricci_frame(frame_structure(algebra, metric)), metric.frame)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import NilpotentAlgebra, Subspace
-from .curvature import Metric, RicciReport, frame_structure, ricci_operator
+from .curvature import Metric, RicciReport, frame_structure, ricci_frame
 
 OVERFLOW_LIMIT = 700.0
 DEFAULT_T_GRID = tuple(float(2 ** k) for k in range(0, 11))
@@ -77,38 +77,20 @@ def deformed_frame(spec: DeformationSpec, t: float) -> np.ndarray:
     return spec.frame @ np.diag(np.exp(-spec.lambdas * t / 2.0))
 
 
-def _ric_frame_matrix(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Ricci-type operator in frame coordinates from weighted triples.
-
-    c[i,j,k] = <e_k, [e_i, e_j]>; weights[i,j,k] multiplies each triple
-    with i > j. Returns (1/2) sum w c_kij (B_ij (x) e_k^*
-    - e_j (x) e_k^* ad_i + e_i (x) e_k^* ad_j).
-    """
-    n = c.shape[0]
-    tri = np.tril(np.ones((n, n)), k=-1)  # i > j selector
-    wc = weights * c * tri[:, :, None]
-    m = np.zeros((n, n))
-    # term 1: [e_i,e_j] in column m, row picks e_k^*
-    m += np.einsum("ijk,ijm->mk", wc, c)
-    # term 2: -delta_{m j} c[i,s,k]
-    m -= np.einsum("ijk,isk->js", wc, c)
-    # term 3: +delta_{m i} c[j,s,k]
-    m += np.einsum("ijk,jsk->is", wc, c)
-    return 0.5 * m
-
-
 def deformed_ricci_frame(spec: DeformationSpec, algebra: NilpotentAlgebra,
                          t: float) -> np.ndarray:
     """Matrix of ric_t in the coordinates of the (undeformed) frame.
 
-    Independent of ricci_operator(deformed_metric(...)): computed from
-    the exponentially weighted structure-constant expansion.
+    ricci_frame of the base frame structure constants with the weights
+    exp((lambda_k - lambda_i - lambda_j) t): the g_t-orthonormal frame
+    E_i = exp(-lambda_i t / 2) e_i scales c_ijk by half that exponent, and
+    the change of coordinates from E back to e supplies the other half.
     """
     _check_t(spec, t)
     lam = spec.lambdas
     c = frame_structure(algebra, spec.base, spec.frame)
     expo = lam[None, None, :] - lam[:, None, None] - lam[None, :, None]
-    return _ric_frame_matrix(c, np.exp(expo * t))
+    return ricci_frame(c, np.exp(expo * t))
 
 
 def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
@@ -119,6 +101,7 @@ def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
     exp((lambda_k - lambda_i - lambda_j) t / 2); a common exponent shift
     keeps the eigenproblem finite even when the raw entries overflow.
     For moderate t this agrees with ricci_operator on deformed_metric.
+    Eigenvectors are returned with unit Euclidean norm.
     """
     _check_t(spec, t)
     lam = spec.lambdas
@@ -132,27 +115,14 @@ def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
     c = np.where(nz, c, 0.0)
     shift = float(expo[nz].max()) if nz.any() else 0.0
     ct = c * np.exp(expo - shift)
-    r_scaled = 0.25 * np.einsum("ija,ijb->ab", ct, ct) \
-        - 0.5 * np.einsum("aik,bik->ab", ct, ct)
-    r_scaled = 0.5 * (r_scaled + r_scaled.T)
-    vals_s, vecs_frame = np.linalg.eigh(r_scaled)
-    ft = deformed_frame(spec, t)
-    vecs = ft @ vecs_frame
-    norms = np.linalg.norm(vecs, axis=0)
-    norms[norms == 0.0] = 1.0
-    vecs = vecs / norms
     with np.errstate(over="ignore"):
         scale = np.exp(2.0 * shift)
-        vals = vals_s * scale
-        op = ft @ (r_scaled * scale) @ np.linalg.inv(ft) \
-            if np.isfinite(scale) else np.full((spec.n, spec.n), np.nan)
-    from .curvature import EIG_CLUSTER_REL
-    gap_tol = EIG_CLUSTER_REL * (np.abs(vals_s).max() + 1.0)
-    n = len(vals_s)
-    min_simple = n < 2 or (vals_s[1] - vals_s[0]) > gap_tol
-    max_simple = n < 2 or (vals_s[-1] - vals_s[-2]) > gap_tol
-    return RicciReport(operator=op, eigenvalues=vals, eigenvectors=vecs,
-                       min_simple=min_simple, max_simple=max_simple)
+    report = RicciReport.from_frame_matrix(ricci_frame(ct),
+                                           deformed_frame(spec, t), scale)
+    norms = np.linalg.norm(report.eigenvectors, axis=0)
+    norms[norms == 0.0] = 1.0
+    report.eigenvectors = report.eigenvectors / norms
+    return report
 
 
 @dataclass
@@ -232,10 +202,10 @@ def scaled_ricci_limit(spec: DeformationSpec,
     d, lam_set, gap = _lambda_triples(lam)
     c = frame_structure(algebra, spec.base, spec.frame)
     n = spec.n
-    weights = np.zeros((n, n, n))
+    mask = np.zeros((n, n, n))
     for (i, j, k) in lam_set:
-        weights[i, j, k] = 1.0
-    phi0 = 2.0 * _ric_frame_matrix(c, weights)
+        mask[i, j, k] = mask[j, i, k] = 1.0
+    phi0 = 2.0 * ricci_frame(c, mask)
     limit = ScaledRicciLimit(spec=spec, d=d, Lambda=lam_set, phi0=phi0,
                              gap=gap)
     pq = _detect_pq(lam)
@@ -580,6 +550,41 @@ def projective_distance(u, v) -> float:
         raise ValueError("projective distance undefined for the zero vector")
     c = np.dot(u, v) / (nu * nv)
     return float(np.sqrt(max(0.0, 1.0 - c * c)))
+
+
+def sphere_grid(dim: int, resolution: float) -> np.ndarray:
+    """Directions covering the projective space of R^dim to the given
+    sine-distance resolution."""
+    if dim == 1:
+        return np.array([[1.0]])
+    if dim == 2:
+        k = int(np.ceil(np.pi / resolution)) + 1
+        angles = np.linspace(0.0, np.pi, k, endpoint=False)
+        return np.column_stack([np.cos(angles), np.sin(angles)])
+    count = max(64, int(8.0 / resolution ** 2))
+    idx = np.arange(count, dtype=float) + 0.5
+    phi = np.arccos(1.0 - 2.0 * idx / count)
+    theta = np.pi * (1.0 + 5 ** 0.5) * idx
+    return np.column_stack([np.cos(theta) * np.sin(phi),
+                            np.sin(theta) * np.sin(phi), np.cos(phi)])
+
+
+# singular values at or below this count as zero in complete_basis
+BASIS_RANK_TOL = 1e-9
+
+
+def complete_basis(vectors) -> list[np.ndarray]:
+    """Standard basis vectors that complete independent `vectors` to a
+    basis: e_0, ..., e_{n-1} in order, each kept when it raises the
+    numerical rank (singular values above BASIS_RANK_TOL)."""
+    have = [np.asarray(v, float) for v in vectors]
+    n = len(have[0])
+    out: list[np.ndarray] = []
+    for e in np.eye(n):
+        if np.linalg.matrix_rank(np.column_stack(have + out + [e]),
+                                 tol=BASIS_RANK_TOL) > len(have) + len(out):
+            out.append(e)
+    return out
 
 
 @dataclass

@@ -26,8 +26,14 @@ from .algebra import (
     basis_vector,
     exact_vector,
 )
-from .curvature import Metric, ricci_form_matrix, sectional_K, frame_structure
-from .deformation import DeformationSpec
+from .curvature import (
+    Metric,
+    frame_structure,
+    ricci_form_matrix,
+    ricci_frame,
+    sectional_K,
+)
+from .deformation import DeformationSpec, complete_basis
 from .rational import rank, in_row_space
 
 WITNESS_METRIC_BUDGET = 200
@@ -279,27 +285,26 @@ def _scaled_ric_of_frame_vector(algebra: NilpotentAlgebra,
                                 metric: Metric, frame: np.ndarray,
                                 lambdas: np.ndarray, t: float,
                                 idx: int) -> tuple[float, float]:
-    """(exp(-d t) Ric_t(e_idx), d) with d the dominant positive exponent.
+    """(exp(-d t) Ric_t(e_idx, e_idx), d) with d the dominant exponent.
 
-    Stable for large t: every retained exponential is <= 1.
+    Ric_t(e_idx, e_idx) is exp(lambda_idx t) times the [idx, idx] entry
+    of deformed_ricci_frame, which only involves the triples touching idx.
+    Those get the weights exp((lambda_k - lambda_i - lambda_j + lambda_idx
+    - d) t) <= 1, the others (and numerical-noise constants) weight 0, so
+    the value stays finite for large t.
     """
     c = frame_structure(algebra, metric, frame)
     lam = lambdas
-    n = algebra.n
-    pos_expo = 2 * lam[idx] - lam[:, None] - lam[None, :]
-    neg_expo = lam[None, :] - lam[:, None]
-    thresh = (1e-12 * (np.abs(c).max() + 1.0)) ** 2
-    c_sq = c[:, :, idx] ** 2                       # <e_idx,[e_i,e_j]>^2
-    cneg_sq = c[idx, :, :] ** 2                    # <e_j,[e_idx,e_i]>^2
-    c_sq = np.where(c_sq > thresh, c_sq, 0.0)
-    cneg_sq = np.where(cneg_sq > thresh, cneg_sq, 0.0)
-    d = max(pos_expo[c_sq > 0].max(initial=-np.inf),
-            neg_expo[cneg_sq > 0].max(initial=-np.inf))
-    if not np.isfinite(d):
+    expo = lam[None, None, :] - lam[:, None, None] - lam[None, :, None] \
+        + lam[idx]
+    touch = np.zeros(c.shape, dtype=bool)
+    touch[idx], touch[:, idx], touch[:, :, idx] = True, True, True
+    live = touch & (np.abs(c) > 1e-12 * (np.abs(c).max() + 1.0))
+    if not live.any():
         return 0.0, 0.0
-    val = 0.25 * np.sum(np.exp((pos_expo - d) * t) * c_sq) \
-        - 0.5 * np.sum(np.exp((neg_expo - d) * t) * cneg_sq)
-    return float(val), float(d)
+    d = float(expo[live].max())
+    weights = np.exp(np.where(live, expo - d, -np.inf) * t)
+    return float(ricci_frame(c, weights)[idx, idx]), d
 
 
 def _independent_pair_for(algebra: NilpotentAlgebra, zv, rng) -> tuple:
@@ -359,14 +364,7 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z,
     xf = np.array([float(v) for v in x])
     yf = np.array([float(v) for v in y])
     # basis order: Z, middle..., X, Y
-    mid = []
-    have = [zv, xf, yf]
-    for i in range(n):
-        e = np.eye(n)[:, i]
-        m = np.column_stack(have + [e])
-        if np.linalg.matrix_rank(m, tol=1e-10) > len(have):
-            have.append(e)
-            mid.append(e)
+    mid = complete_basis([zv, xf, yf])
     basis = np.column_stack([zv] + mid + [xf, yf])
     # ensure the Z-coefficient of [X, Y] in this basis is nonzero
     bf = np.array([float(v) for v in b])
@@ -427,14 +425,7 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
     if yv is None:
         raise WitnessSearchError("no bracket partner found for x")
     # basis order: x, w-direction, middle..., y
-    mid = []
-    have = [xf, wf, yv]
-    for i in range(n):
-        e = np.eye(n)[:, i]
-        m = np.column_stack(have + [e])
-        if np.linalg.matrix_rank(m, tol=1e-10) > len(have):
-            have.append(e)
-            mid.append(e)
+    mid = complete_basis([xf, wf, yv])
     basis = np.column_stack([xf, wf] + mid + [yv])
     coeffs = np.linalg.solve(basis, wf)  # trivially e_2
     gram = np.linalg.inv(basis @ basis.T)
@@ -471,12 +462,7 @@ def adapted_metric_family(algebra: NilpotentAlgebra, x, y,
     yf = np.asarray(y, float)
     w = algebra.bracket_float(xf, yf)
     cols = [xf, yf] + ([w] if np.linalg.norm(w) > 1e-9 else [])
-    for i in range(n):
-        e = np.eye(n)[:, i]
-        if np.linalg.matrix_rank(np.column_stack(cols + [e]),
-                                 tol=1e-8) > len(cols):
-            cols.append(e)
-    b = np.column_stack(cols)
+    b = np.column_stack(cols + complete_basis(cols))
     out = []
     for k in decades:
         for pos in range(n):
@@ -513,13 +499,7 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
             have = [x_v, w, y_v, e]
             if np.linalg.matrix_rank(np.column_stack(have), tol=1e-9) < 4:
                 continue
-            comp = []
-            for i in range(n):
-                ei = np.eye(n)[:, i]
-                if np.linalg.matrix_rank(
-                        np.column_stack(have + comp + [ei]),
-                        tol=1e-9) > 4 + len(comp):
-                    comp.append(ei)
+            comp = complete_basis(have)
             basis = np.column_stack([x_v] + comp + [w, y_v, e])
             gram = np.linalg.inv(basis @ basis.T)
             metric = Metric(0.5 * (gram + gram.T))

@@ -19,11 +19,18 @@ from . import classification as cls
 from . import sign_sets as ss
 from .algebra import basis_vector, exact_vector
 from .catalog import build, list_catalog
-from .curvature import Metric, ricci_form_matrix, ricci_operator
+from .curvature import (
+    Metric,
+    ad_images,
+    ricci_form_matrix,
+    ricci_operator,
+    sectional_K,
+)
 from .deformation import (
     DeformationSpec,
     candidate_e1u2,
     candidate_two_step,
+    complete_basis,
     convergence_check,
     deformed_ricci_frame,
     derived_complement_frame,
@@ -31,6 +38,7 @@ from .deformation import (
     projective_distance,
     scaled_ricci_limit,
     spec_for_pattern,
+    sphere_grid,
 )
 from .frames import FRAME_KEYS, normal_form_frame
 from .rational import nullspace, rank
@@ -333,44 +341,8 @@ def _grid_planes(n: int) -> tuple:
     return tuple((vecs[ia[i]], vecs[ib[i]]) for i in first)
 
 
-# planes per block in the bulk kernels; bounds their temporary arrays
+# planes per block in the bulk plane labels; bounds their temporary arrays
 _CHUNK = 4096
-
-
-def _ad_images(c: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """[v, e_m]_k for every row v of vs, as an array indexed [row, m, k]."""
-    n = c.shape[0]
-    return (vs @ c.reshape(n, n * n)).reshape(len(vs), n, n)
-
-
-def _batch_K(alg, metric, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """sectional_K for many plane pairs at once, as batched matmuls.
-
-    With the ad-images A_v = (rows [v, e_m]), every term of K is a
-    contraction of A_x, A_y with x, y and the metric:
-    <U(v, w), e_m> = -(1/2)(A_w G v + A_v G w)_m, [x, y] = y A_x,
-    <[x, [x, y]], y> = [x, y] . A_x G y and <[y, [y, x]], x> =
-    -[x, y] . A_y G x.
-    """
-    c = alg.structure_tensor()
-    g = metric.gram
-    ginv = np.linalg.inv(g)
-    out = np.empty(len(xs))
-    for s in range(0, len(xs), _CHUNK):
-        x, y = xs[s:s + _CHUNK], ys[s:s + _CHUNK]
-        ax, ay = _ad_images(c, x), _ad_images(c, y)
-        gxy = np.stack([x @ g, y @ g], axis=2)
-        px, py = ax @ gxy, ay @ gxy        # [..., 0]: A G x, [..., 1]: A G y
-        fxy = -0.5 * (py[..., 0] + px[..., 1])
-        fxx, fyy = -px[..., 0], -py[..., 1]
-        bxy = np.matmul(y[:, None, :], ax)[:, 0, :]
-        out[s:s + len(x)] = (
-            np.sum(fxy @ ginv * fxy, axis=1)
-            - np.sum(fxx @ ginv * fyy, axis=1)
-            - 0.75 * np.sum(bxy @ g * bxy, axis=1)
-            - 0.5 * np.sum(bxy * px[..., 1], axis=1)
-            + 0.5 * np.sum(bxy * py[..., 0], axis=1))
-    return out
 
 
 def _integer_tensor(alg) -> np.ndarray | None:
@@ -419,7 +391,7 @@ def _plane_labels(ci: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> dict:
            for name in ("abelian", "G1", "G_geq", "G2")}
     for s in range(0, len(xs), _CHUNK):
         x, y = xs[s:s + _CHUNK], ys[s:s + _CHUNK]
-        ax, ay = _ad_images(ci, x), _ad_images(ci, y)
+        ax, ay = ad_images(ci, x), ad_images(ci, y)
         abelian = ~np.any(np.matmul(y[:, None, :], ax)[:, 0, :], axis=1)
         mx, my = ax.reshape(len(x), -1), ay.reshape(len(x), -1)
         g1 = (np.sum(mx * mx, axis=1) * np.sum(my * my, axis=1)
@@ -439,7 +411,7 @@ def _plane_labels(ci: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> dict:
         lead = np.argmax(np.any(images, axis=2), axis=1)
         p = images[np.arange(len(rows)), lead]
         line = np.all(_wedge_zero(images, p[:, None, :]), axis=1)
-        p_central = ~np.any(_ad_images(ci, p), axis=(1, 2))
+        p_central = ~np.any(ad_images(ci, p), axis=(1, 2))
         out["G2"][s + rows] = line & p_central
     return out
 
@@ -532,7 +504,7 @@ def check_sectional_planes(seed: int = 0) -> dict:
             ys = ys_all[geq_idx].astype(float)
             for _ in range(50):
                 metric = Metric.random(n, rng)
-                vals = _batch_K(alg, metric, xs, ys)
+                vals = sectional_K(alg, metric, xs, ys)
                 bad = np.nonzero(vals < nonneg_floor)[0]
                 for i in bad[:3]:
                     failures.append({"algebra": alg.name,
@@ -544,8 +516,8 @@ def check_sectional_planes(seed: int = 0) -> dict:
             if not len(other_idx):
                 break
             metric = Metric.random(n, rng)
-            vals = _batch_K(alg, metric, xs_all[other_idx].astype(float),
-                            ys_all[other_idx].astype(float))
+            vals = sectional_K(alg, metric, xs_all[other_idx].astype(float),
+                               ys_all[other_idx].astype(float))
             other_idx = other_idx[~(vals < neg_ceiling)]
         for idx in other_idx:
             a, b = planes[idx]
@@ -611,23 +583,6 @@ def check_closure_dichotomy(seed: int = 0) -> dict:
 # 8. Extremal-direction coverage
 
 
-def _sphere_grid(dim: int, resolution: float) -> np.ndarray:
-    """Directions covering the projective space of R^dim to the given
-    sine-distance resolution."""
-    if dim == 1:
-        return np.array([[1.0]])
-    if dim == 2:
-        k = int(np.ceil(np.pi / resolution)) + 1
-        angles = np.linspace(0.0, np.pi, k, endpoint=False)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    count = max(64, int(8.0 / resolution ** 2))
-    idx = np.arange(count, dtype=float) + 0.5
-    phi = np.arccos(1.0 - 2.0 * idx / count)
-    theta = np.pi * (1.0 + 5 ** 0.5) * idx
-    return np.column_stack([np.cos(theta) * np.sin(phi),
-                            np.sin(theta) * np.sin(phi), np.cos(phi)])
-
-
 def check_coverage(seed: int = 0) -> dict:
     t0 = time.perf_counter()
     resolution = 0.1
@@ -649,7 +604,7 @@ def check_coverage(seed: int = 0) -> dict:
         cand = candidate_two_step(alg, metric, e / nrm)
         if not cand.is_zero:
             cands.append(cand.T)
-    grid = _sphere_grid(gp_basis.shape[0], resolution) @ gp_basis
+    grid = sphere_grid(gp_basis.shape[0], resolution) @ gp_basis
     worst = max(min(projective_distance(g, c) for c in cands)
                 for g in grid)
     details["h5"] = {"candidates": len(cands), "worst_gap": worst}
@@ -659,7 +614,7 @@ def check_coverage(seed: int = 0) -> dict:
     alg = build("filiform4")
     ideal = alg.find_codim1_abelian_ideal()
     a_basis = np.array([[float(v) for v in row] for row in ideal.basis])
-    grid = _sphere_grid(a_basis.shape[0], resolution) @ a_basis
+    grid = sphere_grid(a_basis.shape[0], resolution) @ a_basis
     c_vec = np.eye(4)[:, 0]
     cands = []
     for gdir in grid:
@@ -670,10 +625,7 @@ def check_coverage(seed: int = 0) -> dict:
             u1 = u1 / np.linalg.norm(u1)
         cu1 = alg.bracket_float(c_vec, u1)
         have = [c_vec, u1, cu1]
-        e = next(np.eye(4)[:, i] for i in range(4)
-                 if np.linalg.matrix_rank(np.column_stack(have
-                                                          + [np.eye(4)[:, i]]),
-                                          tol=1e-8) == 4)
+        e = complete_basis(have)[0]
         basis = np.column_stack(have + [e])
         metric = Metric(np.linalg.inv(basis @ basis.T))
         cand = candidate_e1u2(alg, metric, e, u1, c_vec)

@@ -8,13 +8,18 @@ from nilcurv import (
     Metric,
     MetricError,
     build,
+    list_catalog,
     ricci_form,
     ricci_operator,
     sectional_K,
     sectional_kappa,
     u_operator,
 )
-from nilcurv.curvature import DegeneratePlaneError, frame_structure
+from nilcurv.curvature import (
+    DegeneratePlaneError,
+    frame_structure,
+    ricci_form_matrix,
+)
 
 
 def h3():
@@ -163,6 +168,39 @@ def test_two_step_sign_structure():
         for row in gp:
             y = y - m.inner(y, row) / m.norm2(row) * row
         assert ricci_form(a, m, y, y) <= 1e-12
+
+
+TWO_STEP = [e.build() for e in list_catalog("two-step")
+            if not e.build().is_abelian()]
+
+
+@pytest.mark.parametrize("a", TWO_STEP, ids=lambda a: a.name)
+def test_two_step_ricci_matches_eberlein(a):
+    """Eberlein's j-map closed forms on n = v + z, z the center, v its
+    orthogonal complement, <j(Z) X, Y> = <Z, [X, Y]>: Ric = (1/2) sum_k
+    j(Z_k)^2 on v, Ric(Z, W) = -(1/4) tr(j(Z) j(W)) on z, Ric(v, z) = 0."""
+    rng = np.random.default_rng(a.n)
+    zb = np.array([[float(v) for v in row] for row in a.center().basis]).T
+    for _ in range(5):
+        m = Metric.random(a.n, rng)
+        g = m.gram
+        # g-orthonormal bases (columns) of z and of v
+        zs = zb @ np.linalg.inv(np.linalg.cholesky(zb.T @ g @ zb)).T
+        vb = np.linalg.svd(zb.T @ g)[2][zb.shape[1]:].T
+        vs = vb @ np.linalg.inv(np.linalg.cholesky(vb.T @ g @ vb)).T
+        q = vs.shape[1]
+        # j[k][r, s] = <Z_k, [V_s, V_r]>, the matrix of j(Z_k) on v
+        j = np.array([[[m.inner(z, a.bracket_float(vs[:, s], vs[:, r]))
+                        for s in range(q)] for r in range(q)]
+                      for z in zs.T])
+        r = ricci_form_matrix(a, m)
+        tol = 1e-9 * (1.0 + np.abs(j).max() ** 2)
+        np.testing.assert_allclose(vs.T @ r @ vs,
+                                   0.5 * sum(jk @ jk for jk in j), atol=tol)
+        np.testing.assert_allclose(zs.T @ r @ zs,
+                                   -0.25 * np.einsum("krs,lsr->kl", j, j),
+                                   atol=tol)
+        np.testing.assert_allclose(vs.T @ r @ zs, 0.0, atol=tol)
 
 
 def test_eigen_simplicity_flags():

@@ -1,0 +1,65 @@
+"""No library module imports or reads another module's private names."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nilcurv"
+MODULES = {p.stem for p in SRC.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses(source: str) -> list[str]:
+    """`from .mod import _name`, and `mod._name` with mod a sibling module
+    bound by `from . import mod [as m]` or `import nilcurv.mod [as m]`."""
+    tree = ast.parse(source)
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0
+                or (node.module or "").split(".")[0] == "nilcurv"):
+            for a in node.names:
+                if _private(a.name):
+                    found.append(f"line {node.lineno}: import {a.name}")
+                if node.module in (None, "nilcurv") and a.name in MODULES:
+                    aliases.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "nilcurv" and len(parts) == 2:
+                    aliases.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in aliases:
+            found.append(f"line {node.lineno}: {base.id}.{node.attr}")
+        elif (isinstance(base, ast.Attribute)
+              and isinstance(base.value, ast.Name)
+              and base.value.id == "nilcurv" and base.attr in MODULES):
+            found.append(f"line {node.lineno}: {base.attr}.{node.attr}")
+    return found
+
+
+def test_checker_flags_private_access():
+    source = ("from .verify import _sphere_grid\n"
+              "from . import sign_sets as ss\n"
+              "import nilcurv.curvature\n"
+              "ss._scaled_ric_of_frame_vector\n"
+              "nilcurv.curvature._CHUNK\n"
+              "from . import __version__\n"
+              "metric._inv\n"
+              "ss.classify_plane\n")
+    assert private_uses(source) == [
+        "line 1: import _sphere_grid",
+        "line 4: ss._scaled_ric_of_frame_vector",
+        "line 5: curvature._CHUNK"]
+
+
+def test_no_private_cross_module_access():
+    uses = {p.name: private_uses(p.read_text())
+            for p in sorted(SRC.glob("*.py"))}
+    assert not any(uses.values()), uses

@@ -5,19 +5,27 @@ import numpy as np
 import pytest
 
 from nilcurv import (
+    DeformationSpec,
     Metric,
     build,
     classify_plane,
     classify_ric_vector,
+    deformed_metric,
     find_negative_K_witness,
     find_negative_ric_witness,
     find_positive_ric_witness,
     knonneg_value,
+    list_catalog,
     ricci_form,
     secdef_coefficients,
     sectional_K,
 )
-from nilcurv.sign_sets import PreconditionError, _pencil_condition
+from nilcurv.curvature import ricci_form_matrix
+from nilcurv.sign_sets import (
+    PreconditionError,
+    _pencil_condition,
+    _scaled_ric_of_frame_vector,
+)
 
 
 X3, Y3, Z3 = np.eye(3)
@@ -92,6 +100,28 @@ def test_secdef_matches_deformed_sectional():
         gram_t = finv.T @ np.diag(np.exp(lam * t)) @ finv
         k = sectional_K(alg, Metric(gram_t), x, y)
         assert abs(co["evaluate"](t) - k) < 1e-9 * (1.0 + abs(k))
+
+
+def test_scaled_ric_matches_deformed_metric():
+    """The scaled witness value is exp(-d t) Ric_t(e_idx, e_idx), with
+    Ric_t from the Gram matrix of g_t, at moderate t."""
+    rng = np.random.default_rng(12)
+    for entry in list_catalog():
+        a = entry.build()
+        if a.is_abelian():
+            continue
+        metric = Metric.random(a.n, rng)
+        lam = rng.uniform(-1.0, 1.0, size=a.n)
+        spec = DeformationSpec(base=metric, lambdas=lam)
+        for t in (0.5, 1.0, 2.0):
+            r = ricci_form_matrix(a, deformed_metric(spec, t))
+            for idx in range(a.n):
+                val, d = _scaled_ric_of_frame_vector(a, metric, metric.frame,
+                                                     lam, t, idx)
+                e = metric.frame[:, idx]
+                want = np.exp(-d * t) * float(e @ r @ e)
+                assert abs(val - want) < 1e-9 * (1.0 + abs(want)), \
+                    (a.name, t, idx)
 
 
 def test_knonneg_value():

@@ -8,10 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilcurv import Metric, classify_plane, list_catalog, sectional_K, verify
+from nilcurv import (
+    Metric,
+    classify_plane,
+    curvature,
+    list_catalog,
+    sectional_K,
+    u_operator,
+)
 from nilcurv.rational import rref
 from nilcurv.verify import (
-    _batch_K,
     _grid_planes,
     _integer_tensor,
     _meets_center,
@@ -90,17 +96,32 @@ def test_bulk_labels_on_heisenberg3():
     assert labels["G_geq"].tolist() == [False, True, False]
 
 
+def _reference_K(alg, metric, x, y):
+    """K(x, y) term by term from the U-operator and the brackets."""
+    uxy = u_operator(alg, metric, x, y)
+    uxx = u_operator(alg, metric, x, x)
+    uyy = u_operator(alg, metric, y, y)
+    bxy = alg.bracket_float(x, y)
+    return (metric.norm2(uxy) - metric.inner(uxx, uyy)
+            - 0.75 * metric.norm2(bxy)
+            - 0.5 * metric.inner(alg.bracket_float(x, bxy), y)
+            - 0.5 * metric.inner(alg.bracket_float(y, -bxy), x))
+
+
 @pytest.mark.parametrize("alg", SMALL, ids=lambda a: a.name)
 def test_batch_K_matches_scalar_sectional_K(alg, monkeypatch):
-    monkeypatch.setattr(verify, "_CHUNK", 16)    # several blocks per call
+    monkeypatch.setattr(curvature, "_CHUNK", 16)    # several blocks per call
     rng = np.random.default_rng(alg.n)
     _, xs, ys = _grid(alg.n)
     pick = rng.choice(len(xs), size=min(60, len(xs)), replace=False)
     xs, ys = xs[pick].astype(float), ys[pick].astype(float)
     for _ in range(3):
         metric = Metric.random(alg.n, rng)
-        got = _batch_K(alg, metric, xs, ys)
-        want = np.array([sectional_K(alg, metric, x, y)
+        got = sectional_K(alg, metric, xs, ys)
+        want = np.array([_reference_K(alg, metric, x, y)
                          for x, y in zip(xs, ys)])
         scale = np.abs(want).max() + 1.0
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10 * scale)
+        one = sectional_K(alg, metric, xs[0], ys[0])
+        assert isinstance(one, float)
+        assert abs(one - want[0]) <= 1e-8 * abs(want[0]) + 1e-10 * scale

@@ -8,6 +8,7 @@ such as "is this bracket zero" are decided exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -285,14 +286,22 @@ class NilpotentAlgebra:
         return True
 
     def find_codim1_abelian_ideal(self) -> Subspace | None:
-        """A codimension-one abelian ideal, if one exists.
+        """A codimension-one abelian ideal, decided by one exact linear solve.
 
-        Any such ideal contains g' (the quotient is one-dimensional, hence
-        abelian), so hyperplanes are enumerated through the quotient g/g'.
-        The quotient has small dimension for everything in the catalog; we
-        parametrize hyperplanes by rational normal directions on the
-        quotient with a bounded coefficient sweep, verifying each candidate
-        exactly.
+        A hyperplane H = ker phi is an ideal iff phi vanishes on g' (the
+        quotient g/H is one-dimensional, hence abelian; conversely H >= g'
+        gives [g, H] <= H). Writing [x, y] = sum_k w_k(x, y) e_k, H is
+        abelian iff every 2-form w_k vanishes on ker phi, i.e. iff
+        phi ^ w_k = 0. For a < b < c that is the linear row
+        phi_a w_k(b,c) - phi_b w_k(a,c) + phi_c w_k(a,b) = 0, so the
+        admissible phi form the null space of these rows stacked on the
+        basis of g'. None is returned iff that space is zero; otherwise H
+        is the kernel of its first RREF row.
+
+        The answer does not depend on the basis when g is not two-step:
+        two distinct such ideals A1 != A2 would give
+        g' = [A1, A2] <= A1 n A2 <= z(g) (since g = A1 + A2 and each is
+        abelian), making g two-step. So the solution space is then a line.
         """
         if self.is_abelian():
             if self.n == 0:
@@ -300,60 +309,20 @@ class NilpotentAlgebra:
             # canonical choice: drop the last coordinate
             return Subspace([basis_vector(self.n, i)
                              for i in range(self.n - 1)], self.n)
-        gp = self.derived_algebra()
-        if gp.dim == self.n:
+        n, w = self.n, self.brackets
+        rows: Matrix = list(self.derived_algebra().basis)
+        for a, b, c in itertools.combinations(range(n), 3):
+            for k in range(n):
+                row = [Fraction(0)] * n
+                row[a] = w.get((b, c), {}).get(k, 0)
+                row[b] = -w.get((a, c), {}).get(k, 0)
+                row[c] = w.get((a, b), {}).get(k, 0)
+                if any(row):
+                    rows.append(row)
+        phis = nullspace(rows, n)
+        if not phis:
             return None
-        # complement directions of g' among the standard basis
-        comp = []
-        cur = Subspace(gp.basis, self.n)
-        for i in range(self.n):
-            e = basis_vector(self.n, i)
-            if not cur.contains(e):
-                comp.append(e)
-                cur = cur.sum(Subspace([e], self.n))
-        q = len(comp)  # dim g/g'
-        # hyperplane = g' + span of q-1 independent combinations of comp;
-        # parametrized by a projective normal covector on the quotient.
-        coeff_range = [Fraction(v) for v in range(-3, 4)]
-
-        def candidates_for_normal(normal: list[Fraction]):
-            # kernel of the covector on the quotient
-            kern = nullspace([normal], q)
-            vecs = list(gp.basis)
-            for kv in kern:
-                w = [Fraction(0)] * self.n
-                for c, base in zip(kv, comp):
-                    for t in range(self.n):
-                        w[t] += c * base[t]
-                vecs.append(w)
-            return Subspace(vecs, self.n)
-
-        normals: list[list[Fraction]] = []
-        if q <= 4:
-            def gen(prefix: list[Fraction]):
-                if len(prefix) == q:
-                    if any(x != 0 for x in prefix):
-                        normals.append(list(prefix))
-                    return
-                for c in coeff_range:
-                    gen(prefix + [c])
-            gen([])
-        else:
-            # randomized fallback, exact verification of each candidate
-            import random
-            rng = random.Random(0)
-            for _ in range(500):
-                normals.append([Fraction(rng.randint(-5, 5)) for _ in range(q)])
-        seen = set()
-        for normal in normals:
-            h = candidates_for_normal(normal)
-            key = tuple(tuple(r) for r in h.basis)
-            if key in seen or h.dim != self.n - 1:
-                continue
-            seen.add(key)
-            if self.is_abelian_subspace(h) and self.is_ideal(h):
-                return h
-        return None
+        return Subspace(nullspace(phis[:1], n), n)
 
     def __repr__(self):
         label = self.name or "algebra"

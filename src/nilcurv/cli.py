@@ -56,6 +56,9 @@ from .io import (
     save_algebra,
 )
 from .sign_sets import (
+    K_NEGATIVE_MAX,
+    RIC_NEGATIVE_MAX,
+    RIC_POSITIVE_MIN,
     PreconditionError,
     WitnessSearchError,
     classify_plane,
@@ -293,8 +296,9 @@ def cmd_signsets(args) -> int:
     report = {"config": _config(args, algebra=args.algebra,
                                 vector=args.vector, plane=args.plane),
               "witnesses": [],
-              "tolerances": {"ric_positive": 1e-12, "ric_negative": -1e-12,
-                             "K_negative": -1e-9}}
+              "tolerances": {"ric_positive": RIC_POSITIVE_MIN,
+                             "ric_negative": RIC_NEGATIVE_MAX,
+                             "K_negative": K_NEGATIVE_MAX}}
     code = 0
     if args.vector is not None:
         x = _parse_vector(args.vector, a.n, "--vector")

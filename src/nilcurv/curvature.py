@@ -218,10 +218,14 @@ class RicciReport:
         n = len(vals)
         min_simple = n < 2 or (vals[1] - vals[0]) > gap_tol
         max_simple = n < 2 or (vals[-1] - vals[-2]) > gap_tol
-        with np.errstate(over="ignore"):
-            op = frame @ (r_frame * scale) @ np.linalg.inv(frame) \
-                if np.isfinite(scale) else np.full((n, n), np.nan)
-            vals = vals * scale
+        if np.isfinite(scale):
+            with np.errstate(over="ignore"):
+                op = frame @ (r_frame * scale) @ np.linalg.inv(frame)
+                vals = vals * scale
+        else:
+            # scale overflowed to inf: an exact-zero eigenvalue stays 0
+            op = np.full((n, n), np.nan)
+            vals = np.where(vals == 0, 0.0, np.copysign(np.inf, vals))
         return cls(operator=op, eigenvalues=vals,
                    eigenvectors=frame @ vecs_frame,
                    min_simple=min_simple, max_simple=max_simple)

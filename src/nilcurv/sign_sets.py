@@ -38,6 +38,10 @@ from .rational import rank, in_row_space
 
 WITNESS_METRIC_BUDGET = 200
 WITNESS_DEFORM_BUDGET = 20
+# A witness value must clear these bounds; reports print the same values.
+RIC_POSITIVE_MIN = 1e-9
+RIC_NEGATIVE_MAX = -1e-9
+K_NEGATIVE_MAX = -1e-9
 
 
 class PreconditionError(ValueError):
@@ -384,7 +388,7 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z,
     for t in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]:
         val, d = _scaled_ric_of_frame_vector(algebra, metric, basis, lam,
                                              t, 0)
-        if val > 1e-9 and abs(val - target) <= 0.05 * target:
+        if val > RIC_POSITIVE_MIN and abs(val - target) <= 0.05 * target:
             with np.errstate(over="ignore"):
                 full = val * np.exp(d * t)
             return SignWitness(kind="ric_positive", gram=gram,
@@ -408,7 +412,7 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
         metric = Metric.random(algebra.n, rng)
         r = ricci_form_matrix(algebra, metric)
         val = float(xf @ r @ xf)
-        if val < -1e-9:
+        if val < RIC_NEGATIVE_MAX:
             return SignWitness(kind="ric_negative", gram=metric.gram,
                                value=val, target=list(map(float, xf)),
                                seed=seed)
@@ -439,7 +443,7 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
         if val < 0:
             with np.errstate(over="ignore"):
                 full = val * np.exp(d * t)
-            if full < -1e-9:
+            if full < RIC_NEGATIVE_MAX:
                 return SignWitness(kind="ric_negative", gram=gram,
                                    value=float(full),
                                    target=list(map(float, xf)), seed=seed,
@@ -542,7 +546,7 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
                                          frame=frame)
             for t in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
                 val = tables["evaluate"](t)
-                if val < -1e-9:
+                if val < K_NEGATIVE_MAX:
                     return SignWitness(kind="K_negative",
                                        gram=metric.gram, value=float(val),
                                        target=[list(map(float, bx)),
@@ -560,7 +564,7 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y,
     yf = np.asarray(y, float)
     for metric in adapted_metric_family(algebra, xf, yf):
         val = sectional_K(algebra, metric, xf, yf)
-        if val < -1e-9:
+        if val < K_NEGATIVE_MAX:
             return SignWitness(kind="K_negative", gram=metric.gram,
                                value=val,
                                target=[list(map(float, xf)),
@@ -573,7 +577,7 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y,
     for _ in range(WITNESS_METRIC_BUDGET):
         metric = Metric.random(algebra.n, rng)
         val = sectional_K(algebra, metric, xf, yf)
-        if val < -1e-9:
+        if val < K_NEGATIVE_MAX:
             return SignWitness(kind="K_negative", gram=metric.gram,
                                value=val,
                                target=[list(map(float, xf)),
@@ -587,7 +591,7 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y,
         tables = secdef_coefficients(algebra, metric, lam, xf, yf)
         for t in (2.0, 5.0, 10.0, 20.0, 40.0):
             val = tables["evaluate"](t)
-            if val < -1e-9:
+            if val < K_NEGATIVE_MAX:
                 return SignWitness(kind="K_negative", gram=metric.gram,
                                    value=float(val),
                                    target=[list(map(float, xf)),

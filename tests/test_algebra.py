@@ -1,5 +1,6 @@
 """Structural algebra operations: brackets, series, ideals, subspaces."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from nilcurv import NilpotentAlgebra, Subspace, build, list_catalog
 from nilcurv.algebra import basis_vector
+from nilcurv.rational import solve
 
 
 def h3():
@@ -104,6 +106,65 @@ def test_codim1_abelian_ideal():
     assert ideal is not None and ideal.dim == 3
     assert a.is_ideal(ideal) and a.is_abelian_subspace(ideal)
     assert build("heisenberg", m=2).find_codim1_abelian_ideal() is None
+
+
+def test_codim1_abelian_ideal_outside_small_normals():
+    # filiform4 in the basis (W, X - 5W, Y, Z): its ideal span(X, Y, Z) is
+    # ker(1, -5, 0, 0), a normal with a coefficient outside {-3..3}
+    a = NilpotentAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1},
+                             (1, 2): {3: -5}})
+    ideal = a.find_codim1_abelian_ideal()
+    assert ideal == Subspace([[5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4)
+
+
+def unimodular(n: int, seed: int) -> list[list[int]]:
+    """Seeded integer matrix of determinant +-1: a row permutation of a
+    unit lower times a unit upper triangular matrix."""
+    rng = random.Random(seed)
+    low = [[1 if i == j else rng.randint(-2, 2) if j < i else 0
+            for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else rng.randint(-2, 2) if j > i else 0
+           for j in range(n)] for i in range(n)]
+    p = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    rng.shuffle(p)
+    return p
+
+
+def in_basis(a: NilpotentAlgebra, p) -> NilpotentAlgebra:
+    """The algebra in the basis given by the columns of p."""
+    cols = [[row[j] for row in p] for j in range(a.n)]
+    brackets = {}
+    for i in range(a.n):
+        for j in range(i + 1, a.n):
+            coords = solve(p, a.bracket(cols[i], cols[j]))
+            brackets[(i, j)] = dict(enumerate(coords))
+    return NilpotentAlgebra(a.n, brackets, name=a.name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_codim1_abelian_ideal_is_basis_independent(seed):
+    for e in list_catalog():
+        a = e.build()
+        p = unimodular(a.n, seed)
+        b = in_basis(a, p)
+        h, hb = a.find_codim1_abelian_ideal(), b.find_codim1_abelian_ideal()
+        assert (h is None) == (hb is None), e.label
+        if hb is None:
+            continue
+        assert hb.dim == b.n - 1
+        assert b.is_abelian_subspace(hb) and b.is_ideal(hb)
+        if not a.is_two_step():
+            # unique: the same ideal, written in the new basis
+            assert hb == Subspace([solve(p, v) for v in h.basis], b.n)
+
+
+def test_codim1_abelian_ideal_catalog_verdicts():
+    assert [e.label for e in list_catalog("codim1-abelian")] == [
+        "abelian3", "heisenberg3", "h3xA1", "h3xA2", "filiform4", "L52",
+        "L58"]
+    assert build("filiform4").find_codim1_abelian_ideal() == Subspace(
+        [basis_vector(4, i) for i in (1, 2, 3)], 4)
 
 
 def test_span_with_brackets():

@@ -6,6 +6,7 @@ import pytest
 
 from nilcurv import (
     ClassificationError,
+    NilpotentAlgebra,
     Subspace,
     build,
     check_rk5,
@@ -189,6 +190,10 @@ def test_theorem2_expected_M():
     a = build("filiform4")
     ideal = a.find_codim1_abelian_ideal()
     assert theorem2_expected_M(a).basis == ideal.basis
+    # filiform4 in the basis (W, X - 5W, Y, Z)
+    a = NilpotentAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1},
+                             (1, 2): {3: -5}})
+    assert theorem2_expected_M(a).dim == 3
     a = build("abelian", n=3)
     assert theorem2_expected_M(a).dim == 3
     a = build("filiform_standard", n=5)

@@ -7,6 +7,7 @@ import pytest
 
 from nilcurv import build, save_algebra
 from nilcurv.cli import main
+from nilcurv.sign_sets import K_NEGATIVE_MAX, RIC_POSITIVE_MIN
 
 
 @pytest.fixture()
@@ -115,7 +116,8 @@ def test_signsets_vector(h3_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["labels"] == ["g_pos"]
-    assert data["witnesses"][0]["value"] > 1e-12
+    assert data["tolerances"]["ric_positive"] == RIC_POSITIVE_MIN
+    assert data["witnesses"][0]["value"] > RIC_POSITIVE_MIN
 
 
 def test_signsets_plane_negative_witness(h3_path, capsys):
@@ -125,6 +127,8 @@ def test_signsets_plane_negative_witness(h3_path, capsys):
     data = json.loads(out)
     assert data["labels"] == []
     assert data["witnesses"][0]["kind"] == "K_negative"
+    assert data["tolerances"]["K_negative"] == K_NEGATIVE_MAX
+    assert data["witnesses"][0]["value"] < K_NEGATIVE_MAX
 
 
 def test_signsets_requires_exactly_one(h3_path, capsys):

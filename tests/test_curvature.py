@@ -17,6 +17,7 @@ from nilcurv import (
 )
 from nilcurv.curvature import (
     DegeneratePlaneError,
+    RicciReport,
     frame_structure,
     ricci_form_matrix,
 )
@@ -207,3 +208,11 @@ def test_eigen_simplicity_flags():
     a, m = h3(), Metric.identity(3)
     rep = ricci_operator(a, m)
     assert rep.max_simple and not rep.min_simple
+
+
+def test_zero_eigenvalue_under_infinite_scale():
+    # the scale exp(2 * shift) of a deformation limit can overflow to inf
+    with np.errstate(all="raise"):
+        rep = RicciReport.from_frame_matrix(np.diag([0.0, -1.0, 1.0]),
+                                            np.eye(3), scale=np.inf)
+    np.testing.assert_array_equal(rep.eigenvalues, [-np.inf, 0.0, np.inf])

@@ -19,8 +19,6 @@ from .rational import (
     Matrix,
     as_fraction,
     identity,
-    in_row_space,
-    rank,
     nullspace,
     rref,
 )
@@ -44,16 +42,36 @@ class Subspace:
     def __init__(self, vectors: Sequence[VectorLike], n: int):
         self.n = n
         self.basis: Matrix = rref([exact_vector(v) for v in vectors])
+        # pivot column of each RREF row
+        self.pivots = [next(j for j, x in enumerate(row) if x != 0)
+                       for row in self.basis]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: VectorLike) -> bool:
+    def coordinates(self, v: VectorLike) -> list[Fraction] | None:
+        """The c with v = sum_i c_i basis_i, or None if v is not in the
+        subspace. Row i of the RREF basis is 1 at pivot i and 0 at the
+        other pivots, so c_i can only be v at pivot i."""
         vv = exact_vector(v)
-        if all(x == 0 for x in vv):
-            return True
-        return in_row_space(self.basis, vv)
+        coords = [vv[p] for p in self.pivots]
+        terms = [(c, row) for c, row in zip(coords, self.basis) if c != 0]
+        if any(sum(c * row[j] for c, row in terms if row[j] != 0) != vv[j]
+               for j in range(self.n)):
+            return None
+        return coords
+
+    def contains(self, v: VectorLike) -> bool:
+        return self.coordinates(v) is not None
+
+    def complement(self) -> list[list[Fraction]]:
+        """The standard vectors e_p, p a pivot column of the RREF
+        annihilator. Column i of the annihilator is the image of e_i in
+        g/s, so these are the e_i that a scan e_0, ..., e_{n-1} keeps when
+        each raises the dimension of s + span(kept)."""
+        annihilator = Subspace(nullspace(self.basis, self.n), self.n)
+        return [basis_vector(self.n, p) for p in annihilator.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import (
     NilpotentAlgebra,
     Subspace,
@@ -32,6 +34,16 @@ def _random_rational_vector(rng, n: int) -> list[Fraction]:
     return [Fraction(int(rng.integers(-RATIONAL_BOUND, RATIONAL_BOUND + 1)),
                      int(rng.integers(1, RATIONAL_BOUND + 1)))
             for _ in range(n)]
+
+
+def _trial_tuples(n: int, k: int, samples: int, seed: int):
+    """The basis k-tuples in `combinations` order, then `samples` seeded
+    rational k-tuples."""
+    for idx in itertools.combinations(range(n), k):
+        yield tuple(basis_vector(n, i) for i in idx)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        yield tuple(_random_rational_vector(rng, n) for _ in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -55,19 +67,9 @@ def check_rk5(a: NilpotentAlgebra, samples: int = 50,
     """
     if a.n < 5:
         return False, None
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            x1, x2 = basis_vector(a.n, i), basis_vector(a.n, j)
-            if _rk5_rank(a, x1, x2) == 5:
-                return True, (x1, x2)
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x1 = _random_rational_vector(rng, a.n)
-        x2 = _random_rational_vector(rng, a.n)
-        if _rk5_rank(a, x1, x2) == 5:
-            return True, (x1, x2)
-    return False, None
+    wit = next((t for t in _trial_tuples(a.n, 2, samples, seed)
+                if _rk5_rank(a, *t) == 5), None)
+    return wit is not None, wit
 
 
 def _rk7_rank(a: NilpotentAlgebra, x1, x2, x3) -> int:
@@ -83,18 +85,9 @@ def check_rk7(a: NilpotentAlgebra, samples: int = 50,
     rank(X1, X2, X3, X12, X13, X23, X312) = 7."""
     if a.n < 7:
         return False, None
-    for i, j, k in itertools.combinations(range(a.n), 3):
-        t = (basis_vector(a.n, i), basis_vector(a.n, j),
-             basis_vector(a.n, k))
-        if _rk7_rank(a, *t) == 7:
-            return True, t
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        t = tuple(_random_rational_vector(rng, a.n) for _ in range(3))
-        if _rk7_rank(a, *t) == 7:
-            return True, t
-    return False, None
+    wit = next((t for t in _trial_tuples(a.n, 3, samples, seed)
+                if _rk7_rank(a, *t) == 7), None)
+    return wit is not None, wit
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +100,7 @@ def max_dimL_sampled(a: NilpotentAlgebra, samples: int = 100,
     with an exactly verified witness triple."""
     best, wit = 0, None
     cap = min(6, a.n)
-    for i, j, k in itertools.combinations(range(a.n), 3):
-        t = (basis_vector(a.n, i), basis_vector(a.n, j),
-             basis_vector(a.n, k))
-        d = a.span_with_brackets(*t).dim
-        if d > best:
-            best, wit = d, t
-        if best == cap:
-            return best, wit
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        t = tuple(_random_rational_vector(rng, a.n) for _ in range(3))
+    for t in _trial_tuples(a.n, 3, samples, seed):
         d = a.span_with_brackets(*t).dim
         if d > best:
             best, wit = d, t
@@ -169,38 +151,24 @@ def max_dimL_exact(a: NilpotentAlgebra) -> int:
 
 def _filiform4_certificate(a: NilpotentAlgebra):
     """A basis (W, X, Y, Z) with [W,X]=Y, [W,Y]=Z and all other brackets
-    zero, or None."""
+    zero, or None.
+
+    The only four-dimensional nilpotent algebra of class 3 is filiform4,
+    which has a codimension-one abelian ideal A >= g'. For W outside A,
+    g' = [W, A] (A is abelian), so ad_W restricted to A is nilpotent of
+    rank dim g' = 2: a single 3x3 Jordan block with image g'. Any X in A
+    outside g' is a cyclic vector, so Y = [W,X] and Z = [W,Y] != 0 span
+    g'. The other brackets vanish: X, Y, Z lie in the abelian A, and
+    [W,Z] lies in the fourth term of the lower central series, which is 0.
+    """
     if a.n != 4 or a.nilpotency_class() != 3:
         return None
-    candidates = [basis_vector(4, i) for i in range(4)]
-    candidates += [[Fraction(u), Fraction(v), Fraction(w), Fraction(s)]
-                   for u, v, w, s in itertools.product((-1, 0, 1), repeat=4)
-                   if any((u, v, w, s))]
-    for w in candidates:
-        for x in candidates:
-            y = a.bracket(w, x)
-            z = a.bracket(w, y)
-            if all(v == 0 for v in z):
-                continue
-            if rank([exact_vector(w), exact_vector(x), y, z]) != 4:
-                continue
-            xy = a.bracket(x, y)
-            gamma = solve([[zi] for zi in z], xy)
-            if gamma is None:
-                continue
-            x2 = [xi - gamma[0] * wi
-                  for xi, wi in zip(exact_vector(x), exact_vector(w))]
-            y2 = a.bracket(w, x2)
-            basis = [exact_vector(w), x2, y2, a.bracket(w, y2)]
-            if rank(basis) != 4:
-                continue
-            sub = restrict(a, Subspace(basis, 4), basis=basis)
-            if sub is None:
-                continue
-            expect = {(0, 1): {2: Fraction(1)}, (0, 2): {3: Fraction(1)}}
-            if sub.brackets == expect:
-                return basis
-    return None
+    ideal = a.find_codim1_abelian_ideal()
+    w = ideal.complement()[0]
+    gp = a.derived_algebra()
+    x = next(v for v in ideal.basis if not gp.contains(v))
+    y = a.bracket(w, x)
+    return [w, x, y, a.bracket(w, y)]
 
 
 def lemma6_classify(a: NilpotentAlgebra, samples: int = 100,
@@ -237,19 +205,15 @@ def lemma6_classify(a: NilpotentAlgebra, samples: int = 100,
 # subalgebra restriction and invariants
 
 
-def restrict(a: NilpotentAlgebra, s: Subspace,
-             basis: Matrix | None = None) -> NilpotentAlgebra | None:
-    """The bracket restricted to a subalgebra, in the given (or canonical)
-    basis; None if s is not closed under the bracket."""
-    bs = basis if basis is not None else s.basis
+def restrict(a: NilpotentAlgebra, s: Subspace) -> NilpotentAlgebra | None:
+    """The bracket restricted to a subalgebra, in the RREF basis of s;
+    None if s is not closed under the bracket."""
+    bs = s.basis
     m = len(bs)
-    cols = [[bs[r][c] for r in range(m)] for c in range(a.n)]
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(m):
         for j in range(i + 1, m):
-            w = a.bracket(bs[i], bs[j])
-            coords = solve([[bs[r][c] for r in range(m)]
-                            for c in range(a.n)], w)
+            coords = s.coordinates(a.bracket(bs[i], bs[j]))
             if coords is None:
                 return None
             entry = {k: c for k, c in enumerate(coords) if c != 0}
@@ -296,13 +260,7 @@ def invariant_tuple(a: NilpotentAlgebra) -> tuple:
 def _hyperplanes_containing(a: NilpotentAlgebra, inner: Subspace):
     """Codimension-one subspaces of the algebra containing `inner`
     (these are exactly the codim-1 ideals when inner >= g')."""
-    comp = []
-    cur = Subspace(inner.basis, a.n)
-    for i in range(a.n):
-        e = basis_vector(a.n, i)
-        if not cur.contains(e):
-            comp.append(e)
-            cur = cur.sum(Subspace([e], a.n))
+    comp = inner.complement()
     q = len(comp)
     if q == 0:
         return
@@ -341,38 +299,20 @@ def derivation_class_certificate(a: NilpotentAlgebra) -> dict | None:
         sub = restrict(a, h)
         if sub is None or not sub.is_two_step():
             continue
-        c = next(basis_vector(a.n, i) for i in range(a.n)
-                 if not h.contains(basis_vector(a.n, i)))
+        c = h.complement()[0]
         hb = h.basis
         m = len(hb)
-        cols_matrix = [[hb[r][t] for r in range(m)] for t in range(a.n)]
-        d_cols = []
-        ok = True
-        for v in hb:
-            dv = a.bracket(c, v)
-            coords = solve(cols_matrix, dv)
-            if coords is None:
-                ok = False
-                break
-            d_cols.append(coords)
-        if not ok:
-            continue
-        # D is nilpotent without a test: ad_c is nilpotent (Engel) and h
-        # is ad_c-invariant, so its restriction is nilpotent too.
+        # h >= g' is an ideal, so every [c, v] has coordinates in h. D is
+        # nilpotent without a test: ad_c is nilpotent (Engel) and h is
+        # ad_c-invariant, so its restriction is nilpotent too.
+        imgs = [a.bracket(c, v) for v in hb]
+        d_cols = [h.coordinates(x) for x in imgs]
         d_mat = [[d_cols[j][i] for j in range(m)] for i in range(m)]
         # polarized [DX, X] = 0: [Du, v] + [Dv, u] = 0 on basis pairs
-        imgs = [a.bracket(c, v) for v in hb]
-        good = True
-        for i in range(m):
-            for j in range(i, m):
-                s = [x + y for x, y in zip(a.bracket(imgs[i], hb[j]),
-                                           a.bracket(imgs[j], hb[i]))]
-                if any(v != 0 for v in s):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        if all(x + y == 0
+               for i in range(m) for j in range(i, m)
+               for x, y in zip(a.bracket(imgs[i], hb[j]),
+                               a.bracket(imgs[j], hb[i]))):
             return {"h": h, "c": c, "D": d_mat, "sub": sub}
     return None
 
@@ -403,52 +343,31 @@ def cocycle_class_certificate(a: NilpotentAlgebra, samples: int = 30,
     all X there is Y with omega(X, [X,Y]_h) = 0 and
     omega(Y, [X,Y]_h) != 0. Sampled X's are checked exactly; success on
     at least 90% qualifies."""
-    import numpy as np
-
     for c in _central_line_candidates(a):
-        line = Subspace([c], a.n)
-        # complement basis: standard vectors completing the line
-        comp = []
-        cur = line
-        for i in range(a.n):
-            e = basis_vector(a.n, i)
-            if not cur.contains(e):
-                comp.append(e)
-                cur = cur.sum(Subspace([e], a.n))
+        comp = Subspace([c], a.n).complement()
         m = len(comp)
-        if m != a.n - 1:
-            continue
-        # coordinates: solve against [c, comp...]
-        full = [c] + comp
-        cols = [[full[r][t] for r in range(a.n)] for t in range(a.n)]
+        # coordinates in the basis (c, comp...)
+        cols = [[v[t] for v in [c] + comp] for t in range(a.n)]
         q_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
         omega = [[Fraction(0)] * m for _ in range(m)]
-        degenerate = False
         for i in range(m):
             for j in range(i + 1, m):
-                w = a.bracket(comp[i], comp[j])
-                coords = solve(cols, w)
-                if coords is None:
-                    degenerate = True
-                    break
+                coords = solve(cols, a.bracket(comp[i], comp[j]))
                 omega[i][j] = coords[0]
                 omega[j][i] = -coords[0]
                 entry = {k - 1: v for k, v in enumerate(coords)
                          if k >= 1 and v != 0}
                 if entry:
                     q_brackets[(i, j)] = entry
-            if degenerate:
-                break
-        if degenerate:
-            continue
         quotient = NilpotentAlgebra(m, q_brackets, name=f"{a.name}/c")
         if quotient.jacobi_failures() or not quotient.is_two_step() \
                 or quotient.is_abelian():
             continue
+        entries = [(i, j, w) for i, row in enumerate(omega)
+                   for j, w in enumerate(row) if w != 0]
 
         def om(u, v):
-            return sum(u[i] * omega[i][j] * v[j]
-                       for i in range(m) for j in range(m))
+            return sum(u[i] * w * v[j] for i, j, w in entries)
 
         rng = np.random.default_rng(seed)
         hits = 0
@@ -587,9 +506,7 @@ def lemma7_classify(a: NilpotentAlgebra, samples: int = 30,
         raise ClassificationError("algebra is abelian")
     if a.is_two_step():
         raise ClassificationError("algebra is two-step")
-    rk5, w5 = check_rk5(a, samples, seed)
-    rk7, w7 = check_rk7(a, samples, seed)
-    if rk5 or rk7:
+    if check_rk5(a, samples, seed)[0] or check_rk7(a, samples, seed)[0]:
         raise ClassificationError(
             "a rank condition holds: the generic-case analysis applies "
             "instead of the class dichotomy")
@@ -611,7 +528,6 @@ def lemma7_classify(a: NilpotentAlgebra, samples: int = 30,
     verdict.lemma7_classes = classes
     verdict.certificates = certs
     if "derivation" in classes:
-        import numpy as np
         rng = np.random.default_rng(seed)
         best_n, best_triple = 0, None
         for _ in range(max(10, samples)):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import NilpotentAlgebra, Subspace, basis_vector
+from .algebra import NilpotentAlgebra, Subspace
 from .catalog import list_catalog
 from .classification import (
     ClassificationError,
@@ -31,12 +31,19 @@ from .classification import (
     lemma7_classify,
     theorem2_expected_M,
 )
-from .curvature import Metric, MetricError, ricci_operator, sectional_K, sectional_kappa
+from .curvature import (
+    EIG_CLUSTER_REL,
+    Metric,
+    MetricError,
+    ricci_operator,
+    sectional_K,
+    sectional_kappa,
+)
 from .deformation import (
     CandidateError,
     DeformationSpec,
     candidate_two_step,
-    complete_basis,
+    codim1_adapted_metric,
     convergence_check,
     deformed_ricci,
     derived_complement_frame,
@@ -224,8 +231,7 @@ def cmd_ric(args) -> int:
            "eigenvalues": rep.eigenvalues.tolist(),
            "operator": rep.operator.tolist(),
            "max_simple": rep.max_simple, "min_simple": rep.min_simple,
-           "tolerances": {"self_adjointness": 1e-10,
-                          "eigen_cluster_rel": 1e-8}}, args)
+           "tolerances": {"eigen_cluster_rel": EIG_CLUSTER_REL}}, args)
     return 0
 
 
@@ -406,24 +412,15 @@ def _maxmin_candidates(a: NilpotentAlgebra, rng, samples: int):
                      "reporting the expected subspace only")
         return out, notes
     a_basis = np.array([[float(v) for v in row] for row in ideal.basis])
-    c_vec = next(np.eye(a.n)[:, i] for i in range(a.n)
-                 if not ideal.contains(basis_vector(a.n, i)))
+    c_vec = np.array([float(v) for v in ideal.complement()[0]])
     for k in range(samples):
         u1 = rng.uniform(-1.0, 1.0, size=a_basis.shape[0]) @ a_basis
         u1 = u1 / np.linalg.norm(u1)
         if np.linalg.norm(a.bracket_float(c_vec,
                                           a.bracket_float(c_vec, u1))) < 1e-8:
             continue
-        cu1 = a.bracket_float(c_vec, u1)
-        have = [c_vec, u1, cu1]
-        comp = complete_basis(have)
-        if len(have) + len(comp) != a.n:
-            notes.append(f"sample {k}: frame completion failed")
-            continue
-        e = comp[0]
-        basis = np.column_stack(have + comp)
-        metric = Metric(np.linalg.inv(basis @ basis.T))
         try:
+            metric, e = codim1_adapted_metric(a, c_vec, u1)
             spec, cand = lemma5a_deformation(a, metric, e, u1, c_vec)
         except CandidateError as exc:
             notes.append(f"sample {k}: {exc}")

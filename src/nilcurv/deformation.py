@@ -419,7 +419,7 @@ def candidate_min_u1(algebra: NilpotentAlgebra, metric: Metric,
                      e1, e2, u1, u2, u3) -> ExtremalCandidate:
     """Ricci-minimal candidate u1; min eigenvalue -a^2 - b^2 is always
     simple since it lies strictly below both -a^2 and -b^2."""
-    e1, e2, u1, u2, u3, u12, a, b = _check_eu_preconditions(
+    _, _, u1, _, _, _, a, b = _check_eu_preconditions(
         algebra, metric, e1, e2, u1, u2, u3)
     return ExtremalCandidate(T=u1, lambda_extreme=-(a * a + b * b),
                              construction="eumin", simple=True, kind="min")
@@ -519,7 +519,6 @@ def spec_for_pattern(algebra: NilpotentAlgebra, metric: Metric,
     _require_orthonormal(metric, chosen,
                          [f"v{i}" for i in range(len(chosen))])
     # complete to a g-orthonormal frame by Gram-Schmidt over the basis
-    cols = list(plus)
     middle: list[np.ndarray] = []
     pool = chosen + [np.eye(n)[:, i] for i in range(n)]
     have = list(chosen)
@@ -585,6 +584,20 @@ def complete_basis(vectors) -> list[np.ndarray]:
                                  tol=BASIS_RANK_TOL) > len(have) + len(out):
             out.append(e)
     return out
+
+
+def codim1_adapted_metric(algebra: NilpotentAlgebra, c, u1
+                          ) -> tuple[Metric, np.ndarray]:
+    """(metric, e): the metric in which c, u1, [c, u1] and their
+    completion by standard vectors (`complete_basis`) are orthonormal,
+    with e the first completion vector."""
+    have = [np.asarray(c, float), np.asarray(u1, float),
+            algebra.bracket_float(c, u1)]
+    comp = complete_basis(have)
+    if len(have) + len(comp) != algebra.n:
+        raise CandidateError("frame completion failed")
+    basis = np.column_stack(have + comp)
+    return Metric(np.linalg.inv(basis @ basis.T)), comp[0]
 
 
 @dataclass

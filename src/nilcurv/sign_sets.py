@@ -431,7 +431,6 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
     # basis order: x, w-direction, middle..., y
     mid = complete_basis([xf, wf, yv])
     basis = np.column_stack([xf, wf] + mid + [yv])
-    coeffs = np.linalg.solve(basis, wf)  # trivially e_2
     gram = np.linalg.inv(basis @ basis.T)
     metric = Metric(gram)
     lam = np.zeros(n)
@@ -583,11 +582,10 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y,
                                target=[list(map(float, xf)),
                                        list(map(float, yf))], seed=seed)
     # deformation fallback along the proof recipe
-    for trial in range(WITNESS_DEFORM_BUDGET):
+    for _ in range(WITNESS_DEFORM_BUDGET):
         metric = Metric.random(algebra.n, rng)
         lam = np.sort(rng.uniform(0.0, 1.0, size=algebra.n))[::-1]
         lam[0] += 1.0
-        spec = DeformationSpec(base=metric, lambdas=lam)
         tables = secdef_coefficients(algebra, metric, lam, xf, yf)
         for t in (2.0, 5.0, 10.0, 20.0, 40.0):
             val = tables["evaluate"](t)

@@ -30,7 +30,7 @@ from .deformation import (
     DeformationSpec,
     candidate_e1u2,
     candidate_two_step,
-    complete_basis,
+    codim1_adapted_metric,
     convergence_check,
     deformed_ricci_frame,
     derived_complement_frame,
@@ -615,7 +615,7 @@ def check_coverage(seed: int = 0) -> dict:
     ideal = alg.find_codim1_abelian_ideal()
     a_basis = np.array([[float(v) for v in row] for row in ideal.basis])
     grid = sphere_grid(a_basis.shape[0], resolution) @ a_basis
-    c_vec = np.eye(4)[:, 0]
+    c_vec = np.array([float(v) for v in ideal.complement()[0]])
     cands = []
     for gdir in grid:
         u1 = gdir / np.linalg.norm(gdir)
@@ -623,11 +623,7 @@ def check_coverage(seed: int = 0) -> dict:
                 c_vec, alg.bracket_float(c_vec, u1)))) < 1e-8:
             u1 = u1 + 0.02 * np.eye(4)[:, 1]  # tilt toward X
             u1 = u1 / np.linalg.norm(u1)
-        cu1 = alg.bracket_float(c_vec, u1)
-        have = [c_vec, u1, cu1]
-        e = complete_basis(have)[0]
-        basis = np.column_stack(have + [e])
-        metric = Metric(np.linalg.inv(basis @ basis.T))
+        metric, e = codim1_adapted_metric(alg, c_vec, u1)
         cand = candidate_e1u2(alg, metric, e, u1, c_vec)
         if not cand.is_zero:
             cands.append(cand.T)

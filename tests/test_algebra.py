@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcurv import NilpotentAlgebra, Subspace, build, list_catalog
 from nilcurv.algebra import basis_vector
-from nilcurv.rational import solve
+from nilcurv.rational import in_row_space, rank, solve
 
 
 def h3():
@@ -98,6 +100,59 @@ def test_subspace_operations():
     assert s1.contains([2, 3, 0])
     assert not s1.contains([0, 0, 1])
     assert s1.contains_subspace(Subspace([[1, 1, 0]], 3))
+
+
+_entry = st.one_of(st.just(Fraction(0)),
+                   st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def subspace_and_vector(draw):
+    """(rows, v): up to n spanning rows in dimension n <= 7, and v a
+    combination of them, perturbed half of the time."""
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_entry, min_size=n, max_size=n),
+                         max_size=n))
+    coeffs = draw(st.lists(_entry, min_size=len(rows), max_size=len(rows)))
+    v = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+         for j in range(n)]
+    if draw(st.booleans()):
+        v = [x + y for x, y in zip(v, draw(
+            st.lists(_entry, min_size=n, max_size=n)))]
+    return rows, v
+
+
+def greedy_complement(s: Subspace) -> list[list[Fraction]]:
+    """Reference: scan e_0, ..., e_{n-1}, keeping each e_i that raises the
+    rank of s plus the kept vectors."""
+    kept = []
+    for i in range(s.n):
+        e = basis_vector(s.n, i)
+        if rank(s.basis + kept + [e]) > s.dim + len(kept):
+            kept.append(e)
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_and_vector())
+def test_subspace_membership_and_coordinates(case):
+    rows, v = case
+    s = Subspace(rows, len(v))
+    assert s.contains(v) == in_row_space(rows, v)
+    coords = s.coordinates(v)
+    if coords is not None:
+        assert [sum((c * r[j] for c, r in zip(coords, s.basis)), Fraction(0))
+                for j in range(s.n)] == v
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_and_vector())
+def test_complement_matches_greedy_scan(case):
+    rows, v = case
+    s = Subspace(rows, len(v))
+    comp = s.complement()
+    assert comp == greedy_complement(s)
+    assert s.dim + len(comp) == s.n
 
 
 def test_codim1_abelian_ideal():

@@ -25,6 +25,8 @@ from nilcurv import (
 )
 from nilcurv.algebra import basis_vector
 from nilcurv.classification import _random_rational_vector
+from nilcurv.rational import rank
+from test_algebra import in_basis, unimodular
 
 
 def test_rk5_holds_on_filiform5():
@@ -60,12 +62,32 @@ def test_lemma6_verdicts():
     assert v["heisenberg_rank"] == 2 and v["pad"] == 2
     v = lemma6_classify(build("filiform4"))
     assert v["class"] == "filiform4"
-    # the certified basis realizes the model brackets
-    sub = restrict(build("filiform4"), Subspace(v["basis"], 4),
-                   basis=v["basis"])
-    assert sub is not None and sub.nilpotency_class() == 3
+    assert_filiform4_basis(build("filiform4"), v["basis"])
     v = lemma6_classify(build("filiform_standard", n=5))
     assert v["class"] == "not_applicable" and v["max_dimL"] == 5
+
+
+def assert_filiform4_basis(a, basis):
+    """(W, X, Y, Z) is a basis with [W,X] = Y, [W,Y] = Z != 0 and the
+    other four brackets zero."""
+    w, x, y, z = basis
+    assert rank(basis) == 4
+    assert a.bracket(w, x) == y and a.bracket(w, y) == z and any(z)
+    for u, v in ((w, z), (x, y), (x, z), (y, z)):
+        assert not any(a.bracket(u, v))
+
+
+def test_filiform4_certificate_is_exact():
+    a = build("filiform4")
+    assert lemma6_classify(a)["basis"] == [basis_vector(4, i)
+                                           for i in range(4)]
+    # filiform4 in the basis (W, X - 5W, Y, Z)
+    sheared = NilpotentAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1},
+                                   (1, 2): {3: -5}})
+    for b in [sheared] + [in_basis(a, unimodular(4, s)) for s in (1, 2, 3)]:
+        v = lemma6_classify(b)
+        assert v["class"] == "filiform4"
+        assert_filiform4_basis(b, v["basis"])
 
 
 def test_lemma6_on_rotated_filiform4():

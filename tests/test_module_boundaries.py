@@ -1,4 +1,5 @@
-"""No library module imports or reads another module's private names."""
+"""No library module imports or reads another module's private names, and
+no library function binds a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,53 @@ def test_no_private_cross_module_access():
     uses = {p.name: private_uses(p.read_text())
             for p in sorted(SRC.glob("*.py"))}
     assert not any(uses.values()), uses
+
+
+def _own_scope(node):
+    """The nodes of node's own scope: nested functions, lambdas and
+    classes are left out."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda, ast.ClassDef)):
+            yield child
+            yield from _own_scope(child)
+
+
+def unread_locals(source: str) -> list[str]:
+    """Names a function (nested ones included) binds and never reads. A
+    read in a nested function counts; `_`-prefixed names and names
+    declared global or nonlocal are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        reads = {n.id for n in ast.walk(fn)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        own = list(_own_scope(fn))
+        reads |= {name for n in own if isinstance(n, (ast.Global,
+                                                      ast.Nonlocal))
+                  for name in n.names}
+        for n in own:
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                    and not n.id.startswith("_") and n.id not in reads):
+                found.append(f"line {n.lineno}: {fn.name}.{n.id}")
+    return found
+
+
+def test_checker_flags_unread_locals():
+    source = ("def f(a):\n"
+              "    b, _c = a\n"
+              "    d = 1\n"
+              "    for i in range(2):\n"
+              "        pass\n"
+              "    def g():\n"
+              "        e = d\n"
+              "        return b\n"
+              "    return g\n")
+    assert unread_locals(source) == ["line 4: f.i", "line 7: g.e"]
+
+
+def test_no_unread_locals():
+    unread = {p.name: unread_locals(p.read_text())
+              for p in sorted(SRC.glob("*.py"))}
+    assert not any(unread.values()), unread

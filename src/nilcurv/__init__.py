@@ -57,6 +57,7 @@ from .deformation import (
     projective_distance,
     scaled_ricci_limit,
     spec_for_pattern,
+    worst_gap,
 )
 from .frames import FRAME_KEYS, NormalFormFrame, normal_form_frame
 from .io import FormatError, load_algebra, load_deformation, load_gram, save_algebra
@@ -86,7 +87,7 @@ __all__ = [
     "candidate_two_step", "convergence_check", "deformed_metric",
     "deformed_ricci", "deformed_ricci_frame", "derived_complement_frame",
     "extremal_T", "lemma5a_deformation", "projective_distance",
-    "scaled_ricci_limit", "spec_for_pattern",
+    "scaled_ricci_limit", "spec_for_pattern", "worst_gap",
     "FRAME_KEYS", "NormalFormFrame", "normal_form_frame",
     "FormatError", "load_algebra", "load_deformation", "load_gram",
     "save_algebra",

@@ -21,7 +21,7 @@ from .algebra import (
     basis_vector,
     exact_vector,
 )
-from .rational import Matrix, nullspace, rank, solve
+from .rational import Matrix, nullspace, rank
 
 RATIONAL_BOUND = 97
 
@@ -346,17 +346,21 @@ def cocycle_class_certificate(a: NilpotentAlgebra, samples: int = 30,
     for c in _central_line_candidates(a):
         comp = Subspace([c], a.n).complement()
         m = len(comp)
-        # coordinates in the basis (c, comp...)
-        cols = [[v[t] for v in [c] + comp] for t in range(a.n)]
+        # the basis (c, comp...) omits only e_r, r the last nonzero
+        # coordinate of c: w = alpha c + sum (w_p - alpha c_p) e_p with
+        # alpha = w_r / c_r, over the complement pivots p
+        r = max(i for i, v in enumerate(c) if v != 0)
+        pivots = [v.index(1) for v in comp]
         q_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
         omega = [[Fraction(0)] * m for _ in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
-                coords = solve(cols, a.bracket(comp[i], comp[j]))
-                omega[i][j] = coords[0]
-                omega[j][i] = -coords[0]
-                entry = {k - 1: v for k, v in enumerate(coords)
-                         if k >= 1 and v != 0}
+                w = a.bracket(comp[i], comp[j])
+                alpha = w[r] / c[r]
+                omega[i][j] = alpha
+                omega[j][i] = -alpha
+                coords = [w[p] - alpha * c[p] for p in pivots]
+                entry = {k: v for k, v in enumerate(coords) if v != 0}
                 if entry:
                     q_brackets[(i, j)] = entry
         quotient = NilpotentAlgebra(m, q_brackets, name=f"{a.name}/c")

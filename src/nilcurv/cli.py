@@ -49,14 +49,13 @@ from .deformation import (
     derived_complement_frame,
     extremal_T,
     lemma5a_deformation,
-    projective_distance,
     scaled_ricci_limit,
     spec_for_pattern,
     sphere_grid,
+    worst_gap,
 )
 from .io import (
     FormatError,
-    algebra_to_dict,
     load_algebra,
     load_deformation,
     load_gram,
@@ -466,12 +465,9 @@ def cmd_maxmin(args) -> int:
         # grid-coverage statistic over the expected subspace
         if exp_basis.shape[0] <= 3:
             grid = sphere_grid(exp_basis.shape[0], 0.2) @ exp_basis
-            tvecs = [np.asarray(r["T"]) for r in runs]
             report["coverage"] = {
                 "grid_resolution": 0.2,
-                "worst_gap": float(max(
-                    min(projective_distance(g, t) for t in tvecs)
-                    for g in grid))}
+                "worst_gap": worst_gap(grid, [r["T"] for r in runs])}
         else:
             report["coverage"] = {"note": "expected subspace dimension > 3; "
                                           "grid statistic skipped"}

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra, Subspace
+from .algebra import NilpotentAlgebra
 from .curvature import Metric, RicciReport, frame_structure, ricci_frame
 
 OVERFLOW_LIMIT = 700.0
@@ -551,9 +551,54 @@ def projective_distance(u, v) -> float:
     return float(np.sqrt(max(0.0, 1.0 - c * c)))
 
 
+# grid rows per block in worst_gap's screen; bounds its temporary arrays
+_GAP_ROWS = 64
+# bound on |screened distance - projective_distance| in worst_gap
+_GAP_SCREEN = 1e-6
+
+
+def worst_gap(grid, cands) -> float:
+    """max over rows g of grid of min over rows c of cands of
+    projective_distance(g, c), bit for bit.
+
+    A screen in blocks of _GAP_ROWS grid rows takes sqrt(1 - |G^ C^T|^2)
+    with normalized rows. It is off from projective_distance by at most
+    sqrt(2 |dc|), about 1e-7 for a rounding error dc in the cosine. So the
+    scalar formula's argmax row lies among the rows whose screened minimum
+    is within 2 _GAP_SCREEN of the largest, and each row's argmin among
+    the candidates within 2 _GAP_SCREEN of its screened minimum; only
+    those pairs are evaluated with projective_distance. The bound holds
+    while squared row norms neither overflow nor underflow. A zero row, or
+    no row at all, raises ValueError."""
+    g = np.asarray(grid, float)
+    c = np.asarray(cands, float)
+    if len(g) == 0 or len(c) == 0:
+        raise ValueError("worst_gap needs a grid row and a candidate")
+    gnorm, cnorm = np.linalg.norm(g, axis=1), np.linalg.norm(c, axis=1)
+    if not (gnorm.all() and cnorm.all()):
+        raise ValueError("projective distance undefined for the zero vector")
+    gn, cn = g / gnorm[:, None], c / cnorm[:, None]
+
+    def screen(rows):
+        cos = np.minimum(np.abs(rows @ cn.T), 1.0)
+        return np.sqrt(1.0 - cos * cos)
+
+    mins = np.concatenate([screen(gn[s:s + _GAP_ROWS]).min(axis=1)
+                           for s in range(0, len(gn), _GAP_ROWS)])
+    window = 2.0 * _GAP_SCREEN
+    row_mins = []
+    for i in np.flatnonzero(mins >= mins.max() - window):
+        near = np.flatnonzero(screen(gn[i:i + 1])[0] <= mins[i] + window)
+        row_mins.append(min(projective_distance(g[i], c[j]) for j in near))
+    return max(row_mins)
+
+
 def sphere_grid(dim: int, resolution: float) -> np.ndarray:
     """Directions covering the projective space of R^dim to the given
-    sine-distance resolution."""
+    sine-distance resolution, for dim 1, 2 or 3 (a Fibonacci sphere);
+    any other dim raises ValueError."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"sphere_grid covers dimensions 1 to 3, not {dim}")
     if dim == 1:
         return np.array([[1.0]])
     if dim == 2:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import classification as cls
 from . import sign_sets as ss
-from .algebra import basis_vector, exact_vector
 from .catalog import build, list_catalog
 from .curvature import (
     Metric,
@@ -39,6 +38,7 @@ from .deformation import (
     scaled_ricci_limit,
     spec_for_pattern,
     sphere_grid,
+    worst_gap,
 )
 from .frames import FRAME_KEYS, normal_form_frame
 from .rational import nullspace, rank
@@ -583,12 +583,14 @@ def check_closure_dichotomy(seed: int = 0) -> dict:
 # 8. Extremal-direction coverage
 
 
-def check_coverage(seed: int = 0) -> dict:
-    t0 = time.perf_counter()
-    resolution = 0.1
+def coverage_grid_cases(seed: int = 0, resolution: float = 0.1
+                        ) -> dict[str, tuple[np.ndarray, list]]:
+    """{case: (grid, candidates)} for the grid cases of `check_coverage`:
+    the lines of P(g') on h5 against two-step candidates at random metrics
+    (drawn from seed), and the lines of P(a) on filiform4 against the
+    codimension-one abelian ideal candidates."""
     rng = np.random.default_rng(seed)
-    details = {}
-    failures = []
+    cases = {}
     # h5: two-step candidates from random derived-algebra directions
     alg = build("heisenberg", m=2)
     gp_basis = np.array([[float(v) for v in row]
@@ -604,12 +606,8 @@ def check_coverage(seed: int = 0) -> dict:
         cand = candidate_two_step(alg, metric, e / nrm)
         if not cand.is_zero:
             cands.append(cand.T)
-    grid = sphere_grid(gp_basis.shape[0], resolution) @ gp_basis
-    worst = max(min(projective_distance(g, c) for c in cands)
-                for g in grid)
-    details["h5"] = {"candidates": len(cands), "worst_gap": worst}
-    if worst >= resolution:
-        failures.append({"case": "h5", "worst_gap": worst})
+    cases["h5"] = (sphere_grid(gp_basis.shape[0], resolution) @ gp_basis,
+                   cands)
     # filiform4: codimension-one abelian ideal construction covers P(a)
     alg = build("filiform4")
     ideal = alg.find_codim1_abelian_ideal()
@@ -627,11 +625,20 @@ def check_coverage(seed: int = 0) -> dict:
         cand = candidate_e1u2(alg, metric, e, u1, c_vec)
         if not cand.is_zero:
             cands.append(cand.T)
-    worst = max(min(projective_distance(g, c) for c in cands)
-                for g in grid)
-    details["filiform4"] = {"candidates": len(cands), "worst_gap": worst}
-    if worst >= resolution:
-        failures.append({"case": "filiform4", "worst_gap": worst})
+    cases["filiform4"] = (grid, cands)
+    return cases
+
+
+def check_coverage(seed: int = 0) -> dict:
+    t0 = time.perf_counter()
+    resolution = 0.1
+    details = {}
+    failures = []
+    for case, (grid, cands) in coverage_grid_cases(seed, resolution).items():
+        worst = worst_gap(grid, cands)
+        details[case] = {"candidates": len(cands), "worst_gap": worst}
+        if worst >= resolution:
+            failures.append({"case": case, "worst_gap": worst})
     # normal forms: candidate span is the whole algebra
     alpha_grid = (-2.0, -1.0, 1.0, 2.0, 3.0)
     for key in FRAME_KEYS:

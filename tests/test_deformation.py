@@ -3,6 +3,8 @@ candidates, each cross-checked against an independent direct computation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcurv import (
     CandidateError,
@@ -24,8 +26,11 @@ from nilcurv import (
     ricci_operator,
     scaled_ricci_limit,
     spec_for_pattern,
+    worst_gap,
 )
-from nilcurv.deformation import deformed_ricci_frame
+from nilcurv import deformation
+from nilcurv.deformation import deformed_ricci_frame, sphere_grid
+from nilcurv.verify import coverage_grid_cases
 
 
 def _spec(alg, lambdas, seed=0):
@@ -181,3 +186,77 @@ def test_spec_for_pattern_exponents():
     assert sorted(spec.lambdas.tolist()) == [-1.0, -1.0, 1.0]
     limit = scaled_ricci_limit(spec, alg)
     assert (limit.p, limit.q) == (1, 2)
+
+
+def scalar_worst_gap(grid, cands):
+    """Reference: the scalar double loop that worst_gap replaces."""
+    return max(min(projective_distance(g, c) for c in cands) for g in grid)
+
+
+# entries either 0 or far from the float under- and overflow of a squared
+# norm; small integers make exactly parallel rows
+_float_entry = st.floats(-10.0, 10.0).map(lambda x: 0.0 if abs(x) < 1e-6
+                                           else x)
+_entry = st.one_of(_float_entry, st.integers(-3, 3).map(float))
+
+
+@st.composite
+def grid_and_candidates(draw):
+    """(grid, cands) with n <= 6 and nonzero rows, in one of the shapes
+    that stress the screen: random rows, candidates that are scaled copies
+    of grid rows (every row minimum is rounding noise), duplicated
+    candidates, one grid row, and one candidate."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(_entry, min_size=n, max_size=n).filter(any)
+    shape = draw(st.sampled_from(
+        ["random", "scaled", "duplicated", "one-row", "one-candidate"]))
+    grid = draw(st.lists(row, min_size=1,
+                         max_size=1 if shape == "one-row" else 12))
+    cands = draw(st.lists(row, min_size=1,
+                          max_size=1 if shape == "one-candidate" else 12))
+    if shape == "scaled":
+        scales = draw(st.lists(
+            st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+            min_size=len(grid), max_size=len(grid)))
+        cands = [[s * x for x in g] for s, g in zip(scales, grid)] + cands
+    elif shape == "duplicated":
+        cands = cands + cands[::-1] + cands
+    return np.array(grid), [np.array(c) for c in cands]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_and_candidates())
+def test_worst_gap_equals_scalar_loop(case):
+    grid, cands = case
+    assert worst_gap(grid, cands) == scalar_worst_gap(grid, cands)
+
+
+def test_worst_gap_on_the_coverage_grids(monkeypatch):
+    """The grid cases of the coverage check at seed 0, at the default block
+    size and at 1 and 7 rows. On filiform4 every row minimum is rounding
+    noise at a cosine of about 1."""
+    for grid, cands in coverage_grid_cases(seed=0).values():
+        expected = scalar_worst_gap(grid, cands)
+        for rows in (deformation._GAP_ROWS, 1, 7):
+            monkeypatch.setattr(deformation, "_GAP_ROWS", rows)
+            assert worst_gap(grid, cands) == expected
+
+
+def test_worst_gap_rejects_zero_rows_and_empty_candidates():
+    grid = np.eye(3)
+    with pytest.raises(ValueError):
+        worst_gap(np.vstack([grid, np.zeros(3)]), grid)
+    with pytest.raises(ValueError):
+        worst_gap(grid, [np.ones(3), np.zeros(3)])
+    with pytest.raises(ValueError):
+        worst_gap(grid, [])
+
+
+def test_sphere_grid_covers_dimensions_one_to_three_only():
+    for dim in (1, 2, 3):
+        grid = sphere_grid(dim, 0.2)
+        assert grid.shape[1] == dim
+        assert np.allclose(np.linalg.norm(grid, axis=1), 1.0)
+    for dim in (0, 4, 5):
+        with pytest.raises(ValueError):
+            sphere_grid(dim, 0.2)

@@ -1,5 +1,6 @@
-"""No library module imports or reads another module's private names, and
-no library function binds a name it never reads."""
+"""No library module imports or reads another module's private names, no
+library function binds a name it never reads, and no library module other
+than the package's `__init__` imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -113,4 +114,41 @@ def test_checker_flags_unread_locals():
 def test_no_unread_locals():
     unread = {p.name: unread_locals(p.read_text())
               for p in sorted(SRC.glob("*.py"))}
+    assert not any(unread.values()), unread
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of `source` that nothing in
+    it reads; `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    reads = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                if name not in reads:
+                    found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_unread_imports():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from .algebra import Subspace, basis_vector as bv\n"
+              "from . import rational\n"
+              "def f(x: Subspace):\n"
+              "    from .io import load_gram\n"
+              "    return np.zeros(x)\n")
+    assert unread_imports(source) == [
+        "line 3: os", "line 4: bv", "line 5: rational"]
+
+
+def test_no_unread_imports():
+    unread = {p.name: unread_imports(p.read_text())
+              for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert not any(unread.values()), unread

@@ -24,6 +24,7 @@ from .classification import (
     StructureVerdict,
     check_rk5,
     check_rk7,
+    classify,
     cocycle_class_certificate,
     derivation_class_certificate,
     derivation_dimension,
@@ -96,7 +97,7 @@ __all__ = [
     "find_negative_ric_witness", "find_positive_ric_witness",
     "knonneg_value", "secdef_coefficients",
     "ClassificationError", "StructureVerdict", "check_rk5", "check_rk7",
-    "cocycle_class_certificate", "derivation_class_certificate",
+    "classify", "cocycle_class_certificate", "derivation_class_certificate",
     "derivation_dimension", "invariant_tuple", "lemma6_classify",
     "lemma7_classify", "max_dimL_exact", "max_dimL_sampled", "restrict",
     "shape_of_L", "theorem2_expected_M",

@@ -21,6 +21,7 @@ from .algebra import (
     basis_vector,
     exact_vector,
 )
+from .catalog import build
 from .rational import Matrix, nullspace, rank
 
 RATIONAL_BOUND = 97
@@ -317,91 +318,82 @@ def derivation_class_certificate(a: NilpotentAlgebra) -> dict | None:
     return None
 
 
-def _central_line_candidates(a: NilpotentAlgebra):
-    z = a.center()
-    seen = set()
-    coeffs = [Fraction(v) for v in (-1, 0, 1, 2)]
-    combos = [list(v) for v in itertools.product(coeffs, repeat=z.dim)
-              if any(x != 0 for x in v)]
-    for combo in combos:
-        c = [Fraction(0)] * a.n
-        for t, base in zip(combo, z.basis):
-            for i in range(a.n):
-                c[i] += t * base[i]
-        sp = Subspace([c], a.n)
-        key = tuple(tuple(r) for r in sp.basis)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield c
-
-
 def cocycle_class_certificate(a: NilpotentAlgebra, samples: int = 30,
                               seed: int = 0) -> dict | None:
     """A central line R c with two-step quotient h = g / R c, where the
     cocycle omega (the c-component of the bracket) satisfies: for almost
     all X there is Y with omega(X, [X,Y]_h) = 0 and
-    omega(Y, [X,Y]_h) != 0. Sampled X's are checked exactly; success on
-    at least 90% qualifies."""
-    for c in _central_line_candidates(a):
-        comp = Subspace([c], a.n).complement()
-        m = len(comp)
-        # the basis (c, comp...) omits only e_r, r the last nonzero
-        # coordinate of c: w = alpha c + sum (w_p - alpha c_p) e_p with
-        # alpha = w_r / c_r, over the complement pivots p
-        r = max(i for i, v in enumerate(c) if v != 0)
-        pivots = [v.index(1) for v in comp]
-        q_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-        omega = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                w = a.bracket(comp[i], comp[j])
-                alpha = w[r] / c[r]
-                omega[i][j] = alpha
-                omega[j][i] = -alpha
-                coords = [w[p] - alpha * c[p] for p in pivots]
-                entry = {k: v for k, v in enumerate(coords) if v != 0}
-                if entry:
-                    q_brackets[(i, j)] = entry
-        quotient = NilpotentAlgebra(m, q_brackets, name=f"{a.name}/c")
-        if quotient.jacobi_failures() or not quotient.is_two_step() \
-                or quotient.is_abelian():
+    omega(Y, [X,Y]_h) != 0. None if g is two-step (outside Lemma 7), if
+    g has no such line, or if no seeded X of `samples` certifies the
+    condition.
+
+    For g not two-step the line is forced: g / R c is two-step iff
+    C3 = [g, [g, g]] lies in R c, and C3 != 0, so a line exists iff
+    dim C3 = 1, and then R c = C3. A one-dimensional ideal of a nilpotent
+    algebra is central. The quotient by an ideal is a Lie algebra, C3 in
+    R c makes it two-step, and g' strictly contains C3 (nilpotency), so
+    it is nonabelian; none of this is re-tested.
+
+    The X satisfying the condition contain a Zariski-open set, which is
+    nonempty once one X qualifies at which the linear form
+    Y -> omega(X, [X,Y]_h) is nonzero. If that form vanishes for every X
+    (a polarization check on basis pairs), the condition is
+    "omega(Y, [X,Y]_h) != 0 for some Y", open in X, and any X with it
+    qualifies. The first qualifying seeded X is returned as `x`.
+    """
+    series = a.lower_central_series()
+    if len(series) < 3 or series[2].dim != 1:
+        return None
+    c = series[2].basis[0]
+    comp = series[2].complement()
+    m = len(comp)
+    # the basis (c, comp...) omits only e_r, r the last nonzero
+    # coordinate of c: w = alpha c + sum (w_p - alpha c_p) e_p with
+    # alpha = w_r / c_r, over the complement pivots p
+    r = max(i for i, v in enumerate(c) if v != 0)
+    pivots = [v.index(1) for v in comp]
+    q_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    omega = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            w = a.bracket(comp[i], comp[j])
+            alpha = w[r] / c[r]
+            omega[i][j] = alpha
+            omega[j][i] = -alpha
+            coords = [w[p] - alpha * c[p] for p in pivots]
+            entry = {k: v for k, v in enumerate(coords) if v != 0}
+            if entry:
+                q_brackets[(i, j)] = entry
+    quotient = NilpotentAlgebra(m, q_brackets, name=f"{a.name}/c")
+    entries = [(i, j, w) for i, row in enumerate(omega)
+               for j, w in enumerate(row) if w != 0]
+
+    def om(u, v):
+        return sum(u[i] * w * v[j] for i, j, w in entries)
+
+    br = quotient.bracket
+    basis = [basis_vector(m, j) for j in range(m)]
+    # omega(X, [X, e_j]_h) is quadratic in X: zero for every X iff its
+    # polarization vanishes on basis pairs
+    lin_vanishes = all(om(basis[i], br(basis[k], basis[j]))
+                       + om(basis[k], br(basis[i], basis[j])) == 0
+                       for i in range(m) for k in range(i, m)
+                       for j in range(m))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = _random_rational_vector(rng, m)
+        lin = [om(x, br(x, e)) for e in basis]
+        if any(v != 0 for v in lin):
+            kern = nullspace([lin], m)
+        elif lin_vanishes:
+            kern = basis
+        else:
             continue
-        entries = [(i, j, w) for i, row in enumerate(omega)
-                   for j, w in enumerate(row) if w != 0]
-
-        def om(u, v):
-            return sum(u[i] * w * v[j] for i, j, w in entries)
-
-        rng = np.random.default_rng(seed)
-        hits = 0
-        for _ in range(samples):
-            x = _random_rational_vector(rng, m)
-            # condition 1 is linear in Y: omega(X, [X, Y]_h) = 0
-            lin = [Fraction(0)] * m
-            for j in range(m):
-                bxj = quotient.bracket(x, basis_vector(m, j))
-                lin[j] = om(x, bxj)
-            kern = nullspace([lin], m) if any(v != 0 for v in lin) \
-                else [basis_vector(m, j) for j in range(m)]
-            # condition 2: the quadratic Y -> omega(Y, [X,Y]_h) is not
-            # identically zero on the kernel
-            found = False
-            kb = kern
-            for p in range(len(kb)):
-                for r in range(p, len(kb)):
-                    val = (om(kb[p], quotient.bracket(x, kb[r]))
-                           + om(kb[r], quotient.bracket(x, kb[p])))
-                    if val != 0:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                hits += 1
-        if samples > 0 and hits >= 0.9 * samples:
-            return {"c": c, "quotient": quotient, "omega": omega,
-                    "success_fraction": hits / samples}
+        # the quadratic Y -> omega(Y, [X,Y]_h) is not identically zero on
+        # the kernel: its polarization is nonzero on some basis pair
+        if any(om(kern[p], br(x, kern[q])) + om(kern[q], br(x, kern[p]))
+               != 0 for p in range(len(kern)) for q in range(p, len(kern))):
+            return {"c": c, "quotient": quotient, "omega": omega, "x": x}
     return None
 
 
@@ -414,7 +406,6 @@ _SHAPE_CACHE: dict[str, tuple] = {}
 
 def _shape_invariants(key: str) -> tuple:
     if key not in _SHAPE_CACHE:
-        from .catalog import build
         _SHAPE_CACHE[key] = invariant_tuple(build(key))
     return _SHAPE_CACHE[key]
 
@@ -429,20 +420,10 @@ def _l6_shape(sub: NilpotentAlgebra) -> str | None:
         return None
     hb = cert["h"].basis
     k = len(hb)
-    # center of the ideal m: null space of v -> ([v, w])_w over
-    # coefficient vectors in the hb basis
-    rows = []
-    for w in hb:
-        for t in range(sub.n):
-            rows.append([sub.bracket(hb[r], w)[t] for r in range(k)])
-    kern = nullspace(rows, k)
-    v_basis = []
-    for kv in kern:
-        vec = [Fraction(0)] * sub.n
-        for cf, bv in zip(kv, hb):
-            for t in range(sub.n):
-                vec[t] += cf * bv[t]
-        v_basis.append(vec)
+    # V = z(m): the center of the restricted bracket, in the coordinates
+    # of the RREF basis of m, mapped back
+    v_basis = [[sum(cf * bv[t] for cf, bv in zip(kv, hb))
+                for t in range(sub.n)] for kv in cert["sub"].center().basis]
     m_prime_gens = [sub.bracket(hb[i], hb[j])
                     for i in range(k) for j in range(i + 1, k)]
     m_prime = Subspace(m_prime_gens, sub.n)
@@ -502,47 +483,56 @@ class StructureVerdict:
     budget_note: str = ""
 
 
+def classify(a: NilpotentAlgebra, samples: int = 30,
+             seed: int = 0) -> StructureVerdict:
+    """The structure verdict, each part computed once: the rank
+    conditions, two-step, the codimension-one abelian ideal and the
+    small-closure dichotomy; and, for a nonabelian algebra that is not
+    two-step and on which both rank conditions fail, the cocycle and
+    derivation classes with their certificates, and N and the shape of
+    the bracket closure of a generic triple."""
+    rk5, w5 = check_rk5(a, samples, seed)
+    rk7, w7 = check_rk7(a, samples, seed)
+    two_step = a.is_two_step()
+    verdict = StructureVerdict(
+        rk5_holds=rk5, rk7_holds=rk7, two_step=two_step,
+        rk5_witness=w5, rk7_witness=w7,
+        codim1_abelian=a.find_codim1_abelian_ideal(),
+        lemma6=lemma6_classify(a, samples, seed),
+        budget_note=(f"negative rank verdicts are budget-qualified "
+                     f"({samples} samples, seed {seed})"))
+    if two_step or rk5 or rk7:   # abelian counts as two-step
+        return verdict
+    dcert = derivation_class_certificate(a)
+    if dcert is not None:
+        verdict.lemma7_classes.append("derivation")
+        verdict.certificates["derivation"] = dcert
+        # the first seeded triple of largest closure dimension
+        rng = np.random.default_rng(seed)
+        triples = [tuple(_random_rational_vector(rng, a.n) for _ in range(3))
+                   for _ in range(max(10, samples))]
+        verdict.N, verdict.L_shape = shape_of_L(
+            a, max(triples, key=lambda t: a.span_with_brackets(*t).dim))
+    ccert = cocycle_class_certificate(a, samples, seed)
+    if ccert is not None:
+        verdict.lemma7_classes.append("cocycle")
+        verdict.certificates["cocycle"] = ccert
+    return verdict
+
+
 def lemma7_classify(a: NilpotentAlgebra, samples: int = 30,
                     seed: int = 0) -> StructureVerdict:
-    """Cocycle/derivation class membership for a nonabelian, not
-    two-step algebra on which both rank conditions fail."""
+    """The `classify` verdict of a nonabelian, not two-step algebra on
+    which both rank conditions fail; ClassificationError otherwise."""
     if a.is_abelian():
         raise ClassificationError("algebra is abelian")
     if a.is_two_step():
         raise ClassificationError("algebra is two-step")
-    if check_rk5(a, samples, seed)[0] or check_rk7(a, samples, seed)[0]:
+    verdict = classify(a, samples, seed)
+    if verdict.rk5_holds or verdict.rk7_holds:
         raise ClassificationError(
             "a rank condition holds: the generic-case analysis applies "
             "instead of the class dichotomy")
-    verdict = StructureVerdict(rk5_holds=False, rk7_holds=False,
-                               two_step=False,
-                               budget_note=f"rank searches budget-limited "
-                                           f"({samples} samples, seed "
-                                           f"{seed})")
-    classes = []
-    certs = {}
-    dcert = derivation_class_certificate(a)
-    if dcert is not None:
-        classes.append("derivation")
-        certs["derivation"] = dcert
-    ccert = cocycle_class_certificate(a, samples, seed)
-    if ccert is not None:
-        classes.append("cocycle")
-        certs["cocycle"] = ccert
-    verdict.lemma7_classes = classes
-    verdict.certificates = certs
-    if "derivation" in classes:
-        rng = np.random.default_rng(seed)
-        best_n, best_triple = 0, None
-        for _ in range(max(10, samples)):
-            t = tuple(_random_rational_vector(rng, a.n) for _ in range(3))
-            d = a.span_with_brackets(*t).dim
-            if d > best_n:
-                best_n, best_triple = d, t
-        if best_triple is not None:
-            n_dim, label = shape_of_L(a, best_triple)
-            verdict.N = n_dim
-            verdict.L_shape = label
     return verdict
 
 

@@ -22,15 +22,7 @@ import numpy as np
 from . import __version__
 from .algebra import NilpotentAlgebra, Subspace
 from .catalog import list_catalog
-from .classification import (
-    ClassificationError,
-    StructureVerdict,
-    check_rk5,
-    check_rk7,
-    lemma6_classify,
-    lemma7_classify,
-    theorem2_expected_M,
-)
+from .classification import classify, theorem2_expected_M
 from .curvature import (
     EIG_CLUSTER_REL,
     Metric,
@@ -352,27 +344,8 @@ def _witness_dict(w) -> dict:
 
 def cmd_classify(args) -> int:
     a = _load_algebra(args.algebra)
-    two_step = a.is_two_step()
-    rk5, w5 = check_rk5(a, args.samples, args.seed)
-    rk7, w7 = check_rk7(a, args.samples, args.seed)
-    verdict = StructureVerdict(
-        rk5_holds=rk5, rk7_holds=rk7, two_step=two_step,
-        rk5_witness=w5, rk7_witness=w7,
-        codim1_abelian=a.find_codim1_abelian_ideal(),
-        budget_note=(f"negative rank verdicts are budget-qualified "
-                     f"({args.samples} samples, seed {args.seed})"))
-    verdict.lemma6 = lemma6_classify(a, args.samples, args.seed)
-    if not a.is_abelian() and not two_step and not rk5 and not rk7:
-        try:
-            full = lemma7_classify(a, args.samples, args.seed)
-            verdict.lemma7_classes = full.lemma7_classes
-            verdict.certificates = full.certificates
-            verdict.N = full.N
-            verdict.L_shape = full.L_shape
-        except ClassificationError as exc:
-            verdict.budget_note += f"; lemma7: {exc}"
     _emit({"config": _config(args, algebra=args.algebra),
-           "verdict": verdict,
+           "verdict": classify(a, args.samples, args.seed),
            "tolerances": {"rank_checks": "exact rational",
                           "certificates": "exact rational"}}, args)
     return 0
@@ -598,7 +571,7 @@ def main(argv=None) -> int:
     except (InputError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WitnessSearchError, ClassificationError) as exc:
+    except WitnessSearchError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ from .curvature import (
     sectional_K,
 )
 from .deformation import DeformationSpec, complete_basis
-from .rational import rank, in_row_space
+from .rational import in_row_space, rank, solve
 
 WITNESS_METRIC_BUDGET = 200
 WITNESS_DEFORM_BUDGET = 20
@@ -242,23 +242,13 @@ def secdef_coefficients(algebra: NilpotentAlgebra, metric: Metric,
 
 
 def knonneg_value(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:
-    """(1/4) sum_i (<X,[e_i,Y]> - <Y,[e_i,X]>)^2 for a plane with
-    metric-independent nonnegative sectional curvature."""
-    labels = classify_plane(algebra, x, y)
-    if "G_geq" not in labels:
+    """K on the RREF basis of a plane with metric-independent nonnegative
+    sectional curvature; there it equals
+    (1/4) sum_i (<X,[e_i,Y]> - <Y,[e_i,X]>)^2 over a g-orthonormal e_i."""
+    if "G_geq" not in classify_plane(algebra, x, y):
         raise PreconditionError("plane is not in the nonnegative-sign set")
-    sigma = Subspace([x, y], algebra.n)
-    bx = np.array([float(v) for v in sigma.basis[0]])
-    by = np.array([float(v) for v in sigma.basis[1]])
-    f = metric.frame
-    g = metric.gram
-    total = 0.0
-    for i in range(algebra.n):
-        ei = f[:, i]
-        term = (float(bx @ g @ algebra.bracket_float(ei, by))
-                - float(by @ g @ algebra.bracket_float(ei, bx)))
-        total += term * term
-    return 0.25 * total
+    bx, by = np.array(Subspace([x, y], algebra.n).basis, dtype=float)
+    return sectional_K(algebra, metric, bx, by)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +318,6 @@ def _independent_pair_for(algebra: NilpotentAlgebra, zv, rng) -> tuple:
             continue
         if rank([x, y, zf]) != 3:
             # Z in span(X, Y): perturb along the bracket
-            from .rational import solve
             coeffs = solve([[x[i], y[i]] for i in range(n)], zf)
             if coeffs is None:
                 continue

@@ -1,6 +1,7 @@
 """No library module imports or reads another module's private names, no
-library function binds a name it never reads, and no library module other
-than the package's `__init__` imports a name it never reads."""
+library function binds a name it never reads or imports anything except
+where listed as lazy, and no library module other than the package's
+`__init__` imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -152,3 +153,39 @@ def test_no_unread_imports():
     unread = {p.name: unread_imports(p.read_text())
               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert not any(unread.values()), unread
+
+
+# (module file, function, imported name): sympy stays off the cold start
+LAZY_IMPORTS = {("classification.py", "max_dimL_exact", "sympy")}
+
+
+def function_imports(source: str) -> list[tuple[str, str]]:
+    """(function, imported name) for every import statement inside a
+    function, nested functions included."""
+    return [(fn.name, a.name)
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in _own_scope(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names]
+
+
+def test_checker_flags_function_imports():
+    source = ("import numpy as np\n"
+              "def f(x):\n"
+              "    from .rational import solve\n"
+              "    def g():\n"
+              "        import sympy, math\n"
+              "    return solve\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        from . import io\n")
+    assert sorted(function_imports(source)) == [
+        ("f", "solve"), ("g", "math"), ("g", "sympy"), ("m", "io")]
+
+
+def test_no_function_imports():
+    found = {(p.name, fn, name)
+             for p in sorted(SRC.glob("*.py"))
+             for fn, name in function_imports(p.read_text())}
+    assert found == LAZY_IMPORTS

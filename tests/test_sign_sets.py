@@ -7,6 +7,7 @@ import pytest
 from nilcurv import (
     DeformationSpec,
     Metric,
+    Subspace,
     build,
     classify_plane,
     classify_ric_vector,
@@ -130,6 +131,47 @@ def test_knonneg_value():
     assert v >= 0.0
     with pytest.raises(PreconditionError):
         knonneg_value(a, Metric.identity(3), X3, Y3)
+
+
+def _knonneg_reference(algebra, metric, x, y):
+    """(1/4) sum_i (<X,[e_i,Y]> - <Y,[e_i,X]>)^2 over the g-orthonormal
+    frame e_i, with (X, Y) the RREF basis of span(x, y)."""
+    bx, by = np.array(Subspace([x, y], algebra.n).basis, dtype=float)
+    g = metric.gram
+    total = 0.0
+    for ei in metric.frame.T:
+        term = (float(bx @ g @ algebra.bracket_float(ei, by))
+                - float(by @ g @ algebra.bracket_float(ei, bx)))
+        total += term * term
+    return 0.25 * total
+
+
+def test_knonneg_value_matches_frame_sum():
+    """On seeded G_geq planes of every catalog algebra with n <= 6 (sparse
+    random planes that happen to be G_geq, and planes through a central
+    vector), K on the RREF basis equals the frame sum."""
+    rng = np.random.default_rng(0)
+    for entry in list_catalog():
+        a = entry.build()
+        if a.n > 6:
+            continue
+        z = np.array(a.center().basis, dtype=float)
+        planes = [rng.integers(-1, 2, (2, a.n)).astype(float)
+                  for _ in range(30)]
+        planes += [np.stack([rng.integers(1, 3, len(z)) @ z,
+                             rng.integers(-1, 2, a.n)]).astype(float)
+                   for _ in range(3)]
+        checked = 0
+        for x, y in planes:
+            if np.linalg.matrix_rank(np.stack([x, y])) < 2 \
+                    or "G_geq" not in classify_plane(a, x, y):
+                continue
+            metric = Metric.random(a.n, rng)
+            want = _knonneg_reference(a, metric, x, y)
+            got = knonneg_value(a, metric, x, y)
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-15, a.name
+            checked += 1
+        assert checked > 0, a.name
 
 
 def test_positive_ric_witness_central_derived():

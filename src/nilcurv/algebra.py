@@ -25,6 +25,8 @@ from .rational import (
 
 VectorLike = Sequence
 
+FLOAT_MEMBERSHIP_REL = 1e-9
+
 
 def exact_vector(v: VectorLike) -> list[Fraction]:
     return [as_fraction(x) for x in v]
@@ -64,6 +66,15 @@ class Subspace:
 
     def contains(self, v: VectorLike) -> bool:
         return self.coordinates(v) is not None
+
+    def contains_float(self, v) -> bool:
+        """Membership of a float vector, up to a least-squares residual of
+        FLOAT_MEMBERSHIP_REL |v|."""
+        v = np.asarray(v, float)
+        b = np.array(self.basis, float).reshape(-1, self.n).T
+        resid = v - b @ np.linalg.lstsq(b, v, rcond=None)[0]
+        return bool(np.linalg.norm(resid)
+                    <= FLOAT_MEMBERSHIP_REL * np.linalg.norm(v))
 
     def complement(self) -> list[list[Fraction]]:
         """The standard vectors e_p, p a pivot column of the RREF

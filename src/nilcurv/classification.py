@@ -10,6 +10,8 @@ re-verified exactly; negative sampling verdicts are budget-qualified.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -258,63 +260,74 @@ def invariant_tuple(a: NilpotentAlgebra) -> tuple:
 # cocycle / derivation classes
 
 
-def _hyperplanes_containing(a: NilpotentAlgebra, inner: Subspace):
-    """Codimension-one subspaces of the algebra containing `inner`
-    (these are exactly the codim-1 ideals when inner >= g')."""
-    comp = inner.complement()
-    q = len(comp)
-    if q == 0:
-        return
-    seen = set()
-    rng_vals = [Fraction(v) for v in range(-3, 4)]
-    for normal in itertools.product(rng_vals, repeat=q):
-        if all(v == 0 for v in normal):
-            continue
-        kern = nullspace([list(normal)], q)
-        vecs = list(inner.basis)
-        for kv in kern:
-            w = [Fraction(0)] * a.n
-            for c, base in zip(kv, comp):
-                for t in range(a.n):
-                    w[t] += c * base[t]
-            vecs.append(w)
-        h = Subspace(vecs, a.n)
-        key = tuple(tuple(r) for r in h.basis)
-        if key in seen or h.dim != a.n - 1:
-            continue
-        seen.add(key)
-        yield h
+def _rational_roots(b11, b12, b22) -> list[tuple]:
+    """The rational roots (y1 : y2) of b11 y1^2 + 2 b12 y1 y2 + b22 y2^2,
+    whose discriminant d = b12^2 - b11 b22 is nonzero."""
+    d = b12 * b12 - b11 * b22
+    # a negative d fails the square test of its numerator
+    p, q = math.isqrt(abs(d.numerator)), math.isqrt(d.denominator)
+    if p * p != d.numerator or q * q != d.denominator:
+        return []
+    if b11 == 0:
+        return [(1, 0), (-b22, 2 * b12)]
+    return [(s - b12, b11) for s in (Fraction(p, q), -Fraction(p, q))]
 
 
 def derivation_class_certificate(a: NilpotentAlgebra) -> dict | None:
     """(h, c, D) with h a codimension-one two-step ideal, D = ad_c|_h
-    nilpotent and [DX, X] = 0 for all X in h; None if no such h found.
+    nilpotent and [DX, X] = 0 for all X in h; None if no rational h has
+    them.
 
-    The certificate is independent of the choice of c modulo h: for
-    w in h, [[w,X],X] = 0 because h is two-step.
+    For h = ker phi >= g' that holds, for any c outside h, iff
+    ad_X^2 = 0 for all X in h (polarize, then apply Jacobi). An entry
+    form of ad_X^2 that vanishes on ker phi is phi times a linear form,
+    so the first nonzero one leaves at most two candidates phi: its row
+    at rank 1, its rational linear factors at rank 2. If there is none, g
+    is two-step and every h >= g' qualifies. An irrational phi has no
+    rational certificate; then every entry form is a multiple of one
+    binary form with irrational roots, and None is returned.
     """
-    gp = a.derived_algebra()
-    if gp.dim >= a.n:
-        return None
-    for h in _hyperplanes_containing(a, gp):
-        sub = restrict(a, h)
-        if sub is None or not sub.is_two_step():
+    n, gp = a.n, a.derived_algebra()
+    adj: list[list] = [[] for _ in range(n)]  # (u, m, c): [e_u, e_k]_m = c
+    for (i, j), comps in a.brackets.items():
+        for m, c in comps.items():
+            adj[j].append((i, m, c))
+            adj[i].append((j, m, -c))
+    # twice the matrix of the (m, b) entry of ad_X^2, the quadratic form
+    # sum_{u,v} X_u X_v [e_u, [e_v, e_b]]_m, as sparse {(u, v): entry}
+    forms: dict[tuple[int, int], Counter] = defaultdict(Counter)
+    for b in range(n):
+        for v, k, c1 in adj[b]:
+            for u, m, c2 in adj[k]:
+                forms[m, b][u, v] += c1 * c2
+                forms[m, b][v, u] += c1 * c2
+    nonzero = [f for _, f in sorted(forms.items()) if any(f.values())]
+    if not nonzero:
+        phis = nullspace(gp.basis, n)[:1]
+    else:
+        form = nonzero[0]
+        span = Subspace([[form[u, v] for v in range(n)] for u in range(n)], n)
+        phis = span.basis if span.dim == 1 else []
+        if span.dim == 2:
+            (p1, p2), (r1, r2) = span.pivots, span.basis
+            phis = [[y2 * x - y1 * z for x, z in zip(r1, r2)]
+                    for y1, y2 in _rational_roots(
+                        form[p1, p1], form[p1, p2], form[p2, p2])]
+    for phi in phis:
+        h = Subspace(nullspace([phi], n), n)
+        # the (m, b) entries of ad_x ad_y + ad_y ad_x on basis pairs
+        if not h.contains_subspace(gp) or any(
+                sum(w * x[u] * y[v] for (u, v), w in f.items()) != 0
+                for f in nonzero for i, x in enumerate(h.basis)
+                for y in h.basis[i:]):
             continue
         c = h.complement()[0]
-        hb = h.basis
-        m = len(hb)
         # h >= g' is an ideal, so every [c, v] has coordinates in h. D is
         # nilpotent without a test: ad_c is nilpotent (Engel) and h is
         # ad_c-invariant, so its restriction is nilpotent too.
-        imgs = [a.bracket(c, v) for v in hb]
-        d_cols = [h.coordinates(x) for x in imgs]
-        d_mat = [[d_cols[j][i] for j in range(m)] for i in range(m)]
-        # polarized [DX, X] = 0: [Du, v] + [Dv, u] = 0 on basis pairs
-        if all(x + y == 0
-               for i in range(m) for j in range(i, m)
-               for x, y in zip(a.bracket(imgs[i], hb[j]),
-                               a.bracket(imgs[j], hb[i]))):
-            return {"h": h, "c": c, "D": d_mat, "sub": sub}
+        d_cols = [h.coordinates(a.bracket(c, v)) for v in h.basis]
+        d_mat = [[col[i] for col in d_cols] for i in range(h.dim)]
+        return {"h": h, "c": c, "D": d_mat, "sub": restrict(a, h)}
     return None
 
 

@@ -431,10 +431,8 @@ def cmd_maxmin(args) -> int:
     if runs:
         exp_basis = np.array([[float(v) for v in row]
                               for row in expected.basis])
-        in_expected = [expected.contains(
-            [Fraction(x).limit_denominator(10 ** 9) for x in r["T"]])
-            for r in runs]
-        report["candidates_in_expected_subspace"] = int(sum(in_expected))
+        report["candidates_in_expected_subspace"] = sum(
+            expected.contains_float(r["T"]) for r in runs)
         # grid-coverage statistic over the expected subspace
         if exp_basis.shape[0] <= 3:
             grid = sphere_grid(exp_basis.shape[0], 0.2) @ exp_basis

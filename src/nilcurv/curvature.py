@@ -63,13 +63,6 @@ class Metric:
     def norm2(self, x) -> float:
         return self.inner(x, x)
 
-    def to_frame(self, x) -> np.ndarray:
-        """Coordinates of x in the orthonormal frame."""
-        return np.linalg.solve(self.frame, np.asarray(x, float))
-
-    def from_frame(self, coords) -> np.ndarray:
-        return self.frame @ np.asarray(coords, float)
-
 
 def frame_structure(algebra: NilpotentAlgebra, metric: Metric,
                     frame: np.ndarray | None = None) -> np.ndarray:

@@ -141,10 +141,6 @@ class ScaledRicciLimit:
     def has_block_structure(self) -> bool:
         return self.p is not None
 
-    def phi0_basis(self) -> np.ndarray:
-        f = self.spec.frame
-        return f @ self.phi0 @ np.linalg.inv(f)
-
     def sum_J_squared(self) -> np.ndarray:
         return sum(j @ j for j in self.J)
 
@@ -490,7 +486,7 @@ def candidate_two_step(algebra: NilpotentAlgebra, metric: Metric,
                              "(and nonabelian)")
     e = np.asarray(e, float)
     gp = algebra.derived_algebra()
-    if not gp.contains([Fraction(x).limit_denominator(10**9) for x in e]):
+    if not gp.contains_float(e):
         raise CandidateError("e must lie in the derived algebra")
     if abs(metric.norm2(e) - 1.0) > 1e-10:
         raise CandidateError("e must be a unit vector")
@@ -651,9 +647,6 @@ class ConvergenceTrace:
     clustered_at: list[float]
     converged: bool
     precision_limited_at: float | None = None
-
-    def final_distance(self) -> float:
-        return self.rows[-1][2]
 
     def best_distance(self) -> float:
         return min(r[2] for r in self.rows)

@@ -202,34 +202,25 @@ def secdef_coefficients(algebra: NilpotentAlgebra, metric: Metric,
     with mu[i][j](U, V) = <U, e_j><e_j, [e_i, V]> in the metric frame
     (or in a caller-supplied g-orthonormal frame, columns).
     """
-    n = algebra.n
     f = metric.frame if frame is None else np.asarray(frame, float)
-    g = metric.gram
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    # frame coordinates u_f = f^T G u, and c[i,l,j] = <e_j, [e_i, e_l]>
+    fg = f.T @ metric.gram
+    c = frame_structure(algebra, metric, f)
+    xf, yf = fg @ np.asarray(x, float), fg @ np.asarray(y, float)
     lam = np.asarray(lambdas, float)
 
-    def mu(i, j, u, v):
-        ej = f[:, j]
-        return float(u @ g @ ej) * float(
-            ej @ g @ algebra.bracket_float(f[:, i], v))
+    def mu(uf, vf):
+        return uf[None, :] * np.einsum("ilj,l->ij", c, vf)
 
-    mu_xy = np.array([[mu(i, j, x, y) for j in range(n)] for i in range(n)])
-    mu_yx = np.array([[mu(i, j, y, x) for j in range(n)] for i in range(n)])
-    mu_xx = np.array([[mu(i, j, x, x) for j in range(n)] for i in range(n)])
-    mu_yy = np.array([[mu(i, j, y, y) for j in range(n)] for i in range(n)])
+    mu_xy, mu_yx = mu(xf, yf), mu(yf, xf)
+    mu_xx, mu_yy = mu(xf, xf), mu(yf, yf)
     s = mu_xy + mu_yx
     psi = 0.25 * np.einsum("ij,ik->ijk", s, s) \
         - np.einsum("ij,ik->ijk", mu_xx, mu_yy)
     bxy = algebra.bracket_float(x, y)
-    bxxy = algebra.bracket_float(x, bxy)
-    byyx = algebra.bracket_float(y, -bxy)
-    phi = np.zeros(n)
-    for i in range(n):
-        ei = f[:, i]
-        phi[i] = (-0.75 * float(ei @ g @ bxy) ** 2
-                  - 0.5 * float(y @ g @ ei) * float(ei @ g @ bxxy)
-                  - 0.5 * float(x @ g @ ei) * float(ei @ g @ byyx))
+    phi = (-0.75 * (fg @ bxy) ** 2
+           - 0.5 * yf * (fg @ algebra.bracket_float(x, bxy))
+           - 0.5 * xf * (fg @ algebra.bracket_float(y, -bxy)))
 
     def evaluate(t: float) -> float:
         wpsi = np.exp((lam[None, :, None] + lam[None, None, :]

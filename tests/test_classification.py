@@ -82,13 +82,17 @@ def assert_filiform4_basis(a, basis):
         assert not any(a.bracket(u, v))
 
 
+def _sheared_filiform4():
+    """filiform4 in the basis (W, X - 5W, Y, Z)."""
+    return NilpotentAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1},
+                                (1, 2): {3: -5}}, name="filiform4_sheared")
+
+
 def test_filiform4_certificate_is_exact():
     a = build("filiform4")
     assert lemma6_classify(a)["basis"] == [basis_vector(4, i)
                                            for i in range(4)]
-    # filiform4 in the basis (W, X - 5W, Y, Z)
-    sheared = NilpotentAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1},
-                                   (1, 2): {3: -5}})
+    sheared = _sheared_filiform4()
     for b in [sheared] + [in_basis(a, unimodular(4, s)) for s in (1, 2, 3)]:
         v = lemma6_classify(b)
         assert v["class"] == "filiform4"
@@ -131,6 +135,25 @@ def test_invariant_tuple_separates_L6_forms():
     assert len(set(ts.values())) == 3
 
 
+def assert_derivation_witness(a, cert):
+    """Re-checked from the bracket: h >= g' is a hyperplane not containing
+    c, two-step as an algebra, D is ad_c on h, and [DX, X] = 0 on h by
+    polarization: [Du, v] + [Dv, u] = 0 on basis pairs."""
+    h, c = cert["h"], cert["c"]
+    hb = h.basis
+    assert h.dim == a.n - 1 and h.contains_subspace(a.derived_algebra())
+    assert not h.contains(c)
+    sub = restrict(a, h)
+    assert sub is not None and sub.is_two_step()
+    images = [a.bracket(c, v) for v in hb]
+    assert cert["D"] == [[h.coordinates(w)[i] for w in images]
+                         for i in range(len(hb))]
+    for i in range(len(hb)):
+        for j in range(i, len(hb)):
+            assert not any(x + y for x, y in zip(a.bracket(images[i], hb[j]),
+                                                 a.bracket(images[j], hb[i])))
+
+
 def test_derivation_certificate_L5_and_duv_identity():
     """Class-C certificate exists for the small normal forms, and D
     satisfies D[U,V] = 2[DU,V] = 2[U,DV] exactly on basis pairs."""
@@ -138,6 +161,7 @@ def test_derivation_certificate_L5_and_duv_identity():
         a = build(key)
         cert = derivation_class_certificate(a)
         assert cert is not None, key
+        assert_derivation_witness(a, cert)
         h, c = cert["h"], cert["c"]
         hb = h.basis
         for i in range(len(hb)):
@@ -152,7 +176,8 @@ def test_derivation_certificate_L5_and_duv_identity():
 def test_remark_families_are_derivation_class():
     for key, params in (("remark_famA", {"k": 2, "l": 2}),
                         ("remark_famB", {"k": 2, "l": 1})):
-        assert derivation_class_certificate(build(key, **params)) is not None
+        a = build(key, **params)
+        assert_derivation_witness(a, derivation_class_certificate(a))
 
 
 def _class_b_algebra():
@@ -208,8 +233,7 @@ LEMMA7_CATALOG = (("filiform4", {}), ("L5_lemma7a", {}), ("L6_1", {}),
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cocycle_verdict_is_basis_independent(seed):
     """Found or None as in the original basis, with c spanning the image
-    of C3(g). The derivation class is still a bounded hyperplane sweep
-    and is not tested under a change of basis."""
+    of C3(g)."""
     algebras = [_class_b_algebra()] + [build(k, **kw)
                                        for k, kw in LEMMA7_CATALOG]
     for a in algebras:
@@ -223,6 +247,44 @@ def test_cocycle_verdict_is_basis_independent(seed):
         mapped = Subspace([solve(p, v) for v in c3.basis], b.n)
         assert Subspace([cert_b["c"]], b.n) == mapped
         assert_cocycle_witness(b, cert_b)
+
+
+def test_rational_roots_of_binary_forms():
+    """Roots (y1 : y2) of b11 y1^2 + 2 b12 y1 y2 + b22 y2^2: none for a
+    negative or non-square discriminant."""
+    from fractions import Fraction as F
+    roots = classification._rational_roots
+    assert roots(F(1), F(0), F(-4)) == [(2, 1), (-2, 1)]
+    assert roots(F(0), F(1), F(3)) == [(1, 0), (-3, 2)]
+    assert roots(F(1), F(0), F(-1, 9)) == [(F(1, 3), 1), (F(-1, 3), 1)]
+    assert roots(F(1), F(0), F(-2)) == []
+    assert roots(F(1), F(0), F(1)) == []
+    for b11, b12, b22 in ((1, 0, -4), (0, 1, 3), (1, 0, F(-1, 9))):
+        for y1, y2 in roots(F(b11), F(b12), F(b22)):
+            assert b11 * y1 * y1 + 2 * b12 * y1 * y2 + b22 * y2 * y2 == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_derivation_verdict_is_basis_independent(seed):
+    """Found for every Lemma-7 catalog algebra and filiform4 in the basis
+    (W, X - 5W, Y, Z), None for class-B, in the original basis and in a
+    unimodular one; and h there is the image of the original h. That h
+    is unique: of the two candidates that the first nonzero entry form
+    of ad_X^2 leaves in the original basis, only one qualifies."""
+    algebras = [_class_b_algebra(), _sheared_filiform4()] + [
+        build(k, **kw) for k, kw in LEMMA7_CATALOG]
+    for a in algebras:
+        p = unimodular(a.n, seed)
+        b = in_basis(a, p)
+        cert, cert_b = (derivation_class_certificate(x) for x in (a, b))
+        assert (cert is None) == (cert_b is None) == (a.name == "classB"), \
+            a.name
+        if cert is None:
+            continue
+        assert_derivation_witness(a, cert)
+        assert_derivation_witness(b, cert_b)
+        mapped = Subspace([solve(p, v) for v in cert["h"].basis], b.n)
+        assert cert_b["h"] == mapped, a.name
 
 
 def test_classify_runs_each_rank_search_once(tmp_path, monkeypatch, capsys):
@@ -285,10 +347,7 @@ def test_theorem2_expected_M():
     a = build("filiform4")
     ideal = a.find_codim1_abelian_ideal()
     assert theorem2_expected_M(a).basis == ideal.basis
-    # filiform4 in the basis (W, X - 5W, Y, Z)
-    a = NilpotentAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1},
-                             (1, 2): {3: -5}})
-    assert theorem2_expected_M(a).dim == 3
+    assert theorem2_expected_M(_sheared_filiform4()).dim == 3
     a = build("abelian", n=3)
     assert theorem2_expected_M(a).dim == 3
     a = build("filiform_standard", n=5)

@@ -10,6 +10,7 @@ from nilcurv import (
     CandidateError,
     DeformationSpec,
     Metric,
+    NilpotentAlgebra,
     OverflowGuardError,
     build,
     candidate_e1u2,
@@ -113,6 +114,19 @@ def test_candidate_two_step_h3():
                             [u[:, i] for i in range(u.shape[1])])
     trace = convergence_check(spec, alg, cand)
     assert trace.converged and trace.best_distance() < 1e-4
+
+
+def test_candidate_two_step_irrational_unit_in_derived_algebra():
+    """e = (0, 0, 1, 3)/sqrt(10) spans g' of [X, Y] = Z1 + 3 Z2, and
+    T = 2 <e, [X, Y]> [X, Y] = 20 e; a unit vector off g' is rejected."""
+    alg = NilpotentAlgebra(4, {(0, 1): {2: 1, 3: 3}})
+    e = np.array([0.0, 0.0, 1.0, 3.0]) / np.sqrt(10.0)
+    cand = candidate_two_step(alg, Metric.identity(4), e)
+    assert np.abs(cand.T - 20.0 * e).max() < 1e-12
+    assert abs(cand.lambda_extreme - 20.0) < 1e-12
+    off = np.array([0.0, 0.0, 3.0, -1.0]) / np.sqrt(10.0)
+    with pytest.raises(CandidateError, match="derived algebra"):
+        candidate_two_step(alg, Metric.identity(4), off)
 
 
 def test_lemma5a_filiform4():

@@ -189,3 +189,44 @@ def test_no_function_imports():
              for p in sorted(SRC.glob("*.py"))
              for fn, name in function_imports(p.read_text())}
     assert found == LAZY_IMPORTS
+
+
+# (module file, function): where a float is rounded to a Fraction. A float
+# tested against an exact subspace goes through Subspace.contains_float.
+ROUNDING_SITES = {("rational.py", "as_fraction"),
+                  ("deformation.py", "_lambda_triples"),
+                  ("verify.py", "check_coverage")}
+
+
+def rounding_sites(source: str) -> list[str]:
+    """The innermost enclosing function of every `limit_denominator`
+    reference ("<module>" outside any function)."""
+    tree = ast.parse(source)
+    fns = [n for n in ast.walk(tree)
+           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr == "limit_denominator"):
+            owners = [f for f in fns
+                      if f.lineno <= node.lineno <= f.end_lineno]
+            found.append(max(owners, key=lambda f: f.lineno).name
+                         if owners else "<module>")
+    return found
+
+
+def test_checker_flags_rounding_sites():
+    source = ("from fractions import Fraction\n"
+              "HALF = Fraction(0.5).limit_denominator(2)\n"
+              "def f(xs):\n"
+              "    def g(x):\n"
+              "        return Fraction(x).limit_denominator(10)\n"
+              "    return [g(x) for x in xs], Fraction.limit_denominator\n")
+    assert sorted(rounding_sites(source)) == ["<module>", "f", "g"]
+
+
+def test_no_new_rounding_sites():
+    found = {(p.name, fn)
+             for p in sorted(SRC.glob("*.py"))
+             for fn in rounding_sites(p.read_text())}
+    assert found == ROUNDING_SITES

@@ -103,6 +103,55 @@ def test_secdef_matches_deformed_sectional():
         assert abs(co["evaluate"](t) - k) < 1e-9 * (1.0 + abs(k))
 
 
+def _secdef_reference(algebra, metric, x, y, f):
+    """Psi and Phi from scalar brackets: mu[i][j](U, V) =
+    <U, e_j><e_j, [e_i, V]> over the g-orthonormal frame columns e_i."""
+    n, g = algebra.n, metric.gram
+
+    def mu(i, j, u, v):
+        ej = f[:, j]
+        return float(u @ g @ ej) * float(
+            ej @ g @ algebra.bracket_float(f[:, i], v))
+
+    mu_xy, mu_yx, mu_xx, mu_yy = (
+        np.array([[mu(i, j, u, v) for j in range(n)] for i in range(n)])
+        for u, v in ((x, y), (y, x), (x, x), (y, y)))
+    s = mu_xy + mu_yx
+    psi = 0.25 * np.einsum("ij,ik->ijk", s, s) \
+        - np.einsum("ij,ik->ijk", mu_xx, mu_yy)
+    bxy = algebra.bracket_float(x, y)
+    bxxy = algebra.bracket_float(x, bxy)
+    byyx = algebra.bracket_float(y, -bxy)
+    phi = np.zeros(n)
+    for i in range(n):
+        ei = f[:, i]
+        phi[i] = (-0.75 * float(ei @ g @ bxy) ** 2
+                  - 0.5 * float(y @ g @ ei) * float(ei @ g @ bxxy)
+                  - 0.5 * float(x @ g @ ei) * float(ei @ g @ byyx))
+    return psi, phi
+
+
+def test_secdef_matches_scalar_reference():
+    """The frame-structure tables equal the scalar-bracket ones, in the
+    metric frame and in a rotated orthonormal frame, on every catalog
+    algebra."""
+    rng = np.random.default_rng(7)
+    for entry in list_catalog():
+        a = entry.build()
+        metric = Metric.random(a.n, rng)
+        lam = rng.uniform(-1.0, 1.0, size=a.n)
+        x, y = rng.uniform(-1.0, 1.0, (2, a.n))
+        rotation = np.linalg.qr(rng.normal(size=(a.n, a.n)))[0]
+        for frame in (None, metric.frame @ rotation):
+            co = secdef_coefficients(a, metric, lam, x, y, frame)
+            f = metric.frame if frame is None else frame
+            for got, want in zip((co["Psi"], co["Phi"]),
+                                 _secdef_reference(a, metric, x, y, f)):
+                scale = max(np.abs(want).max(), 1e-300)
+                assert np.abs(got - want).max() <= 1e-12 * scale, \
+                    entry.label
+
+
 def test_scaled_ric_matches_deformed_metric():
     """The scaled witness value is exp(-d t) Ric_t(e_idx, e_idx), with
     Ric_t from the Gram matrix of g_t, at moderate t."""

@@ -48,16 +48,17 @@ from .deformation import (
     candidate_min_u1,
     candidate_T1_T2,
     candidate_two_step,
+    complement_frame,
     convergence_check,
     deformed_metric,
     deformed_ricci,
     deformed_ricci_frame,
-    derived_complement_frame,
     extremal_T,
     lemma5a_deformation,
     projective_distance,
     scaled_ricci_limit,
     spec_for_pattern,
+    two_step_deformation,
     worst_gap,
 )
 from .frames import FRAME_KEYS, NormalFormFrame, normal_form_frame
@@ -85,10 +86,11 @@ __all__ = [
     "CandidateError", "ConvergenceTrace", "DeformationSpec",
     "ExtremalCandidate", "OverflowGuardError", "ScaledRicciLimit",
     "candidate_e1u2", "candidate_min_u1", "candidate_T1_T2",
-    "candidate_two_step", "convergence_check", "deformed_metric",
-    "deformed_ricci", "deformed_ricci_frame", "derived_complement_frame",
+    "candidate_two_step", "complement_frame", "convergence_check",
+    "deformed_metric", "deformed_ricci", "deformed_ricci_frame",
     "extremal_T", "lemma5a_deformation", "projective_distance",
-    "scaled_ricci_limit", "spec_for_pattern", "worst_gap",
+    "scaled_ricci_limit", "spec_for_pattern", "two_step_deformation",
+    "worst_gap",
     "FRAME_KEYS", "NormalFormFrame", "normal_form_frame",
     "FormatError", "load_algebra", "load_deformation", "load_gram",
     "save_algebra",

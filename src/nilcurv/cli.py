@@ -34,16 +34,14 @@ from .curvature import (
 from .deformation import (
     CandidateError,
     DeformationSpec,
-    candidate_two_step,
     codim1_adapted_metric,
     convergence_check,
     deformed_ricci,
-    derived_complement_frame,
     extremal_T,
     lemma5a_deformation,
     scaled_ricci_limit,
-    spec_for_pattern,
     sphere_grid,
+    two_step_deformation,
     worst_gap,
 )
 from .io import (
@@ -257,8 +255,7 @@ def cmd_deform(args) -> int:
               "phi0_eigenvalues": np.linalg.eigvalsh(
                   0.5 * (limit.phi0 + limit.phi0.T)).tolist(),
               "block_structure": limit.has_block_structure,
-              "tolerances": {"limit_matrix_sup": 1e-6,
-                             "block_eigenvalues": 1e-9}}
+              "tolerances": {}}
     if limit.has_block_structure:
         report["p"], report["q"] = limit.p, limit.q
         report["A_eigenvalues"] = np.linalg.eigvalsh(limit.A).tolist()
@@ -365,16 +362,13 @@ def _maxmin_candidates(a: NilpotentAlgebra, rng, samples: int):
             if nrm < 1e-6:
                 notes.append(f"sample {k}: derived direction degenerate")
                 continue
-            e = e / nrm
-            cand = candidate_two_step(a, metric, e)
-            if cand.is_zero:
-                notes.append(f"sample {k}: zero candidate")
-                continue
-            u = derived_complement_frame(a, metric)
             try:
-                spec = spec_for_pattern(a, metric, [e], list(u.T))
+                spec, cand = two_step_deformation(a, metric, e / nrm)
             except CandidateError as exc:
                 notes.append(f"sample {k}: {exc}")
+                continue
+            if cand.is_zero:
+                notes.append(f"sample {k}: zero candidate")
                 continue
             out.append((cand, spec))
         return out, notes

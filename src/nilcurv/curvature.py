@@ -57,6 +57,23 @@ class Metric:
         b = rng.uniform(-1.0, 1.0, size=(n, n))
         return cls(b.T @ b + 1e-6 * np.eye(n))
 
+    @classmethod
+    def orthonormalizing(cls, basis) -> "Metric":
+        """The metric in which the columns of the square `basis` are
+        orthonormal: G = (B B^T)^-1, so that B^T G B = I."""
+        b = np.asarray(basis, dtype=float)
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise MetricError("basis must be square")
+        try:
+            metric = cls(np.linalg.inv(b @ b.T))
+        except np.linalg.LinAlgError:
+            raise MetricError("basis vectors are linearly dependent")
+        # entries of B^T G B - I below 1/n bound its norm below 1, so
+        # B^T G B, and with it B, is invertible
+        if np.abs(b.T @ metric.gram @ b - np.eye(len(b))).max() >= 1 / len(b):
+            raise MetricError("basis vectors are linearly dependent")
+        return metric
+
     def inner(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.gram @ np.asarray(y, float))
 

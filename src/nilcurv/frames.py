@@ -51,15 +51,6 @@ class NormalFormFrame:
                                 self.e_vectors, self.u_vectors)
 
 
-def _orthonormalizing_metric(vectors: list[np.ndarray]) -> Metric:
-    v = np.column_stack(vectors)
-    if v.shape[0] != v.shape[1]:
-        raise CandidateError("need n independent vectors for the metric")
-    if abs(np.linalg.det(v)) < 1e-12:
-        raise CandidateError("frame vectors are linearly dependent")
-    return Metric(np.linalg.inv(v @ v.T))
-
-
 def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
     """The explicit maximal-direction frame for one of FRAME_KEYS.
 
@@ -89,7 +80,8 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
         expected = (a1 * c + a2 * x + a3 * y
                     + (b1 - 0.5 * a2 * a3 / a1) * a + b2 * z)
         which = "T2"
-        metric = _orthonormalizing_metric([e1, e2, u1, u2, u3])
+        metric = Metric.orthonormalizing(
+            np.column_stack([e1, e2, u1, u2, u3]))
         return NormalFormFrame(key, algebra, metric, [e1, e2], [u1, u2, u3],
                                expected, which, (a1, a2, a3), (b1, b2))
     # six-dimensional forms: basis c, X, Y, Z, A1, A2
@@ -118,6 +110,7 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
     e2 = 2.0 * u13
     # the automorphism c -> c + U sends T to T + (c-coefficient of T) * U
     expected = base_t + c_coef * u_shift
-    metric = _orthonormalizing_metric([u1, u2, u3, e1, e2, u23])
+    metric = Metric.orthonormalizing(
+        np.column_stack([u1, u2, u3, e1, e2, u23]))
     return NormalFormFrame(key, algebra, metric, [e1, e2], [u1, u2, u3],
                            expected, which, (a1, a2, a3), (s1, s2, s3))

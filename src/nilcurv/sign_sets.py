@@ -33,7 +33,7 @@ from .curvature import (
     ricci_frame,
     sectional_K,
 )
-from .deformation import DeformationSpec, complete_basis
+from .deformation import DeformationSpec, complement_frame, complete_basis
 from .rational import in_row_space, rank, solve
 
 WITNESS_METRIC_BUDGET = 200
@@ -358,8 +358,7 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z,
         basis[:, tilt] = basis[:, tilt] + zv
         coeffs = np.linalg.solve(basis, bf)
     alpha = float(coeffs[0])
-    gram = np.linalg.inv(basis @ basis.T)
-    metric = Metric(gram)
+    metric = Metric.orthonormalizing(basis)
     lam = np.concatenate([[float(n)],
                           np.arange(n - 2, 1, -1, dtype=float),
                           [1.0, 0.0]])
@@ -371,7 +370,7 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z,
         if val > RIC_POSITIVE_MIN and abs(val - target) <= 0.05 * target:
             with np.errstate(over="ignore"):
                 full = val * np.exp(d * t)
-            return SignWitness(kind="ric_positive", gram=gram,
+            return SignWitness(kind="ric_positive", gram=metric.gram,
                                value=float(full),
                                target=list(map(float, zv)), seed=seed,
                                lambdas=lam, frame=basis, t=t,
@@ -411,8 +410,7 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
     # basis order: x, w-direction, middle..., y
     mid = complete_basis([xf, wf, yv])
     basis = np.column_stack([xf, wf] + mid + [yv])
-    gram = np.linalg.inv(basis @ basis.T)
-    metric = Metric(gram)
+    metric = Metric.orthonormalizing(basis)
     lam = np.zeros(n)
     lam[1] = 1.0
     lam[-1] = -1.0
@@ -423,7 +421,7 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
             with np.errstate(over="ignore"):
                 full = val * np.exp(d * t)
             if full < RIC_NEGATIVE_MAX:
-                return SignWitness(kind="ric_negative", gram=gram,
+                return SignWitness(kind="ric_negative", gram=metric.gram,
                                    value=float(full),
                                    target=list(map(float, xf)), seed=seed,
                                    lambdas=lam, frame=basis, t=t)
@@ -484,8 +482,7 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
                 continue
             comp = complete_basis(have)
             basis = np.column_stack([x_v] + comp + [w, y_v, e])
-            gram = np.linalg.inv(basis @ basis.T)
-            metric = Metric(0.5 * (gram + gram.T))
+            metric = Metric.orthonormalizing(basis)
             # component of [e, X] orthogonal to span(e, Y, [e, Y])
             coords = np.linalg.solve(basis, algebra.bracket_float(e, x_v))
             dvec = sum(coords[i] * basis[:, i]
@@ -506,20 +503,10 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
                 + s1 * w / np.sqrt(metric.norm2(w))
             e2 = e2 / np.sqrt(metric.norm2(e2))
             en = e / np.sqrt(metric.norm2(e))
-            frame_cols = [e1, e2]
-            for v in [w, y_v] + comp + list(np.eye(n).T):
-                u = np.asarray(v, float).copy()
-                for f in frame_cols + [en]:
-                    u = u - metric.inner(u, f) * f
-                nn = np.sqrt(max(metric.norm2(u), 0.0))
-                if nn > 1e-8:
-                    frame_cols.append(u / nn)
-                if len(frame_cols) == n - 1:
-                    break
-            if len(frame_cols) != n - 1:
-                continue
-            frame_cols.append(en)
-            frame = np.column_stack(frame_cols)
+            # e1, e2, en are g-orthonormal; the middle block has the one
+            # exponent 2, so its basis does not change g_t
+            frame = np.column_stack(
+                [e1, e2, complement_frame(metric, [e1, e2, en]), en])
             lam = np.array([10.0, 9.0] + [2.0] * (n - 3) + [0.0])
             tables = secdef_coefficients(algebra, metric, lam, bx, by,
                                          frame=frame)

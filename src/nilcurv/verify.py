@@ -32,12 +32,11 @@ from .deformation import (
     codim1_adapted_metric,
     convergence_check,
     deformed_ricci_frame,
-    derived_complement_frame,
     lemma5a_deformation,
     projective_distance,
     scaled_ricci_limit,
-    spec_for_pattern,
     sphere_grid,
+    two_step_deformation,
     worst_gap,
 )
 from .frames import FRAME_KEYS, normal_form_frame
@@ -78,7 +77,7 @@ def check_heisenberg_spectrum(seed: int = 0) -> dict:
             zi[2 * l + 1:] = rng.uniform(-1.0, 1.0, size=pad)
             basis[:, i] = basis[:, i] + zi + rng.uniform(-1, 1) \
                 * np.eye(n)[:, 2 * l]
-        metric = Metric(np.linalg.inv(basis @ basis.T))
+        metric = Metric.orthonormalizing(basis)
         spec = ricci_operator(alg, metric).eigenvalues
         expected = np.sort(np.concatenate(
             [-0.5 * np.ones(2 * l), np.zeros(pad), [l / 2.0]]))
@@ -105,7 +104,7 @@ def check_filiform4_spectrum(seed: int = 0) -> dict:
         a, b, c = rng.uniform(-2.0, 2.0, size=3)
         basis = np.eye(4)
         basis[:, 0] = np.array([1.0, a, b, c])  # E1 = W + aX + bY + cZ
-        metric = Metric(np.linalg.inv(basis @ basis.T))
+        metric = Metric.orthonormalizing(basis)
         spec = ricci_operator(alg, metric).eigenvalues
         if np.abs(spec - expected).max() > tol:
             failures.append({"abc": [a, b, c], "spectrum": spec.tolist()})
@@ -171,10 +170,7 @@ def check_extremal_convergence(seed: int = 0) -> dict:
     alg = build("heisenberg", m=1)
     metric = Metric.identity(3)
     e = np.array([0.0, 0.0, 1.0])
-    cand = candidate_two_step(alg, metric, e)
-    u = derived_complement_frame(alg, metric)
-    spec = spec_for_pattern(alg, metric, [e],
-                            [u[:, i] for i in range(u.shape[1])])
+    spec, cand = two_step_deformation(alg, metric, e)
     trace = convergence_check(spec, alg, cand, target=target)
     cases.append({"case": "h3", "T": cand.T.tolist(),
                   "best_distance": trace.best_distance(),

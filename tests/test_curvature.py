@@ -47,6 +47,26 @@ def test_frame_orthonormal():
         assert np.abs(f.T @ m.gram @ f - np.eye(4)).max() < 1e-10
 
 
+def test_orthonormalizing_metric():
+    """The columns of a square basis are orthonormal in
+    Metric.orthonormalizing(B); a dependent or non-square basis raises,
+    also when the dependence is only up to rounding."""
+    rng = np.random.default_rng(3)
+    for n in (3, 5, 7):
+        b = rng.normal(size=(n, n))
+        g = Metric.orthonormalizing(b).gram
+        assert np.abs(b.T @ g @ b - np.eye(n)).max() < 1e-10
+        # about one in five of these gives an SPD (B B^T)^-1 by rounding
+        for _ in range(20):
+            b[:, -1] = b[:, :-1] @ rng.normal(size=n - 1)
+            with pytest.raises(MetricError):
+                Metric.orthonormalizing(b)
+    with pytest.raises(MetricError):
+        Metric.orthonormalizing(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(MetricError):
+        Metric.orthonormalizing(np.ones((2, 3)))
+
+
 def test_u_operator_h3_oracle():
     a, m = h3(), Metric.identity(3)
     assert np.abs(u_operator(a, m, X, Y)).max() < 1e-14

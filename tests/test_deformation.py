@@ -17,20 +17,25 @@ from nilcurv import (
     candidate_min_u1,
     candidate_T1_T2,
     candidate_two_step,
+    complement_frame,
     convergence_check,
     deformed_metric,
     deformed_ricci,
-    derived_complement_frame,
     extremal_T,
     lemma5a_deformation,
     projective_distance,
     ricci_operator,
     scaled_ricci_limit,
     spec_for_pattern,
+    two_step_deformation,
     worst_gap,
 )
 from nilcurv import deformation
-from nilcurv.deformation import deformed_ricci_frame, sphere_grid
+from nilcurv.deformation import (
+    deformed_ricci_frame,
+    orthonormal_tol,
+    sphere_grid,
+)
 from nilcurv.verify import coverage_grid_cases
 
 
@@ -107,11 +112,9 @@ def test_candidate_two_step_h3():
     alg = build("heisenberg", m=1)
     metric = Metric.identity(3)
     z = np.array([0.0, 0.0, 1.0])
-    cand = candidate_two_step(alg, metric, z)
+    spec, cand = two_step_deformation(alg, metric, z)
     assert np.abs(cand.T - 2.0 * z).max() < 1e-12
-    u = derived_complement_frame(alg, metric)
-    spec = spec_for_pattern(alg, metric, [z],
-                            [u[:, i] for i in range(u.shape[1])])
+    assert np.array_equal(cand.T, candidate_two_step(alg, metric, z).T)
     trace = convergence_check(spec, alg, cand)
     assert trace.converged and trace.best_distance() < 1e-4
 
@@ -200,6 +203,82 @@ def test_spec_for_pattern_exponents():
     assert sorted(spec.lambdas.tolist()) == [-1.0, -1.0, 1.0]
     limit = scaled_ricci_limit(spec, alg)
     assert (limit.p, limit.q) == (1, 2)
+
+
+@st.composite
+def metric_and_vectors(draw):
+    """(metric, V): the Metric.random Gram matrix B^T B + 1e-6 I with up to
+    two rows of B zeroed, so cond(G) ranges up to about 1e8, and up to n
+    nonzero integer rows V, sometimes with the (nonzero) sum of two of
+    them added."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.uniform(-1.0, 1.0, size=(n, n))
+    b[:draw(st.integers(0, 2))] = 0.0
+    metric = Metric(b.T @ b + 1e-6 * np.eye(n))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(row, max_size=n))
+    total = [sum(c) for c in zip(*rows[:2])] if len(rows) >= 2 else []
+    if any(total) and draw(st.booleans()):
+        rows.append(total)
+    return metric, np.array(rows, float).reshape(-1, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(metric_and_vectors())
+def test_complement_frame_is_g_orthonormal_and_g_orthogonal(case):
+    """n - rank(V) columns, g-orthonormal and g-orthogonal to every row of
+    V (relative to its g-norm) within orthonormal_tol."""
+    metric, v = case
+    f = complement_frame(metric, v)
+    rank_v = np.linalg.matrix_rank(v) if len(v) else 0
+    assert f.shape == (metric.n, metric.n - rank_v)
+    tol = orthonormal_tol(metric)
+    assert np.abs(f.T @ metric.gram @ f
+                  - np.eye(f.shape[1])).max(initial=0.0) <= tol
+    if len(v) and f.shape[1]:
+        vnorm = np.sqrt(np.einsum("ij,jk,ik->i", v, metric.gram, v))
+        assert (np.abs(v @ metric.gram @ f) / vnorm[:, None]).max() <= tol
+
+
+def _rotated_orthonormal_frame(n, rng):
+    metric = Metric.random(n, rng)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return metric, metric.frame @ q
+
+
+def test_spec_for_pattern_keeps_the_given_columns():
+    """The +1 and -1 columns of the frame are the given vectors, unchanged;
+    only the middle block is computed."""
+    alg = build("L6_1")
+    rng = np.random.default_rng(11)
+    for p, q in ((1, 2), (2, 3), (1, 5)):
+        metric, f = _rotated_orthonormal_frame(6, rng)
+        plus, minus = list(f[:, :p].T), list(f[:, 6 - q:].T)
+        spec = spec_for_pattern(alg, metric, plus, minus)
+        assert np.array_equal(spec.frame[:, :p], f[:, :p])
+        assert np.array_equal(spec.frame[:, 6 - q:], f[:, 6 - q:])
+        assert spec.lambdas.tolist() == [1.0] * p + [0.0] * (6 - p - q) \
+            + [-1.0] * q
+
+
+def test_deformed_metric_ignores_the_middle_basis():
+    """g_t is the same when the zero-exponent block of the frame is rotated
+    by a random orthogonal matrix."""
+    alg = build("L6_1")
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        metric, f = _rotated_orthonormal_frame(6, rng)
+        spec = spec_for_pattern(alg, metric, [f[:, 0]], [f[:, 4], f[:, 5]])
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        frame = spec.frame.copy()
+        frame[:, 1:4] = frame[:, 1:4] @ q
+        rotated = DeformationSpec(base=metric, lambdas=spec.lambdas,
+                                  frame=frame)
+        for t in (0.5, 2.0, 8.0):
+            g = deformed_metric(spec, t).gram
+            diff = np.abs(deformed_metric(rotated, t).gram - g).max()
+            assert diff <= orthonormal_tol(metric) * np.abs(g).max()
 
 
 def scalar_worst_gap(grid, cands):

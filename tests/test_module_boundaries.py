@@ -1,7 +1,8 @@
 """No library module imports or reads another module's private names, no
 library function binds a name it never reads or imports anything except
-where listed as lazy, and no library module other than the package's
-`__init__` imports a name it never reads."""
+where listed as lazy, no library module other than the package's
+`__init__` imports a name it never reads, and floats are rounded to
+Fractions and bases turned into metrics only at the listed sites."""
 
 import ast
 from pathlib import Path
@@ -198,21 +199,26 @@ ROUNDING_SITES = {("rational.py", "as_fraction"),
                   ("verify.py", "check_coverage")}
 
 
-def rounding_sites(source: str) -> list[str]:
-    """The innermost enclosing function of every `limit_denominator`
-    reference ("<module>" outside any function)."""
+def _sites(source: str, match) -> list[str]:
+    """The innermost enclosing function of every node for which match is
+    true ("<module>" outside any function)."""
     tree = ast.parse(source)
     fns = [n for n in ast.walk(tree)
            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute)
-                and node.attr == "limit_denominator"):
+        if match(node):
             owners = [f for f in fns
                       if f.lineno <= node.lineno <= f.end_lineno]
             found.append(max(owners, key=lambda f: f.lineno).name
                          if owners else "<module>")
     return found
+
+
+def rounding_sites(source: str) -> list[str]:
+    """Where `limit_denominator` is referenced."""
+    return _sites(source, lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "limit_denominator")
 
 
 def test_checker_flags_rounding_sites():
@@ -230,3 +236,45 @@ def test_no_new_rounding_sites():
              for p in sorted(SRC.glob("*.py"))
              for fn in rounding_sites(p.read_text())}
     assert found == ROUNDING_SITES
+
+
+# (module file, function): the one place a metric is made from a basis it
+# orthonormalizes, G = (B B^T)^-1
+ORTHONORMALIZING_SITES = {("curvature.py", "orthonormalizing")}
+
+
+def _is_orthonormalizing_inverse(node) -> bool:
+    """`inv(B @ B.T)`, through any name ending in `inv`, with the same
+    expression B on both sides of the product."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 1):
+        return False
+    fn, arg = node.func, node.args[0]
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+    return (name == "inv" and isinstance(arg, ast.BinOp)
+            and isinstance(arg.op, ast.MatMult)
+            and isinstance(arg.right, ast.Attribute) and arg.right.attr == "T"
+            and ast.dump(arg.left) == ast.dump(arg.right.value))
+
+
+def orthonormalizing_inverses(source: str) -> list[str]:
+    """Where `inv(B @ B.T)` is computed."""
+    return _sites(source, _is_orthonormalizing_inverse)
+
+
+def test_checker_flags_orthonormalizing_inverses():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import inv\n"
+              "G = np.linalg.inv(B @ B.T)\n"
+              "def f(b, d):\n"
+              "    g = inv(b.cols @ b.cols.T)\n"
+              "    h = np.linalg.inv(b @ np.diag(d) @ b.T)\n"
+              "    k = np.linalg.inv(b @ d.T)\n"
+              "    return g, h, k, np.linalg.inv(b.T @ b)\n")
+    assert orthonormalizing_inverses(source) == ["<module>", "f"]
+
+
+def test_no_new_orthonormalizing_inverses():
+    found = {(p.name, fn)
+             for p in sorted(SRC.glob("*.py"))
+             for fn in orthonormalizing_inverses(p.read_text())}
+    assert found == ORTHONORMALIZING_SITES

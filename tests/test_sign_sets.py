@@ -270,6 +270,19 @@ def test_negative_K_witness_abelian_plane_without_pencil():
     assert w.value < -1e-9
 
 
+def test_pencil_witness_is_K_of_its_deformed_metric():
+    """Re-check of the pencil-failure witness without the expansion
+    tables: sectional_K on the deformed Gram matrix at the witness t
+    gives the witness value."""
+    a = build("filiform_standard", n=5)
+    x = np.array([0.0, 1.0, -1.0, 1.0, -1.0])
+    y = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+    w = find_negative_K_witness(a, x, y, seed=0)
+    assert w.lambdas is not None and w.lambdas[-1] == 0.0
+    k = sectional_K(a, deformed_metric(w.spec(), w.t), x, y)
+    assert abs(k - w.value) <= 1e-12 * (1.0 + abs(w.value))
+
+
 def test_witness_reproducibility():
     a = build("heisenberg", m=1)
     w1 = find_negative_K_witness(a, X3, Y3, seed=5)

@@ -252,8 +252,7 @@ def cmd_deform(args) -> int:
                                 t=args.t),
               "d": limit.d, "gap": limit.gap,
               "Lambda": [list(tr) for tr in limit.Lambda],
-              "phi0_eigenvalues": np.linalg.eigvalsh(
-                  0.5 * (limit.phi0 + limit.phi0.T)).tolist(),
+              "phi0_eigenvalues": limit.phi0_eigenvalues().tolist(),
               "block_structure": limit.has_block_structure,
               "tolerances": {}}
     if limit.has_block_structure:

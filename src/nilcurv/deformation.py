@@ -159,6 +159,11 @@ class ScaledRicciLimit:
     def sum_J_squared(self) -> np.ndarray:
         return sum(j @ j for j in self.J)
 
+    def phi0_eigenvalues(self) -> np.ndarray:
+        """Sorted real parts of the eigenvalues of phi0, which is not
+        symmetric."""
+        return np.sort(np.linalg.eigvals(self.phi0).real)
+
 
 def _lambda_triples(lam: np.ndarray) -> tuple[float, list, float]:
     """d, the maximizing set Lambda, and the gap to the runner-up.

@@ -8,6 +8,18 @@ the bracket-pencil condition; that set also equals G1 (planes meeting the
 center) union G2 (planes inside a three-dimensional abelian ideal whose
 bracket with the algebra is a line).
 
+One exact kernel, plane_labels, labels planes in bulk: abelian, G1,
+G_geq, and G2 for the planes that miss the center, where it holds iff
+[plane, g] is a line spanned by a central vector. classify_plane is its
+one-plane case, plus G_zero, G_pos and G2 on the planes that meet the
+center z. There [g, sigma] must be a line Rq for a non-central sigma:
+with q outside sigma, G2 iff q is central; with q in sigma, G2 iff
+{v : [g, v] in Rq, [sigma, v] = 0} is larger than sigma. A central sigma
+is G2 iff some v has im ad_v a line inside sigma, which is a real rank
+drop of a rectangular matrix pencil (Kronecker; Gantmacher, The Theory
+of Matrices, vol. 2, ch. XII). No step sweeps coefficients, so the labels
+do not depend on the basis.
+
 Witness searches are seeded and deterministic: random SPD metrics first,
 then diagonal deformations with the exponent patterns that force the
 desired sign in the limit.
@@ -15,6 +27,8 @@ desired sign in the limit.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,13 +42,14 @@ from .algebra import (
 )
 from .curvature import (
     Metric,
+    ad_images,
     frame_structure,
     ricci_form_matrix,
     ricci_frame,
     sectional_K,
 )
 from .deformation import DeformationSpec, complement_frame, complete_basis
-from .rational import in_row_space, rank, solve
+from .rational import in_row_space, nullspace, rank, solve
 
 WITNESS_METRIC_BUDGET = 200
 WITNESS_DEFORM_BUDGET = 20
@@ -72,120 +87,167 @@ def classify_ric_vector(algebra: NilpotentAlgebra, x) -> str:
 # ---------------------------------------------------------------------------
 # plane classification
 
+# planes per block in plane_labels; bounds their temporary arrays
+_CHUNK = 4096
 
-def _pencil_condition(algebra: NilpotentAlgebra, x, y) -> bool:
-    """Exact check of: for every Z, [x, Z] and [y, Z] are parallel.
 
-    Written as identical vanishing of all 2x2 minors of the stacked
-    ad-images, i.e. the symmetric parts of a_k (x) b_l - a_l (x) b_k are
-    zero, where a_k, b_k are the rows of ad_x, ad_y.
+def plane_labels(algebra: NilpotentAlgebra, xs, ys) -> dict:
+    """Exact labels of the planes span(xs[r], ys[r]), for integer rows.
+
+    abelian: [x, y] = 0. G1 (meets the center): ad_x and ad_y are
+    dependent (Cauchy-Schwarz equality of their entries). On abelian
+    planes, G_geq: the bracket-pencil condition, all symmetrized 2x2
+    minors of the stacked ad-images vanish; and on those that miss the
+    center, G2: [plane, g] is a line span(p) with p central. That is the
+    definition: [g, a3] = span(p) for a3 = span(x, y, p) means [g, p] in
+    span(p), i.e. p central (ad is nilpotent); then a3 is abelian, an
+    ideal, and three-dimensional (p is not in the plane). G2 is left
+    False on planes that meet the center, which classify_plane decides.
+
+    No label changes when the bracket or a vector is scaled, so the
+    structure constants are scaled by the lcm of their denominators. The
+    arithmetic is int64 when its largest value, at most
+    n^8 (max|c| max|x, y|)^4, stays below 2^62, and Python ints otherwise.
     """
-    a = algebra.ad(x)
-    b = algebra.ad(y)
     n = algebra.n
-    rows = [k for k in range(n)
-            if any(a[k][m] != 0 or b[k][m] != 0 for m in range(n))]
-    cols = [m for m in range(n)
-            if any(a[k][m] != 0 or b[k][m] != 0 for k in rows)]
-    for ki, k in enumerate(rows):
-        for l in rows[ki + 1:]:
-            for p1, m1 in enumerate(cols):
-                for m2 in cols[p1:]:
-                    c = (a[k][m1] * b[l][m2] - a[l][m1] * b[k][m2]
-                         + a[k][m2] * b[l][m1] - a[l][m2] * b[k][m1])
-                    if c != 0:
-                        return False
-    return True
-
-
-def _common_bracket_direction(algebra: NilpotentAlgebra,
-                              plane_basis) -> list[Fraction] | None:
-    """Direction P with [v, Z] || P for all v in the plane, all Z; None if
-    the bracket images are not all parallel or all vanish."""
-    images = []
-    probes = list(plane_basis)
-    if len(plane_basis) == 2:
-        probes.append([a + b for a, b in zip(*plane_basis)])
-    for v in probes:
-        for m in range(algebra.n):
-            w = algebra.bracket(v, basis_vector(algebra.n, m))
-            if any(c != 0 for c in w):
-                images.append(w)
-    if not images:
-        return None
-    if rank(images) != 1:
-        return None
-    return images[0]
-
-
-def _is_G2(algebra: NilpotentAlgebra, sigma: Subspace) -> bool:
-    """Existence of an abelian 3-dim ideal containing sigma with
-    one-dimensional bracket [g, a3]."""
-    x, y = sigma.basis
-    if any(c != 0 for c in algebra.bracket(x, y)):
-        return False
-    p = _common_bracket_direction(algebra, sigma.basis)
-    candidates: list[list[Fraction]] = []
-    if p is not None:
-        candidates = [p]
-    elif algebra.center().contains_subspace(sigma):
-        # central plane: bounded sweep for the extension direction
-        grid = [Fraction(v) for v in (-1, 0, 1)]
-
-        def gen(prefix):
-            if len(prefix) == algebra.n:
-                if any(c != 0 for c in prefix):
-                    candidates.append(list(prefix))
-                return
-            for c in grid:
-                gen(prefix + [c])
-        if algebra.n <= 7:
-            gen([])
-    for cand in candidates:
-        if sigma.contains(cand):
+    scale = math.lcm(*(c.denominator for comps in algebra.brackets.values()
+                       for c in comps.values()))
+    ci = np.zeros((n, n, n), dtype=object)
+    for (i, j), comps in algebra.brackets.items():
+        for k, c in comps.items():
+            ci[i, j, k], ci[j, i, k] = int(c * scale), -int(c * scale)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    top = int(np.abs(ci).max(initial=0)) * int(max(
+        np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
+    dtype = np.int64 if n ** 8 * top ** 4 < 2 ** 62 else object
+    ci, xs, ys = ci.astype(dtype), xs.astype(dtype), ys.astype(dtype)
+    mi, mj = np.triu_indices(n)             # m1 <= m2
+    ki, kj = np.triu_indices(n, k=1)        # k < l
+    m1, m2 = mi[:, None], mj[:, None]
+    k, l = ki[None, :], kj[None, :]
+    out = {name: np.zeros(len(xs), dtype=bool)
+           for name in ("abelian", "G1", "G_geq", "G2")}
+    for s in range(0, len(xs), _CHUNK):
+        x, y = xs[s:s + _CHUNK], ys[s:s + _CHUNK]
+        ax, ay = ad_images(ci, x), ad_images(ci, y)
+        abelian = ~np.any(np.matmul(y[:, None, :], ax)[:, 0, :] != 0,
+                          axis=1)
+        mx, my = ax.reshape(len(x), -1), ay.reshape(len(x), -1)
+        g1 = (np.sum(mx * mx, axis=1) * np.sum(my * my, axis=1)
+              == np.sum(mx * my, axis=1) ** 2)
+        out["abelian"][s:s + len(x)] = abelian
+        out["G1"][s:s + len(x)] = g1
+        rows = np.nonzero(abelian)[0]
+        if not len(rows):
             continue
-        a3 = sigma.sum(Subspace([cand], algebra.n))
-        if a3.dim != 3:
-            continue
-        if not algebra.is_abelian_subspace(a3):
-            continue
-        if not algebra.is_ideal(a3):
-            continue
-        imgs = []
-        for m in range(algebra.n):
-            for v in a3.basis:
-                imgs.append(algebra.bracket(basis_vector(algebra.n, m), v))
-        if rank(imgs) == 1:
-            return True
-    return False
+        a, b = ax[rows], ay[rows]
+        pencil = (a[:, m1, k] * b[:, m2, l] - a[:, m1, l] * b[:, m2, k]
+                  + a[:, m2, k] * b[:, m1, l] - a[:, m2, l] * b[:, m1, k])
+        out["G_geq"][s + rows] = ~np.any(pencil != 0, axis=(1, 2))
+        rows = rows[~g1[rows]]
+        images = np.concatenate([ax[rows], ay[rows]], axis=1)  # [plane, g]
+        lead = np.argmax(np.any(images != 0, axis=2), axis=1)
+        p = images[np.arange(len(rows)), lead]
+        # every image parallel to p: Cauchy-Schwarz equality
+        line = np.all(np.sum(images * images, axis=2)
+                      * np.sum(p * p, axis=1)[:, None]
+                      == np.sum(images * p[:, None, :], axis=2) ** 2,
+                      axis=1)
+        p_central = ~np.any(ad_images(ci, p) != 0, axis=(1, 2))
+        out["G2"][s + rows] = line & p_central
+    return out
+
+
+def _brackets_into(algebra: NilpotentAlgebra, vectors) -> list:
+    """Rows whose null space is {v : [g, v] in span(vectors)}: each form f
+    of the annihilator of the span, applied to [e_m, v]."""
+    n = algebra.n
+    ann = nullspace(vectors, n)
+    return [[sum(f[k] * ad[k][j] for k in range(n)) for j in range(n)]
+            for ad in (algebra.ad(basis_vector(n, m)) for m in range(n))
+            for f in ann]
+
+
+def _central_plane_g2(algebra: NilpotentAlgebra, sigma: Subspace,
+                      z: Subspace) -> bool:
+    """G2 for a central plane sigma: some v has im ad_v a line inside
+    sigma (nilpotency puts the line [g, a3] of a G2 ideal sigma + Rv
+    there).
+
+    Such v lie in W = {v : [g, v] in sigma}, which contains z, and ad_v
+    depends on v mod z only. With u_1..u_k a basis of a complement of z
+    in W, and A, B the n x k matrices of the two sigma-coordinates of
+    [u_i, e_m], v = sum t_i u_i qualifies iff At and Bt are parallel, so
+    iff the pencil aA + bB drops rank at some real (a : b): at (0 : 1) iff
+    rank B < k, elsewhere at a real root of the gcd of the k x k minors
+    of A - tB (nonzero when rank B = k).
+    """
+    n = algebra.n
+    us, span = [], z
+    for v in nullspace(_brackets_into(algebra, sigma.basis), n):
+        if not span.contains(v):
+            us.append(v)
+            span = span.sum(Subspace([v], n))
+    k = len(us)
+    ab = [[sigma.coordinates(algebra.bracket(u, basis_vector(n, m)))
+           for u in us] for m in range(n)]
+    a, b = ([[c[i] for c in row] for row in ab] for i in (0, 1))
+    if k <= 1:      # k = 1: Au parallel to Bu
+        return k == 1 and rank([[r[0] for r in a], [r[0] for r in b]]) == 1
+    if rank(b) < k:
+        return True
+    import sympy
+
+    t = sympy.Symbol("t")
+    pencil = sympy.Matrix(a) - t * sympy.Matrix(b)
+    gcd = sympy.Poly(0, t)
+    for sel in itertools.combinations(range(n), k):
+        gcd = gcd.gcd(sympy.Poly(pencil[list(sel), :].det(), t))
+    return gcd.count_roots() > 0
 
 
 def classify_plane(algebra: NilpotentAlgebra, x, y) -> set[str]:
-    """Labels among {G_geq, G_zero, G_pos, G1, G2} for span(x, y)."""
-    sigma = Subspace([x, y], algebra.n)
+    """Labels among {G_geq, G_zero, G_pos, G1, G2} for span(x, y).
+
+    plane_labels labels the RREF basis, denominators cleared. On a
+    non-central plane sigma = span(x0, y0) with x0 central, a G2 ideal a3
+    has [g, a3] = [g, sigma] = [g, y0], so that must be a line Rq in a3:
+    with q outside sigma, a3 = sigma + Rq, fine iff q is central; with q
+    in sigma, iff {v : [g, v] in Rq, [sigma, v] = 0} exceeds sigma.
+    """
+    n = algebra.n
+    sigma = Subspace([x, y], n)
     if sigma.dim != 2:
         raise PreconditionError("vectors do not span a two-plane")
     bx, by = sigma.basis
+    xs, ys = (np.array([[int(v * math.lcm(*(w.denominator for w in row)))
+                         for v in row]], dtype=object) for row in (bx, by))
+    bulk = plane_labels(algebra, xs, ys)
+    labels = {name for name in ("G1", "G_geq", "G2") if bulk[name][0]}
+    if "G1" not in labels:
+        return labels
     z = algebra.center()
     inter = sigma.intersection(z)
-    labels: set[str] = set()
     if inter.dim == 2:
-        labels.add("G_zero")
-    if inter.dim >= 1:
-        labels.add("G1")
-    abelian_plane = all(c == 0 for c in algebra.bracket(bx, by))
-    if abelian_plane and _pencil_condition(algebra, bx, by):
-        labels.add("G_geq")
-    if _is_G2(algebra, sigma):
-        labels.add("G2")
-    # positivity: needs a central X in sigma lying in [Y, g]
-    if inter.dim == 1 and "G_zero" not in labels:
-        x0 = inter.basis[0]
-        y0 = bx if not inter.contains(bx) else by
-        image = Subspace([algebra.bracket(y0, basis_vector(algebra.n, m))
-                          for m in range(algebra.n)], algebra.n)
-        if image.contains(x0):
-            labels.add("G_pos")
+        return labels | {"G_zero"} | (
+            {"G2"} if _central_plane_g2(algebra, sigma, z) else set())
+    x0 = inter.basis[0]
+    y0 = bx if not inter.contains(bx) else by
+    image = Subspace([algebra.bracket(y0, basis_vector(n, m))
+                      for m in range(n)], n)
+    # positivity: needs the central X in sigma to lie in [Y, g]
+    if image.contains(x0):
+        labels.add("G_pos")
+    if image.dim == 1:
+        q = image.basis[0]
+        if sigma.contains(q):
+            rows = _brackets_into(algebra, [q]) \
+                + [r for v in sigma.basis for r in algebra.ad(v)]
+            g2 = len(nullspace(rows, n)) > 2
+        else:
+            g2 = z.contains(q)
+        if g2:
+            labels.add("G2")
     return labels
 
 

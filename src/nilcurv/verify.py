@@ -20,7 +20,6 @@ from . import sign_sets as ss
 from .catalog import build, list_catalog
 from .curvature import (
     Metric,
-    ad_images,
     ricci_form_matrix,
     ricci_operator,
     sectional_K,
@@ -142,7 +141,7 @@ def check_deformation_limit(seed: int = 0) -> dict:
                           * deformed_ricci_frame(spec, alg, t)
                           - limit.phi0).max()
             worst_mat = max(worst_mat, float(diff))
-            ev = np.sort(np.linalg.eigvals(limit.phi0).real)
+            ev = limit.phi0_eigenvalues()
             block_ev = np.sort(np.concatenate(
                 [np.linalg.eigvalsh(limit.A), np.zeros(n - p - q),
                  np.linalg.eigvalsh(limit.sum_J_squared())]))
@@ -337,92 +336,20 @@ def _grid_planes(n: int) -> tuple:
     return tuple((vecs[ia[i]], vecs[ib[i]]) for i in first)
 
 
-# planes per block in the bulk plane labels; bounds their temporary arrays
-_CHUNK = 4096
-
-
-def _integer_tensor(alg) -> np.ndarray | None:
-    """The structure tensor as int64, if it is integral and small enough
-    that the bulk plane labels on {-1,0,1} planes cannot overflow."""
-    c = alg.structure_tensor()
-    ci = np.rint(c)
-    if np.abs(c - ci).max(initial=0.0) > 1e-12:
-        return None
-    # largest product formed: the Cauchy-Schwarz test on ad-images,
-    # (n^2 (n max|c|)^2)^2
-    if alg.n ** 8 * float(np.abs(ci).max(initial=0.0)) ** 4 >= 2.0 ** 62:
-        return None
-    return ci.astype(np.int64)
-
-
-def _wedge_zero(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u ^ v == 0 along the last axis, exactly, for integer arrays."""
-    return np.all(u[..., :, None] * v[..., None, :]
-                  == u[..., None, :] * v[..., :, None], axis=(-2, -1))
-
-
-def _plane_labels(ci: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> dict:
-    """Exact int64 labels of the planes span(xs[r], ys[r]).
-
-    abelian: [x, y] = 0. G1 (meets the center): ad_x and ad_y are
-    dependent, i.e. Cauchy-Schwarz equality of their entries. On abelian
-    planes, G_geq: the bracket-pencil condition, all symmetrized 2x2
-    minors of the stacked ad-images vanish; G2 for non-central planes:
-    [plane, g] is a line span(p) and a3 = span(x, y, p) has
-    [g, a3] = span(p), i.e. [g, p] lies in span(p), which (every ad being
-    nilpotent) means p is central. The rest of the definition follows:
-    [x, p] and [y, p] lie in span(p), so they vanish and a3 is abelian;
-    a3 contains [g, a3], so it is an ideal; and a3 is three-dimensional,
-    since a central p in the plane would make it meet the center. Central
-    planes already carry G1, so G2 is not computed for them (it cannot
-    change G1 u G2). Labels other than abelian and G1 are False on
-    non-abelian planes.
-    """
-    n = ci.shape[0]
-    mi, mj = np.triu_indices(n)             # m1 <= m2
-    ki, kj = np.triu_indices(n, k=1)        # k < l
-    m1, m2 = mi[:, None], mj[:, None]
-    k, l = ki[None, :], kj[None, :]
-    out = {name: np.zeros(len(xs), dtype=bool)
-           for name in ("abelian", "G1", "G_geq", "G2")}
-    for s in range(0, len(xs), _CHUNK):
-        x, y = xs[s:s + _CHUNK], ys[s:s + _CHUNK]
-        ax, ay = ad_images(ci, x), ad_images(ci, y)
-        abelian = ~np.any(np.matmul(y[:, None, :], ax)[:, 0, :], axis=1)
-        mx, my = ax.reshape(len(x), -1), ay.reshape(len(x), -1)
-        g1 = (np.sum(mx * mx, axis=1) * np.sum(my * my, axis=1)
-              == np.sum(mx * my, axis=1) ** 2)
-        out["abelian"][s:s + len(x)] = abelian
-        out["G1"][s:s + len(x)] = g1
-        rows = np.nonzero(abelian)[0]
-        if not len(rows):
-            continue
-        a, b = ax[rows], ay[rows]
-        pencil = (a[:, m1, k] * b[:, m2, l] - a[:, m1, l] * b[:, m2, k]
-                  + a[:, m2, k] * b[:, m1, l] - a[:, m2, l] * b[:, m1, k])
-        out["G_geq"][s + rows] = ~np.any(pencil, axis=(1, 2))
-        # G2 on the abelian planes that miss the center
-        rows = rows[~g1[rows]]
-        images = np.concatenate([ax[rows], ay[rows]], axis=1)  # [plane, g]
-        lead = np.argmax(np.any(images, axis=2), axis=1)
-        p = images[np.arange(len(rows)), lead]
-        line = np.all(_wedge_zero(images, p[:, None, :]), axis=1)
-        p_central = ~np.any(ad_images(ci, p), axis=(1, 2))
-        out["G2"][s + rows] = line & p_central
-    return out
-
-
 def _meets_center(alg, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """G1 computed against the center itself: span(x, y) meets z iff the
-    images L x, L y in g/z are dependent, with L an integer basis of the
-    annihilator of z (exact 2x2 minors in int64)."""
+    images u = L x, v = L y in g/z are dependent, with L an integer basis
+    of the annihilator of z, i.e. iff |u|^2 |v|^2 = (u.v)^2 (exact in
+    int64)."""
     ann = nullspace(alg.center().basis, alg.n)
     rows = []
     for row in ann:
         scale = math.lcm(*(v.denominator for v in row))
         rows.append([int(v * scale) for v in row])
     lmat = np.array(rows, dtype=np.int64).reshape(len(rows), alg.n)
-    return _wedge_zero(xs @ lmat.T, ys @ lmat.T)
+    u, v = xs @ lmat.T, ys @ lmat.T
+    return (np.sum(u * u, axis=1) * np.sum(v * v, axis=1)
+            == np.sum(u * v, axis=1) ** 2)
 
 
 BULK_WITNESS_METRICS = 400
@@ -432,11 +359,12 @@ def check_sectional_planes(seed: int = 0) -> dict:
     """Exhaustive {-1,0,1} planes: the metric-independent nonnegative set
     must equal G1 u G2, with sign witnesses on both sides.
 
-    Every grid plane is labelled in bulk by exact int64 arithmetic
-    (`_plane_labels`): abelian, G1, and on abelian planes G_geq and G2. G1
-    is cross-checked by a second exact computation against the center
-    basis (`_meets_center`); a non-abelian plane can carry none of the
-    labels (a central vector in it would force it abelian). G_geq planes
+    Every grid plane is labelled in bulk by exact integer arithmetic
+    (`sign_sets.plane_labels`): abelian, G1, and on abelian planes G_geq
+    and, off the center, G2. G1 is cross-checked by a second exact
+    computation against the center basis (`_meets_center`); a non-abelian
+    plane can carry none of the labels (a central vector in it would force
+    it abelian). G_geq planes
     must have K >= 0 under 50 random metrics. Every other plane needs a
     negative-K witness: random metrics are evaluated in bulk, each one
     only on the planes still unwitnessed, for up to BULK_WITNESS_METRICS
@@ -461,14 +389,9 @@ def check_sectional_planes(seed: int = 0) -> dict:
             continue
         structure_seen[sig] = alg.name
         planes = _grid_planes(n)
-        ci = _integer_tensor(alg)
-        if ci is None:
-            raise NotImplementedError(
-                "bulk plane labels require small integer structure "
-                "constants")
         xs_all = np.array([p[0] for p in planes], dtype=np.int64)
         ys_all = np.array([p[1] for p in planes], dtype=np.int64)
-        labels = _plane_labels(ci, xs_all, ys_all)
+        labels = ss.plane_labels(alg, xs_all, ys_all)
         abelian, g1 = labels["abelian"], labels["G1"]
         in_geq = labels["G_geq"]
         in_union = g1 | labels["G2"]

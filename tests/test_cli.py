@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nilcurv import build, save_algebra
+from nilcurv import Metric, build, save_algebra
 from nilcurv.cli import main
 from nilcurv.sign_sets import K_NEGATIVE_MAX, RIC_POSITIVE_MIN
 
@@ -110,6 +110,22 @@ def test_deform(tmp_path, capsys):
     assert len(lines) > 3
 
 
+def test_deform_phi0_eigenvalues(tmp_path, capsys):
+    """phi0 is not symmetric: the report gives its eigenvalues, not those
+    of its symmetric part."""
+    alg = tmp_path / "filiform5.json"
+    save_algebra(build("filiform_standard", n=5), alg)
+    gram = Metric.random(5, np.random.default_rng(1)).gram
+    def_path = tmp_path / "def.json"
+    def_path.write_text(json.dumps({"lambdas": [1, 0, 0, -1, -1],
+                                    "metric": {"gram": gram.tolist()}}))
+    code, out, _ = run(capsys, "deform", str(alg), str(def_path), "--json")
+    assert code == 0
+    got = np.array(json.loads(out)["phi0_eigenvalues"])
+    np.testing.assert_allclose(got, [-618.4, -618.4, 0.0, 0.0, 618.4],
+                               atol=0.05)
+
+
 def test_signsets_vector(h3_path, capsys):
     code, out, _ = run(capsys, "signsets", h3_path,
                        "--vector", "0,0,1", "--json")
@@ -129,6 +145,17 @@ def test_signsets_plane_negative_witness(h3_path, capsys):
     assert data["witnesses"][0]["kind"] == "K_negative"
     assert data["tolerances"]["K_negative"] == K_NEGATIVE_MAX
     assert data["witnesses"][0]["value"] < K_NEGATIVE_MAX
+
+
+def test_signsets_plane_G2_meeting_center(tmp_path, capsys):
+    path = tmp_path / "h3xA1.json"
+    save_algebra(build("heisenberg_x_abelian", l=1, pad=1), path)
+    code, out, _ = run(capsys, "signsets", str(path),
+                       "--plane", "1,0,0,0;0,0,1,0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["labels"] == ["G1", "G2", "G_geq", "G_pos"]
+    assert data["witnesses"] == []
 
 
 def test_signsets_requires_exactly_one(h3_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from nilcurv import (
     DeformationSpec,
     Metric,
+    NilpotentAlgebra,
     Subspace,
     build,
     classify_plane,
@@ -22,11 +23,9 @@ from nilcurv import (
     sectional_K,
 )
 from nilcurv.curvature import ricci_form_matrix
-from nilcurv.sign_sets import (
-    PreconditionError,
-    _pencil_condition,
-    _scaled_ric_of_frame_vector,
-)
+from nilcurv.rational import nullspace, solve
+from nilcurv.sign_sets import PreconditionError, _scaled_ric_of_frame_vector
+from test_algebra import in_basis, unimodular
 
 
 X3, Y3, Z3 = np.eye(3)
@@ -65,27 +64,93 @@ def test_central_plane_is_G_zero():
 
 
 def test_pencil_condition_matches_random_probes():
-    """Exact pencil condition agrees with numeric rank-1 checks of the
-    stacked bracket images on random probes."""
+    """The exact G_geq label agrees with a numeric oracle on random
+    abelian planes (y drawn from the centralizer of x): the stacked
+    bracket images [x, Z], [y, Z] have rank <= 1 for 30 random Z."""
     rng = np.random.default_rng(0)
     for key in ("heisenberg", "filiform4", "L5_lemma7a"):
         a = build(key, m=2) if key == "heisenberg" else build(key)
         for _ in range(15):
-            x = rng.integers(-2, 3, a.n)
-            y = rng.integers(-2, 3, a.n)
-            if np.linalg.matrix_rank(np.stack([x, y])) != 2:
+            x = [int(v) for v in rng.integers(-2, 3, a.n)]
+            centralizer = nullspace(a.ad(x), a.n)
+            coeffs = rng.integers(-2, 3, len(centralizer))
+            y = [sum(int(r) * row[j] for r, row in zip(coeffs, centralizer))
+                 for j in range(a.n)]
+            if np.linalg.matrix_rank(np.array([x, y], float)) != 2:
                 continue
-            exact = _pencil_condition(a, [int(v) for v in x],
-                                      [int(v) for v in y])
-            # numeric oracle: for 30 random Z, [x,Z] and [y,Z] parallel
+            exact = "G_geq" in classify_plane(a, x, y)
+            assert a.bracket(x, y) == [0] * a.n
             ok = True
             for _ in range(30):
                 z = rng.uniform(-1, 1, a.n)
-                m = np.stack([a.bracket_float(x, z), a.bracket_float(y, z)])
+                m = np.stack([a.bracket_float(x, z),
+                              a.bracket_float(np.array(y, float), z)])
                 if np.linalg.matrix_rank(m, tol=1e-8) > 1:
                     ok = False
                     break
             assert exact == ok
+
+
+def test_G2_on_plane_meeting_center():
+    """h3 x A1: span(e1, e3) lies in the abelian ideal span(e1, e3, e4),
+    whose bracket with the algebra is R e3."""
+    a = build("heisenberg_x_abelian", l=1, pad=1)
+    e = np.eye(4)
+    assert classify_plane(a, e[0], e[2]) == {"G1", "G2", "G_geq", "G_pos"}
+    assert classify_plane(a, e[0], e[3]) == {"G1", "G2", "G_geq"}
+
+
+def test_G2_central_plane_does_not_depend_on_dimension():
+    """span(e3, e4) is central in h3 x A_k and lies in the G2 ideal
+    span(e1, e3, e4) for every k, n = 8 included."""
+    for pad in (4, 5):
+        a = build("heisenberg_x_abelian", l=1, pad=pad)
+        e = np.eye(a.n)
+        assert "G2" in classify_plane(a, e[2], e[3]), a.name
+
+
+@pytest.mark.parametrize("c, g2", [(2, True), (-1, False)])
+def test_G2_central_plane_extension_direction(c, g2):
+    """[e1,e3]=e5, [e2,e3]=e6, [e1,e4]=c e6, [e2,e4]=e5: im ad_v for
+    v = e1 + s e2 is a line iff s^2 = c, so the center span(e5, e6) is G2
+    through v = e1 + sqrt(2) e2 at c = 2 and has no real direction at
+    c = -1."""
+    a = NilpotentAlgebra(6, {(0, 2): {4: 1}, (1, 2): {5: 1},
+                             (0, 3): {5: c}, (1, 3): {4: 1}})
+    assert a.center() == Subspace([[0, 0, 0, 0, 1, 0],
+                                   [0, 0, 0, 0, 0, 1]], 6)
+    e = np.eye(6)
+    assert ("G2" in classify_plane(a, e[4], e[5])) == g2
+    if g2:
+        v = e[0] + np.sqrt(2.0) * e[1]
+        images = np.array([a.bracket_float(v, w) for w in e])
+        assert np.linalg.matrix_rank(images, tol=1e-12) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_classify_plane_is_basis_independent(seed):
+    """The labels of a plane do not change in a unimodular change of
+    basis: random planes, planes through a central vector and planes
+    inside the center, on every catalog algebra with n <= 6."""
+    rng = np.random.default_rng(seed)
+    for entry in list_catalog():
+        a = entry.build()
+        if a.n > 6:
+            continue
+        p = unimodular(a.n, seed)
+        b = in_basis(a, p)
+        z = [[int(v) for v in row] for row in a.center().basis]
+        planes = [rng.integers(-1, 2, (2, a.n)).tolist() for _ in range(6)]
+        planes += [[(rng.integers(1, 3, len(z)) @ np.array(z)).tolist(),
+                    rng.integers(-1, 2, a.n).tolist()] for _ in range(4)]
+        if len(z) >= 2:
+            planes += [z[:2], (rng.integers(-2, 3, (2, len(z)))
+                               @ np.array(z)).tolist()]
+        for x, y in planes:
+            if np.linalg.matrix_rank(np.array([x, y])) < 2:
+                continue
+            assert classify_plane(a, x, y) == classify_plane(
+                b, solve(p, x), solve(p, y)), (entry.label, x, y)
 
 
 def test_secdef_matches_deformed_sectional():

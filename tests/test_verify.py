@@ -1,6 +1,6 @@
 """Bulk kernels behind the sectional-sign-planes check: the plane grid,
-the exact int64 plane labels and the batched sectional curvature, each
-against the exact or scalar construction it replaces."""
+the exact plane labels and the batched sectional curvature, each against
+the exact, brute-force or scalar construction it replaces."""
 
 import itertools
 from fractions import Fraction
@@ -16,13 +16,9 @@ from nilcurv import (
     sectional_K,
     u_operator,
 )
-from nilcurv.rational import rref
-from nilcurv.verify import (
-    _grid_planes,
-    _integer_tensor,
-    _meets_center,
-    _plane_labels,
-)
+from nilcurv.rational import rank, rref
+from nilcurv.sign_sets import plane_labels
+from nilcurv.verify import _grid_planes, _meets_center
 
 SMALL = [e.build() for e in list_catalog() if e.build().n <= 6]
 
@@ -61,36 +57,70 @@ def _grid(n):
     return planes, xs, ys
 
 
+def _g2_by_search(alg, x, y) -> bool:
+    """G2 from its definition, searched: some a3 = span(x, y, v) with v in
+    {-1,0,1}^n is a three-dimensional abelian ideal and [g, a3] is a
+    line."""
+    c = np.rint(alg.structure_tensor()).astype(np.int64)
+    vs = np.array(list(itertools.product((-1, 0, 1), repeat=alg.n)))
+    # images[v] stacks [e_m, w] for w = x, y, v
+    images = np.concatenate(
+        [np.broadcast_to(np.einsum("j,mjk->mk", w, c),
+                         (len(vs), alg.n, alg.n))
+         for w in (x, y)] + [np.einsum("vj,mjk->vmk", vs, c)], axis=1)
+    p = images[np.arange(len(vs)),
+               np.argmax(np.any(images, axis=2), axis=1)]
+    line = np.any(p, axis=1) & np.all(
+        np.sum(images * images, axis=2) * np.sum(p * p, axis=1)[:, None]
+        == np.sum(images * p[:, None, :], axis=2) ** 2, axis=1)
+    for v, q in zip(vs[line], p[line]):
+        a3 = [list(map(Fraction, w)) for w in (x, y, v)]
+        if rank(a3) == 3 and rank(a3 + [list(map(Fraction, q))]) == 3 \
+                and not any(alg.bracket(a3[2], w) != [0] * alg.n
+                            for w in a3[:2]):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("alg", SMALL, ids=lambda a: a.name)
 def test_bulk_labels_agree_with_classify_plane(alg):
+    """G1 of the bulk labels against the center basis, and classify_plane
+    against the bulk labels and G2 against a brute search of its
+    definition, on a seeded sample of the abelian grid planes that meet
+    the center and of those that miss it."""
     planes, xs, ys = _grid(alg.n)
-    labels = _plane_labels(_integer_tensor(alg), xs, ys)
+    labels = plane_labels(alg, xs, ys)
     assert np.array_equal(labels["G1"], _meets_center(alg, xs, ys))
     abelian = np.nonzero(labels["abelian"])[0]
-    if alg.n >= 5:
-        # seeded sample, half of it from the non-central planes, where G2
-        # is decided by the bulk labels
-        rng = np.random.default_rng(len(planes) + len(abelian))
-        sample = []
-        for part in (abelian[~labels["G1"][abelian]],
-                     abelian[labels["G1"][abelian]]):
-            sample += list(rng.choice(part, size=min(15, len(part)),
-                                      replace=False))
-        abelian = sample
-    for i in abelian:
-        exact = classify_plane(alg, list(map(Fraction, planes[i][0])),
-                               list(map(Fraction, planes[i][1])))
-        assert labels["G_geq"][i] == ("G_geq" in exact), planes[i]
-        assert labels["G1"][i] == ("G1" in exact), planes[i]
-        assert (labels["G1"][i] or labels["G2"][i]) \
-            == bool({"G1", "G2"} & exact), planes[i]
+    rng = np.random.default_rng(len(planes) + len(abelian))
+    for part in (abelian[~labels["G1"][abelian]],
+                 abelian[labels["G1"][abelian]]):
+        for i in rng.choice(part, size=min(25, len(part)), replace=False):
+            x, y = planes[i]
+            exact = classify_plane(alg, list(x), list(y))
+            assert labels["G_geq"][i] == ("G_geq" in exact), planes[i]
+            assert labels["G1"][i] == ("G1" in exact), planes[i]
+            assert ("G2" in exact) == _g2_by_search(alg, x, y), planes[i]
+
+
+@pytest.mark.parametrize("alg", [a for a in SMALL if a.n <= 5],
+                         ids=lambda a: a.name)
+def test_plane_labels_int64_and_python_int_agree(alg):
+    """Scaling a spanning vector changes no label; scaled by 7 the labels
+    stay in int64, scaled by 10^13 they are computed in Python ints."""
+    _, xs, ys = _grid(alg.n)
+    want = plane_labels(alg, xs, ys)
+    for factor in (7, 10 ** 13):
+        got = plane_labels(alg, xs.astype(object) * factor, ys)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (factor, name)
 
 
 def test_bulk_labels_on_heisenberg3():
     alg = next(a for a in SMALL if a.name == "heisenberg3")
     xs = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
     ys = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 1]], dtype=np.int64)
-    labels = _plane_labels(_integer_tensor(alg), xs, ys)
+    labels = plane_labels(alg, xs, ys)
     assert labels["abelian"].tolist() == [False, True, False]
     assert labels["G1"].tolist() == [False, True, False]
     assert labels["G_geq"].tolist() == [False, True, False]

@@ -7,6 +7,7 @@ floating tolerances would turn exact dichotomies into guesses.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -17,8 +18,8 @@ Matrix = list[Row]
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, numbers.Integral):   # numpy integer scalars included
+        return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
@@ -94,10 +95,6 @@ def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> Matrix:
 def identity(n: int) -> Matrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
-
-
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Row:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
 
 
 def in_row_space(rows: Iterable[Sequence], v: Sequence) -> bool:

@@ -1,10 +1,15 @@
 """Rank conditions, bracket-closure dichotomy, and the cocycle/derivation
 class certificates."""
 
+import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 from nilcurv import (
     ClassificationError,
@@ -20,6 +25,7 @@ from nilcurv import (
     invariant_tuple,
     lemma6_classify,
     lemma7_classify,
+    list_catalog,
     max_dimL_exact,
     max_dimL_sampled,
     restrict,
@@ -52,13 +58,63 @@ def test_rk7_on_seven_dim():
 
 
 def test_max_dimL_exact_matches_sampled():
-    for key, params in (("heisenberg", {"m": 1}), ("filiform4", {}),
-                        ("heisenberg_x_abelian", {"l": 1, "pad": 1}),
-                        ("L5_lemma7a", {}), ("filiform_standard", {"n": 5})):
-        a = build(key, **params)
+    for e in list_catalog():
+        a = e.build()
         exact = max_dimL_exact(a)
         sampled, _ = max_dimL_sampled(a, samples=60, seed=0)
-        assert sampled == exact
+        assert sampled == exact, e.label
+
+
+def _max_dimL_sympy_reference(a):
+    """The generic rank of (X1, X2, X3, X12, X23, X13): the largest k
+    with a k x k minor that sympy expands to a nonzero polynomial."""
+    n = a.n
+    xs = [[sympy.Symbol(f"x{s}_{i}") for i in range(n)] for s in range(3)]
+
+    def sym_bracket(u, v):
+        out = [sympy.Integer(0)] * n
+        for (i, j), comps in a.brackets.items():
+            coef = u[i] * v[j] - u[j] * v[i]
+            for k, c in comps.items():
+                out[k] += coef * sympy.Rational(c.numerator, c.denominator)
+        return out
+
+    m = sympy.Matrix([xs[0], xs[1], xs[2], sym_bracket(xs[0], xs[1]),
+                      sym_bracket(xs[1], xs[2]), sym_bracket(xs[0], xs[2])])
+    for k in range(min(6, n), 0, -1):
+        for rsel in itertools.combinations(range(6), k):
+            for csel in itertools.combinations(range(n), k):
+                det = m[rsel, csel].det(method="berkowitz")
+                if sympy.expand(det) != 0:
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("entry", [e for e in list_catalog()
+                                   if e.build().n <= 5],
+                         ids=lambda e: e.label)
+def test_max_dimL_exact_matches_sympy_in_every_basis(entry, monkeypatch):
+    """The grid lower bound with the minor upper bound, and the minor
+    expansion alone, against the sympy oracle, in four bases."""
+    a = entry.build()
+    ref = _max_dimL_sympy_reference(a)
+    for b in [a] + [in_basis(a, unimodular(a.n, s)) for s in (1, 2, 3)]:
+        assert max_dimL_exact(b) == ref
+        with monkeypatch.context() as m:
+            m.setattr(classification, "_GRID_POINTS", 0)
+            assert max_dimL_exact(b) == ref
+
+
+def test_max_dimL_exact_leaves_sympy_unloaded():
+    code = ("import sys\n"
+            "from nilcurv import verify\n"
+            "assert verify.check_closure_dichotomy(seed=0)['passed']\n"
+            "assert 'sympy' not in sys.modules\n")
+    src = str(Path(classification.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    p = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, timeout=60)
+    assert p.returncode == 0, p.stderr.decode()
 
 
 def test_lemma6_verdicts():

@@ -157,8 +157,7 @@ def test_no_unread_imports():
 
 
 # (module file, function, imported name): sympy stays off the cold start
-LAZY_IMPORTS = {("classification.py", "max_dimL_exact", "sympy"),
-                ("sign_sets.py", "_central_plane_g2", "sympy")}
+LAZY_IMPORTS = {("sign_sets.py", "_central_plane_g2", "sympy")}
 
 
 def function_imports(source: str) -> list[tuple[str, str]]:

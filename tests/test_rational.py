@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nilcurv.rational import (
     identity,
     in_row_space,
-    mat_vec,
     nullspace,
     rank,
     rref,
@@ -77,10 +76,9 @@ def test_in_row_space():
     assert not in_row_space(rows, [0, 0, 1])
 
 
-def test_identity_and_mat_vec():
-    i3 = identity(3)
-    assert mat_vec(i3, [Fraction(1), Fraction(2), Fraction(3)]) == [
-        Fraction(1), Fraction(2), Fraction(3)]
+def test_identity():
+    assert identity(3) == [[Fraction(int(i == j)) for j in range(3)]
+                           for i in range(3)]
 
 
 def test_exact_fractions_no_overflow():

@@ -100,6 +100,13 @@ def test_G2_on_plane_meeting_center():
     assert classify_plane(a, e[0], e[3]) == {"G1", "G2", "G_geq"}
 
 
+def test_classify_plane_accepts_numpy_integer_vectors():
+    a = build("heisenberg_x_abelian", l=1, pad=1)
+    e = np.eye(4, dtype=int)
+    assert classify_plane(a, e[0], e[2]) == classify_plane(
+        a, [1, 0, 0, 0], [0, 0, 1, 0])
+
+
 def test_G2_central_plane_does_not_depend_on_dimension():
     """span(e3, e4) is central in h3 x A_k and lies in the G2 ideal
     span(e1, e3, e4) for every k, n = 8 included."""

@@ -18,12 +18,15 @@ Matrix = list[Row]
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, numbers.Integral):   # numpy integer scalars included
-        return Fraction(int(x))
+    if isinstance(x, int):
+        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
+    # after the builtin types: an ABC test is slower than a type test
+    if isinstance(x, numbers.Integral):   # numpy integer scalars
+        return Fraction(int(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 

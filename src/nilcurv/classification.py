@@ -223,7 +223,7 @@ def max_dimL_exact(a: NilpotentAlgebra) -> int:
     rng = np.random.default_rng(0)
     for _ in range(_GRID_POINTS):
         y = rng.integers(-2, 3, size=(3, n - 3))
-        triple = [[int(s == j) for j in range(3)] + [int(v) for v in y[s]]
+        triple = [[int(s == j) for j in range(3)] + y[s].tolist()
                   for s in range(3)]
         best = max(best, a.span_with_brackets(*triple).dim - 3)
         if best == cap:

@@ -299,10 +299,10 @@ def cmd_signsets(args) -> int:
         report["labels"] = [label]
         try:
             if label in ("g_pos",):
-                w = find_positive_ric_witness(a, x, seed=args.seed)
+                w = find_positive_ric_witness(a, x)
                 report["witnesses"].append(_witness_dict(w))
             elif label == "outside":
-                w = find_negative_ric_witness(a, x, seed=args.seed)
+                w = find_negative_ric_witness(a, x)
                 report["witnesses"].append(_witness_dict(w))
         except WitnessSearchError as exc:
             report["witness_error"] = str(exc)
@@ -316,7 +316,7 @@ def cmd_signsets(args) -> int:
         report["labels"] = sorted(labels)
         if "G_geq" not in labels:
             try:
-                w = find_negative_K_witness(a, x, y, seed=args.seed)
+                w = find_negative_K_witness(a, x, y)
                 report["witnesses"].append(_witness_dict(w))
             except WitnessSearchError as exc:
                 report["witness_error"] = str(exc)
@@ -326,8 +326,7 @@ def cmd_signsets(args) -> int:
 
 
 def _witness_dict(w) -> dict:
-    d = {"kind": w.kind, "value": w.value, "gram": w.gram.tolist(),
-         "seed": w.seed}
+    d = {"kind": w.kind, "value": w.value, "gram": w.gram.tolist()}
     if w.lambdas is not None:
         d["lambdas"] = w.lambdas.tolist()
     if w.t is not None:

@@ -60,14 +60,18 @@ class Metric:
     @classmethod
     def orthonormalizing(cls, basis) -> "Metric":
         """The metric in which the columns of the square `basis` are
-        orthonormal: G = (B B^T)^-1, so that B^T G B = I."""
+        orthonormal: G = (B B^T)^-1, so that B^T G B = I. The computed
+        inverse is symmetrized: on a well-conditioned basis whose columns
+        differ much in length, its rounding can exceed the symmetry bound
+        of Metric."""
         b = np.asarray(basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise MetricError("basis must be square")
         try:
-            metric = cls(np.linalg.inv(b @ b.T))
+            s = np.linalg.inv(b @ b.T)
         except np.linalg.LinAlgError:
             raise MetricError("basis vectors are linearly dependent")
+        metric = cls(0.5 * (s + s.T))
         # entries of B^T G B - I below 1/n bound its norm below 1, so
         # B^T G B, and with it B, is invertible
         if np.abs(b.T @ metric.gram @ b - np.eye(len(b))).max() >= 1 / len(b):

@@ -20,9 +20,13 @@ drop of a rectangular matrix pencil (Kronecker; Gantmacher, The Theory
 of Matrices, vol. 2, ch. XII). No step sweeps coefficients, so the labels
 do not depend on the basis.
 
-Witness searches are seeded and deterministic: random SPD metrics first,
-then diagonal deformations with the exponent patterns that force the
-desired sign in the limit.
+Sign witnesses are constructed, not searched for: an adapted basis
+built from the target and basis vectors e_i of the algebra, made
+orthonormal, then a diagonal deformation with the exponent pattern that
+forces the desired sign in the limit (for planes, first the single
+scaled adapted directions of adapted_metric_family). Nothing is random,
+so a witness depends only on the algebra and the target; a construction
+that fails on valid input is a defect, reported as WitnessSearchError.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,8 +54,6 @@ from .curvature import (
 from .deformation import DeformationSpec, complement_frame, complete_basis
 from .rational import in_row_space, nullspace, rank, solve
 
-WITNESS_METRIC_BUDGET = 200
-WITNESS_DEFORM_BUDGET = 20
 # A witness value must clear these bounds; reports print the same values.
 RIC_POSITIVE_MIN = 1e-9
 RIC_NEGATIVE_MAX = -1e-9
@@ -64,7 +65,7 @@ class PreconditionError(ValueError):
 
 
 class WitnessSearchError(RuntimeError):
-    """Search budget exhausted without a witness."""
+    """The witness construction failed on valid input (a defect)."""
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,6 @@ class SignWitness:
     gram: np.ndarray               # base Gram matrix
     value: float
     target: list
-    seed: int
     lambdas: np.ndarray | None = None   # deformation exponents, if used
     frame: np.ndarray | None = None
     t: float | None = None
@@ -354,16 +354,18 @@ def _scaled_ric_of_frame_vector(algebra: NilpotentAlgebra,
     return float(ricci_frame(c, weights)[idx, idx]), d
 
 
-def _independent_pair_for(algebra: NilpotentAlgebra, zv, rng) -> tuple:
+def _independent_pair_for(algebra: NilpotentAlgebra, zv) -> tuple:
     """X, Y with rank(X, Y, Z) = 3 and [X, Y] not a multiple of Z.
 
-    Falls back to the bracket-perturbation construction when sampling
-    fails (Z inside every sampled plane)."""
+    The first pair of basis vectors (e_i, e_j), in combinations order,
+    whose bracket is not a multiple of Z; when Z lies in span(e_i, e_j),
+    both are moved along their bracket. Some [e_i, e_j] is not a multiple
+    of Z unless g' = RZ, and then Z is central and derived, which the
+    caller handles first."""
     n = algebra.n
     zf = exact_vector(zv)
-    for _ in range(200):
-        x = [Fraction(int(rng.integers(-5, 6))) for _ in range(n)]
-        y = [Fraction(int(rng.integers(-5, 6))) for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        x, y = basis_vector(n, i), basis_vector(n, j)
         b = algebra.bracket(x, y)
         if all(v == 0 for v in b):
             continue
@@ -371,10 +373,7 @@ def _independent_pair_for(algebra: NilpotentAlgebra, zv, rng) -> tuple:
             continue
         if rank([x, y, zf]) != 3:
             # Z in span(X, Y): perturb along the bracket
-            coeffs = solve([[x[i], y[i]] for i in range(n)], zf)
-            if coeffs is None:
-                continue
-            a_c, b_c = coeffs
+            a_c, b_c = solve([[x[k], y[k]] for k in range(n)], zf)
             x = [xi + a_c * bi for xi, bi in zip(x, b)]
             y = [yi + b_c * bi for yi, bi in zip(y, b)]
             b = algebra.bracket(x, y)
@@ -385,8 +384,7 @@ def _independent_pair_for(algebra: NilpotentAlgebra, zv, rng) -> tuple:
     raise WitnessSearchError("no independent bracket pair found")
 
 
-def find_positive_ric_witness(algebra: NilpotentAlgebra, z,
-                              seed: int = 0) -> SignWitness:
+def find_positive_ric_witness(algebra: NilpotentAlgebra, z) -> SignWitness:
     """A metric (possibly deformed to finite t) with Ric(z) > 0."""
     zv = np.asarray(z, float)
     if np.linalg.norm(zv) == 0.0:
@@ -404,9 +402,8 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z,
         r = ricci_form_matrix(algebra, metric)
         val = float(zv @ r @ zv)
         return SignWitness(kind="ric_positive", gram=metric.gram,
-                           value=val, target=list(map(float, zv)), seed=seed)
-    rng = np.random.default_rng(seed)
-    x, y, b = _independent_pair_for(algebra, z, rng)
+                           value=val, target=list(map(float, zv)))
+    x, y, b = _independent_pair_for(algebra, z)
     xf = np.array([float(v) for v in x])
     yf = np.array([float(v) for v in y])
     # basis order: Z, middle..., X, Y
@@ -434,41 +431,29 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z,
                 full = val * np.exp(d * t)
             return SignWitness(kind="ric_positive", gram=metric.gram,
                                value=float(full),
-                               target=list(map(float, zv)), seed=seed,
+                               target=list(map(float, zv)),
                                lambdas=lam, frame=basis, t=t,
                                scaled_value=val, scaled_target=target)
     raise WitnessSearchError("deformation did not reach the scaled limit")
 
 
-def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
-                              seed: int = 0) -> SignWitness:
-    """A metric (possibly deformed) with Ric(x) < 0; requires x not
-    central."""
+def find_negative_ric_witness(algebra: NilpotentAlgebra, x) -> SignWitness:
+    """A deformed metric with Ric(x) < 0; requires x not central.
+
+    The deformation blows up an outgoing bracket w = [x, y] of x, with y
+    the first basis vector e_i that brackets x nontrivially (one exists
+    because x is not central)."""
     xe = exact_vector(x)
     if algebra.center().contains(xe):
         raise PreconditionError("x is central: Ric(x) >= 0 for every metric")
     xf = np.asarray(x, float)
-    rng = np.random.default_rng(seed)
-    for _ in range(WITNESS_METRIC_BUDGET):
-        metric = Metric.random(algebra.n, rng)
-        r = ricci_form_matrix(algebra, metric)
-        val = float(xf @ r @ xf)
-        if val < RIC_NEGATIVE_MAX:
-            return SignWitness(kind="ric_negative", gram=metric.gram,
-                               value=val, target=list(map(float, xf)),
-                               seed=seed)
-    # deformation: blow up an outgoing bracket of x
     n = algebra.n
-    yv = None
-    for _ in range(200):
-        y = [Fraction(int(rng.integers(-5, 6))) for _ in range(n)]
-        w = algebra.bracket(xe, y)
-        if any(v != 0 for v in w):
-            yv = np.array([float(v) for v in y])
-            wf = np.array([float(v) for v in w])
+    for i in range(n):
+        w = algebra.bracket(xe, basis_vector(n, i))
+        if any(w):
             break
-    if yv is None:
-        raise WitnessSearchError("no bracket partner found for x")
+    yv = np.eye(n)[i]
+    wf = np.array([float(v) for v in w])
     # basis order: x, w-direction, middle..., y
     mid = complete_basis([xf, wf, yv])
     basis = np.column_stack([xf, wf] + mid + [yv])
@@ -485,7 +470,7 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x,
             if full < RIC_NEGATIVE_MAX:
                 return SignWitness(kind="ric_negative", gram=metric.gram,
                                    value=float(full),
-                                   target=list(map(float, xf)), seed=seed,
+                                   target=list(map(float, xf)),
                                    lambdas=lam, frame=basis, t=t)
     raise WitnessSearchError("negative Ricci deformation failed")
 
@@ -512,13 +497,12 @@ def adapted_metric_family(algebra: NilpotentAlgebra, x, y,
             for sgn in (-1, 1):
                 d = np.ones(n)
                 d[pos] = 10.0 ** (sgn * k)
-                g = np.linalg.inv(b @ np.diag(d) @ b.T)
-                out.append(Metric(0.5 * (g + g.T)))
+                out.append(Metric.orthonormalizing(b * np.sqrt(d)))
     return out
 
 
 def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
-                            by: np.ndarray, seed: int) -> SignWitness | None:
+                            by: np.ndarray) -> SignWitness | None:
     """Deformation witness for an abelian plane failing the bracket-pencil
     condition.
 
@@ -527,6 +511,15 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
     dominant coefficient of the curvature expansion is a negative multiple
     of <X,e_1><e_1,[e,X]> <Y,e_2><e_2,[e,Y]>, and e_1, e_2 are picked to
     make that product positive.
+
+    The pencil fails at some e of the pool: [u, X] ^ [u, Y] is quadratic
+    in u, so it vanishes on all of g if it vanishes at every e_i and
+    e_i + e_j. For such an e, ad_e is injective on the plane, and e is
+    not in plane + [e, plane]: e = [e, A] + B there would make e - B an
+    eigenvector of ad_A with eigenvalue -1. So the frame exists, and
+    [e, X] leaves span(Y, [e, Y], e), unless Y is the one direction D
+    with [e, D] in the plane, or [e, D]. Some ordered pair of the four
+    directions x, y, x + y, x - y avoids both.
     """
     n = algebra.n
     pool = [np.eye(n)[:, i] for i in range(n)]
@@ -534,7 +527,8 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
                    for q in pool[i + 1:]] \
         + [p - q for i, p in enumerate(pool) for q in pool[i + 1:]]
     for e in pool:
-        for x_v, y_v in ((bx, by), (by, bx), (bx + by, by), (bx - by, bx)):
+        for x_v, y_v in itertools.permutations(
+                (bx, by, bx + by, bx - by), 2):
             w = algebra.bracket_float(e, y_v)
             if np.linalg.matrix_rank(np.column_stack([bx, by, w]),
                                      tol=1e-9) < 3:
@@ -579,15 +573,17 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
                                        gram=metric.gram, value=float(val),
                                        target=[list(map(float, bx)),
                                                list(map(float, by))],
-                                       seed=seed, lambdas=lam,
-                                       frame=frame, t=t)
+                                       lambdas=lam, frame=frame, t=t)
     return None
 
 
-def find_negative_K_witness(algebra: NilpotentAlgebra, x, y,
-                            seed: int = 0) -> SignWitness:
+def find_negative_K_witness(algebra: NilpotentAlgebra, x, y) -> SignWitness:
     """A metric with sectional_K(x, y) < 0; the plane must lie outside the
-    nonnegative-sign set."""
+    nonnegative-sign set.
+
+    The plane-adapted metrics of adapted_metric_family first; on an
+    abelian plane that none of them witnesses, the deformation of
+    _pencil_failure_witness."""
     xf = np.asarray(x, float)
     yf = np.asarray(y, float)
     for metric in adapted_metric_family(algebra, xf, yf):
@@ -596,34 +592,9 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y,
             return SignWitness(kind="K_negative", gram=metric.gram,
                                value=val,
                                target=[list(map(float, xf)),
-                                       list(map(float, yf))], seed=seed)
+                                       list(map(float, yf))])
     if np.linalg.norm(algebra.bracket_float(xf, yf)) < 1e-12:
-        witness = _pencil_failure_witness(algebra, xf, yf, seed)
+        witness = _pencil_failure_witness(algebra, xf, yf)
         if witness is not None:
             return witness
-    rng = np.random.default_rng(seed)
-    for _ in range(WITNESS_METRIC_BUDGET):
-        metric = Metric.random(algebra.n, rng)
-        val = sectional_K(algebra, metric, xf, yf)
-        if val < K_NEGATIVE_MAX:
-            return SignWitness(kind="K_negative", gram=metric.gram,
-                               value=val,
-                               target=[list(map(float, xf)),
-                                       list(map(float, yf))], seed=seed)
-    # deformation fallback along the proof recipe
-    for _ in range(WITNESS_DEFORM_BUDGET):
-        metric = Metric.random(algebra.n, rng)
-        lam = np.sort(rng.uniform(0.0, 1.0, size=algebra.n))[::-1]
-        lam[0] += 1.0
-        tables = secdef_coefficients(algebra, metric, lam, xf, yf)
-        for t in (2.0, 5.0, 10.0, 20.0, 40.0):
-            val = tables["evaluate"](t)
-            if val < K_NEGATIVE_MAX:
-                return SignWitness(kind="K_negative", gram=metric.gram,
-                                   value=float(val),
-                                   target=[list(map(float, xf)),
-                                           list(map(float, yf))],
-                                   seed=seed, lambdas=lam,
-                                   frame=metric.frame, t=t)
-    raise WitnessSearchError("no negative sectional witness found "
-                             "within budget")
+    raise WitnessSearchError("no negative sectional witness constructed")

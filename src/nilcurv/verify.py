@@ -208,14 +208,15 @@ def check_extremal_convergence(seed: int = 0) -> dict:
 # 5. Ricci sign witnesses
 
 
-def _random_central_derived(alg, rng):
-    inter = alg.derived_algebra().intersection(alg.center())
+def _random_central_derived(inter, rng):
+    """A nonzero integer combination, coefficients in [-3, 3], of the
+    basis of the subspace inter."""
     bs = inter.basis
     while True:
         coeffs = rng.integers(-3, 4, size=len(bs))
         if not np.any(coeffs):
             continue
-        v = np.zeros(alg.n)
+        v = np.zeros(inter.n)
         for c, row in zip(coeffs, bs):
             v += float(c) * np.array([float(t) for t in row])
         return v
@@ -231,8 +232,10 @@ def check_ric_witnesses(seed: int = 0) -> dict:
         n = alg.n
         z = alg.center()
         gp = alg.derived_algebra()
+        central_derived = gp.intersection(z)
         # (i) central derived vectors: positive under every sampled metric
-        xs = [_random_central_derived(alg, rng) for _ in range(20)]
+        xs = [_random_central_derived(central_derived, rng)
+              for _ in range(20)]
         for _ in range(metrics_per_x):
             metric = Metric.random(n, rng)
             r = ricci_form_matrix(alg, metric)
@@ -242,14 +245,13 @@ def check_ric_witnesses(seed: int = 0) -> dict:
                                      "x": x.tolist(),
                                      "value": float(x @ r @ x)})
         # (ii) non-central vectors: negative witness exists
-        for k in range(20):
+        for _ in range(20):
             while True:
                 x = [Fraction(int(v)) for v in rng.integers(-3, 4, size=n)]
                 if any(v != 0 for v in x) and not z.contains(x):
                     break
             try:
-                w = ss.find_negative_ric_witness(alg, [float(v) for v in x],
-                                                 seed=seed + k)
+                w = ss.find_negative_ric_witness(alg, [float(v) for v in x])
                 if w.value >= -1e-9:
                     raise ss.WitnessSearchError("value not negative")
             except ss.WitnessSearchError as exc:
@@ -260,7 +262,7 @@ def check_ric_witnesses(seed: int = 0) -> dict:
         # scaled limit on the deformation path
         targets = []
         for k in range(20):
-            if k % 5 == 0 and z.dim > gp.intersection(z).dim:
+            if k % 5 == 0 and z.dim > central_derived.dim:
                 # a central direction outside the derived algebra
                 while True:
                     cz = rng.integers(-3, 4, size=z.dim)
@@ -276,9 +278,9 @@ def check_ric_witnesses(seed: int = 0) -> dict:
                     if np.any(v):
                         targets.append(v.astype(float))
                         break
-        for k, zv in enumerate(targets):
+        for zv in targets:
             try:
-                w = ss.find_positive_ric_witness(alg, zv, seed=seed + k)
+                w = ss.find_positive_ric_witness(alg, zv)
                 if w.value <= 0:
                     raise ss.WitnessSearchError("value not positive")
                 if w.t is not None:
@@ -441,9 +443,8 @@ def check_sectional_planes(seed: int = 0) -> dict:
         for idx in other_idx:
             a, b = planes[idx]
             try:
-                ss.find_negative_K_witness(
-                    alg, np.array(a, float), np.array(b, float),
-                    seed=seed)
+                ss.find_negative_K_witness(alg, np.array(a, float),
+                                           np.array(b, float))
             except ss.WitnessSearchError as exc:
                 failures.append({"algebra": alg.name,
                                  "plane": [a, b],

@@ -158,6 +158,17 @@ def test_signsets_plane_G2_meeting_center(tmp_path, capsys):
     assert data["witnesses"] == []
 
 
+def test_signsets_witness_does_not_depend_on_seed(h3_path, capsys):
+    witnesses = []
+    for seed in ("0", "7"):
+        code, out, _ = run(capsys, "signsets", h3_path, "--plane",
+                           "1,0,0;0,1,0", "--json", "--seed", seed)
+        assert code == 0
+        witnesses.append(json.loads(out)["witnesses"])
+    assert witnesses[0] == witnesses[1]
+    assert witnesses[0] and "seed" not in witnesses[0][0]
+
+
 def test_signsets_requires_exactly_one(h3_path, capsys):
     code, _, _ = run(capsys, "signsets", h3_path)
     assert code == 2

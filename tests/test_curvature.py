@@ -67,6 +67,20 @@ def test_orthonormalizing_metric():
         Metric.orthonormalizing(np.ones((2, 3)))
 
 
+def test_orthonormalizing_accepts_unequal_column_lengths():
+    """A basis of condition number about 740 whose first column is 100
+    times longer than the others: the rounding of (B B^T)^-1 is not
+    symmetric to the Metric bound, yet the basis is orthonormal in the
+    metric made from it."""
+    b = np.array([[1, -1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0],
+                  [1, 0, 0, 0, 0, 0], [-1, -1, 0, 0, 0, 0],
+                  [1, 0, 1, 0, 0, 1], [1, 0, 1, 0, 0, 0]], dtype=float)
+    b[:, 0] *= 100.0
+    g = Metric.orthonormalizing(b).gram
+    assert np.array_equal(g, g.T)
+    assert np.abs(b.T @ g @ b - np.eye(6)).max() < 1e-10
+
+
 def test_u_operator_h3_oracle():
     a, m = h3(), Metric.identity(3)
     assert np.abs(u_operator(a, m, X, Y)).max() < 1e-14

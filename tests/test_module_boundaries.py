@@ -278,3 +278,37 @@ def test_no_new_orthonormalizing_inverses():
              for p in sorted(SRC.glob("*.py"))
              for fn in orthonormalizing_inverses(p.read_text())}
     assert found == ORTHONORMALIZING_SITES
+
+
+def _is_random_draw(node) -> bool:
+    """A call of `default_rng`, under any module path, or of
+    `Metric.random`."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+    return name == "default_rng" or (
+        name == "random" and isinstance(fn, ast.Attribute)
+        and isinstance(fn.value, ast.Name) and fn.value.id == "Metric")
+
+
+def random_draws(source: str) -> list[str]:
+    """Where a generator is seeded or a random metric drawn."""
+    return _sites(source, _is_random_draw)
+
+
+def test_checker_flags_random_draws():
+    source = ("import numpy as np\n"
+              "from numpy.random import default_rng\n"
+              "RNG = np.random.default_rng(0)\n"
+              "def f(n, metric):\n"
+              "    def g():\n"
+              "        return default_rng(1)\n"
+              "    return Metric.random(n, g()), metric.random(), np.random\n")
+    assert sorted(random_draws(source)) == ["<module>", "f", "g"]
+
+
+def test_witnesses_are_not_drawn_at_random():
+    """Sign witnesses are constructions: sign_sets seeds no generator and
+    draws no random metric."""
+    assert random_draws((SRC / "sign_sets.py").read_text()) == []

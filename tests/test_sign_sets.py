@@ -1,6 +1,8 @@
 """Metric-independent curvature-sign sets: vector/plane labels, the
 deformation expansion of sectional curvature, and witness searches."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,15 @@ from nilcurv import (
     secdef_coefficients,
     sectional_K,
 )
+from nilcurv import sign_sets
 from nilcurv.curvature import ricci_form_matrix
 from nilcurv.rational import nullspace, solve
-from nilcurv.sign_sets import PreconditionError, _scaled_ric_of_frame_vector
+from nilcurv.sign_sets import (
+    PreconditionError,
+    _scaled_ric_of_frame_vector,
+    plane_labels,
+)
+from nilcurv.verify import _grid_planes
 from test_algebra import in_basis, unimodular
 
 
@@ -298,7 +306,7 @@ def test_knonneg_value_matches_frame_sum():
 def test_positive_ric_witness_central_derived():
     a = build("heisenberg", m=2)
     z = np.eye(5)[:, 4]
-    w = find_positive_ric_witness(a, z, seed=0)
+    w = find_positive_ric_witness(a, z)
     assert w.kind == "ric_positive" and w.value > 1e-12
     assert ricci_form(a, Metric(w.gram), z, z) > 1e-12
 
@@ -306,7 +314,7 @@ def test_positive_ric_witness_central_derived():
 def test_positive_ric_witness_central_not_derived_uses_deformation():
     a = build("heisenberg_x_abelian", l=1, pad=1)
     pad_dir = np.eye(4)[:, 3]
-    w = find_positive_ric_witness(a, pad_dir, seed=0)
+    w = find_positive_ric_witness(a, pad_dir)
     assert w.value > 1e-12
     if w.scaled_value is not None:
         rel = abs(w.scaled_value - w.scaled_target) \
@@ -317,14 +325,14 @@ def test_positive_ric_witness_central_not_derived_uses_deformation():
 def test_negative_ric_witness():
     a = build("filiform4")
     x = np.eye(4)[:, 0]   # W is not central
-    w = find_negative_ric_witness(a, x, seed=0)
+    w = find_negative_ric_witness(a, x)
     assert w.kind == "ric_negative" and w.value < -1e-12
     assert ricci_form(a, Metric(w.gram), x, x) < -1e-12
 
 
 def test_negative_K_witness_nonabelian_plane():
     a = build("heisenberg", m=1)
-    w = find_negative_K_witness(a, X3, Y3, seed=0)
+    w = find_negative_K_witness(a, X3, Y3)
     assert w.kind == "K_negative" and w.value < -1e-9
     if w.frame is None and w.t is None:
         assert sectional_K(a, Metric(w.gram), X3, Y3) < -1e-9
@@ -338,7 +346,7 @@ def test_negative_K_witness_abelian_plane_without_pencil():
     y = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
     labels = classify_plane(a, x, y)
     assert "G_geq" not in labels
-    w = find_negative_K_witness(a, x, y, seed=0)
+    w = find_negative_K_witness(a, x, y)
     assert w.value < -1e-9
 
 
@@ -349,14 +357,49 @@ def test_pencil_witness_is_K_of_its_deformed_metric():
     a = build("filiform_standard", n=5)
     x = np.array([0.0, 1.0, -1.0, 1.0, -1.0])
     y = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
-    w = find_negative_K_witness(a, x, y, seed=0)
+    w = find_negative_K_witness(a, x, y)
     assert w.lambdas is not None and w.lambdas[-1] == 0.0
     k = sectional_K(a, deformed_metric(w.spec(), w.t), x, y)
     assert abs(k - w.value) <= 1e-12 * (1.0 + abs(w.value))
 
 
-def test_witness_reproducibility():
-    a = build("heisenberg", m=1)
-    w1 = find_negative_K_witness(a, X3, Y3, seed=5)
-    w2 = find_negative_K_witness(a, X3, Y3, seed=5)
-    assert np.array_equal(w1.gram, w2.gram) and w1.value == w2.value
+def test_witnesses_need_no_random_stage(monkeypatch):
+    """Every witness is constructed: with Metric.random and
+    np.random.default_rng made to raise, there is a negative Ricci witness
+    for every non-central e_i and e_i + e_j, a positive one for every e_i
+    and e_i + e_j, and a negative K witness for every {-1,0,1} plane
+    outside G_geq when n <= 4, and for a seeded sample of 30 of them per
+    algebra when n = 5, 6."""
+    rng = np.random.default_rng(0)
+    cases = {}
+    for entry in list_catalog():
+        a = entry.build()
+        if a.is_abelian() or a.name in cases:
+            continue
+        e = np.eye(a.n)
+        vectors = [e[i] for i in range(a.n)] + [
+            e[i] + e[j] for i, j in itertools.combinations(range(a.n), 2)]
+        planes = []
+        if a.n <= 6:
+            grid = np.array(_grid_planes(a.n))
+            xs, ys = grid[:, 0], grid[:, 1]
+            outside = np.nonzero(~plane_labels(a, xs, ys)["G_geq"])[0]
+            if a.n > 4:
+                outside = rng.choice(outside, size=30, replace=False)
+            planes = [(xs[i].astype(float), ys[i].astype(float))
+                      for i in outside]
+        cases[a.name] = (a, vectors, planes)
+
+    def random_stage(*args, **kwargs):
+        raise AssertionError("a witness reached a random stage")
+
+    monkeypatch.setattr(Metric, "random", random_stage)
+    monkeypatch.setattr(sign_sets.np.random, "default_rng", random_stage)
+    for a, vectors, planes in cases.values():
+        center = a.center()
+        for v in vectors:
+            if not center.contains([int(t) for t in v]):
+                assert find_negative_ric_witness(a, v).value < -1e-9
+            assert find_positive_ric_witness(a, v).value > 1e-9
+        for x, y in planes:
+            assert find_negative_K_witness(a, x, y).value < -1e-9

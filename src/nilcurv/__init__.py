@@ -32,7 +32,6 @@ from .classification import (
     lemma6_classify,
     lemma7_classify,
     max_dimL_exact,
-    max_dimL_sampled,
     restrict,
     shape_of_L,
     theorem2_expected_M,
@@ -101,7 +100,7 @@ __all__ = [
     "ClassificationError", "StructureVerdict", "check_rk5", "check_rk7",
     "classify", "cocycle_class_certificate", "derivation_class_certificate",
     "derivation_dimension", "invariant_tuple", "lemma6_classify",
-    "lemma7_classify", "max_dimL_exact", "max_dimL_sampled", "restrict",
+    "lemma7_classify", "max_dimL_exact", "restrict",
     "shape_of_L", "theorem2_expected_M",
     "run_suite",
 ]

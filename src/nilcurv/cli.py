@@ -341,8 +341,10 @@ def cmd_classify(args) -> int:
     a = _load_algebra(args.algebra)
     _emit({"config": _config(args, algebra=args.algebra),
            "verdict": classify(a, args.samples, args.seed),
-           "tolerances": {"rank_checks": "exact rational",
-                          "certificates": "exact rational"}}, args)
+           "tolerances": {
+               "rank_checks": "exact rational; negative rk7 budget-qualified",
+               "certificates": "exact rational; missing cocycle "
+                               "budget-qualified"}}, args)
     return 0
 
 
@@ -471,6 +473,13 @@ def cmd_verify_paper(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) == 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nilcurv",
@@ -489,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--metric", default=None,
                             help="metric JSON path (default: identity Gram)")
         if samples is not None:
-            sp.add_argument("--samples", type=int, default=samples)
+            sp.add_argument("--samples", type=_positive_int,
+                            default=samples)
         if tol is not None:
             sp.add_argument("--tol", type=float, default=tol)
 

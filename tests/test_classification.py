@@ -27,7 +27,6 @@ from nilcurv import (
     lemma7_classify,
     list_catalog,
     max_dimL_exact,
-    max_dimL_sampled,
     restrict,
     save_algebra,
     shape_of_L,
@@ -42,27 +41,132 @@ from test_algebra import in_basis, unimodular
 
 def test_rk5_holds_on_filiform5():
     ok, wit = check_rk5(build("filiform_standard", n=5))
-    assert ok and wit is not None
+    assert ok and rank(_rk5_rows(build("filiform_standard", n=5), *wit)) == 5
 
 
 def test_rk5_fails_within_budget_on_small_closure():
-    ok, _ = check_rk5(build("L5_lemma7a"), samples=40, seed=0)
-    assert not ok
-    ok, _ = check_rk5(build("heisenberg", m=2), samples=40, seed=0)
+    """rk5 is a generic rank decided exactly: False is proven absence."""
+    ok, wit = check_rk5(build("L5_lemma7a"))
+    assert not ok and wit is None
+    ok, _ = check_rk5(build("heisenberg", m=2))
     assert not ok
 
 
 def test_rk7_on_seven_dim():
     a = build("remark_famB", k=2, l=1)   # dim 5: rk7 cannot hold
-    assert not check_rk7(a, samples=5)[0]
+    assert not check_rk7(a)[0]
+
+
+def _class_b_algebra():
+    """Central extension of h3 + h3 by the cocycle with
+    omega(z1, x1) = omega(z2, x2) = 1: class (B) but not class (C)."""
+    from fractions import Fraction as F
+    from nilcurv import NilpotentAlgebra
+    br = {(0, 1): {2: F(1)}, (3, 4): {5: F(1)},
+          (0, 2): {6: F(-1)}, (3, 5): {6: F(-1)}}
+    return NilpotentAlgebra(7, br, name="classB")
+
+
+def _rk7_algebra():
+    """x1, x2, x3, y12, y13, y23, z with [x_i, x_j] = y_ij and
+    [x3, y12] = [x2, y13] = z: rk7 holds at the basis triple."""
+    return NilpotentAlgebra(7, {(0, 1): {3: 1}, (0, 2): {4: 1},
+                                (1, 2): {5: 1}, (2, 3): {6: 1},
+                                (1, 4): {6: 1}}, name="rk7_extension")
+
+
+def test_rk7_holds_on_seven_dim_extension():
+    a = _rk7_algebra()
+    assert a.validate().valid
+    ok, wit = check_rk7(a)
+    assert ok and rank(_rk7_rows(a, *wit)) == 7
+
+
+def _rk5_rows(a, x1, x2):
+    x12 = a.bracket(x1, x2)
+    return [x1, x2, x12, a.bracket(x1, x12), a.bracket(x2, x12)]
+
+
+def _rk7_rows(a, x1, x2, x3):
+    x12 = a.bracket(x1, x2)
+    return [x1, x2, x3, x12, a.bracket(x1, x3), a.bracket(x2, x3),
+            a.bracket(x3, x12)]
+
+
+def _dimL_rows(a, x1, x2, x3):
+    return [x1, x2, x3, a.bracket(x1, x2), a.bracket(x2, x3),
+            a.bracket(x1, x3)]
+
+
+def _rank_search_reference(a, rows, k):
+    """The largest rank of rows(a, *t) over the basis k-tuples t in
+    `combinations` order and 60 rational k-tuples drawn at seed 0: the
+    sweep the rank conditions were once decided by. A lower bound on the
+    generic rank."""
+    n = a.n
+    tuples = [tuple(basis_vector(n, i) for i in idx)
+              for idx in itertools.combinations(range(n), k)]
+    rng = np.random.default_rng(0)
+    tuples += [tuple(_random_rational_vector(rng, n) for _ in range(k))
+               for _ in range(60)]
+    return max(rank(rows(a, *t)) for t in tuples)
+
+
+REFERENCE_ALGEBRAS = [e.build() for e in list_catalog()] + [
+    _class_b_algebra(), _rk7_algebra()]
+
+
+@pytest.mark.parametrize("a", REFERENCE_ALGEBRAS, ids=lambda a: a.name)
+def test_rank_conditions_match_reference_search(a):
+    """check_rk5 and check_rk7 agree with the seeded sweep, and each
+    witness reaches full rank, re-checked exactly."""
+    for check, rows, k, full in ((check_rk5, _rk5_rows, 2, 5),
+                                 (check_rk7, _rk7_rows, 3, 7)):
+        ok, wit = check(a)
+        assert ok == (_rank_search_reference(a, rows, k) == full), a.name
+        assert wit is None if not ok else rank(rows(a, *wit)) == full
 
 
 def test_max_dimL_exact_matches_sampled():
+    """The generic rank against the seeded sweep, and the Lemma 6 witness
+    reaches it, re-checked exactly."""
+    for a in REFERENCE_ALGEBRAS:
+        exact = max_dimL_exact(a)
+        assert exact == _rank_search_reference(a, _dimL_rows, 3), a.name
+        v = lemma6_classify(a)
+        assert v["max_dimL"] == exact
+        assert rank(_dimL_rows(a, *v["witness"])) == exact, a.name
+
+
+def test_rk5_and_dimL_decided_by_minors_alone(monkeypatch):
+    """With no grid points the minor walk alone gives the rank, and the
+    points drawn after it give a witness that reaches it."""
+    expected = {a.name: (check_rk5(a)[0], max_dimL_exact(a))
+                for a in REFERENCE_ALGEBRAS}
+    monkeypatch.setattr(classification, "_GRID_POINTS", 0)
+    for a in REFERENCE_ALGEBRAS:
+        ok, wit = check_rk5(a)
+        v = lemma6_classify(a)
+        assert (ok, v["max_dimL"]) == expected[a.name], a.name
+        assert wit is None if not ok else rank(_rk5_rows(a, *wit)) == 5
+        assert rank(_dimL_rows(a, *v["witness"])) == v["max_dimL"]
+
+
+def _rank_verdicts(a):
+    return (check_rk5(a)[0], check_rk7(a)[0], max_dimL_exact(a),
+            lemma6_classify(a)["class"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank_verdicts_are_basis_independent(seed):
+    """rk5, rk7, max dim L and the Lemma 6 class are the same in a
+    unimodular basis as in the catalog basis, for every catalog algebra
+    with n <= 6."""
     for e in list_catalog():
         a = e.build()
-        exact = max_dimL_exact(a)
-        sampled, _ = max_dimL_sampled(a, samples=60, seed=0)
-        assert sampled == exact, e.label
+        if a.n <= 6:
+            b = in_basis(a, unimodular(a.n, seed))
+            assert _rank_verdicts(b) == _rank_verdicts(a), e.label
 
 
 def _max_dimL_sympy_reference(a):
@@ -234,16 +338,6 @@ def test_remark_families_are_derivation_class():
                         ("remark_famB", {"k": 2, "l": 1})):
         a = build(key, **params)
         assert_derivation_witness(a, derivation_class_certificate(a))
-
-
-def _class_b_algebra():
-    """Central extension of h3 + h3 by the cocycle with
-    omega(z1, x1) = omega(z2, x2) = 1: class (B) but not class (C)."""
-    from fractions import Fraction as F
-    from nilcurv import NilpotentAlgebra
-    br = {(0, 1): {2: F(1)}, (3, 4): {5: F(1)},
-          (0, 2): {6: F(-1)}, (3, 5): {6: F(-1)}}
-    return NilpotentAlgebra(7, br, name="classB")
 
 
 def assert_cocycle_witness(a, cert):

@@ -207,6 +207,15 @@ def test_maxmin_two_step(h3_path, capsys):
     assert data["candidates_in_expected_subspace"] == len(data["candidates"])
 
 
+@pytest.mark.parametrize("command", ["classify", "maxmin"])
+@pytest.mark.parametrize("samples", ["0", "-3", "1.5"])
+def test_samples_must_be_positive(h3_path, capsys, command, samples):
+    with pytest.raises(SystemExit) as exc:
+        main([command, h3_path, "--samples", samples, "--json"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 # (catalog key, parameters, seed): one random metric of each run has
 # cond(G) of about 3e6, and an absolute 1e-10 unit-norm test dropped it
 ILL_CONDITIONED_MAXMIN = [("heisenberg", {"m": 1}, 105),

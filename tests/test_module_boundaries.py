@@ -280,13 +280,19 @@ def test_no_new_orthonormalizing_inverses():
     assert found == ORTHONORMALIZING_SITES
 
 
+def _called_name(node) -> str:
+    """The last name of the function a call node calls ("" otherwise)."""
+    if not isinstance(node, ast.Call):
+        return ""
+    fn = node.func
+    return fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+
+
 def _is_random_draw(node) -> bool:
     """A call of `default_rng`, under any module path, or of
     `Metric.random`."""
-    if not isinstance(node, ast.Call):
-        return False
-    fn = node.func
-    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+    name = _called_name(node)
+    fn = getattr(node, "func", None)
     return name == "default_rng" or (
         name == "random" and isinstance(fn, ast.Attribute)
         and isinstance(fn.value, ast.Name) and fn.value.id == "Metric")
@@ -312,3 +318,38 @@ def test_witnesses_are_not_drawn_at_random():
     """Sign witnesses are constructions: sign_sets seeds no generator and
     draws no random metric."""
     assert random_draws((SRC / "sign_sets.py").read_text()) == []
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """Where a function of that name is called, under any module path."""
+    return _sites(source, lambda node: _called_name(node) == name)
+
+
+def sampling_functions(source: str) -> list[str]:
+    """The functions that take a `samples` or `seed` parameter."""
+    return [fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            & {"samples", "seed"}]
+
+
+def test_checker_flags_calls_and_sampling_parameters():
+    source = ("def f(a, samples=3):\n"
+              "    def g(*, seed):\n"
+              "        return m.draw(seed)\n"
+              "    return draw(a), g, drawn(a)\n"
+              "def h(a, sample=1):\n"
+              "    return [draw for _ in a]\n")
+    assert sorted(call_sites(source, "draw")) == ["f", "g"]
+    assert sorted(sampling_functions(source)) == ["f", "g"]
+
+
+def test_rank_conditions_are_not_sampled():
+    """rk5, rk7 and dim L are read at fixed seeded points, so no rank
+    function takes `samples` or `seed`: they feed only the cocycle X,
+    the one caller of `_random_rational_vector`."""
+    source = (SRC / "classification.py").read_text()
+    assert sorted(sampling_functions(source)) == [
+        "classify", "cocycle_class_certificate", "lemma7_classify"]
+    assert call_sites(source, "_random_rational_vector") == [
+        "cocycle_class_certificate"]

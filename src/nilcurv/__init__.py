@@ -46,13 +46,13 @@ from .deformation import (
     candidate_e1u2,
     candidate_min_u1,
     candidate_T1_T2,
-    candidate_two_step,
     complement_frame,
     convergence_check,
     deformed_metric,
     deformed_ricci,
     deformed_ricci_frame,
     extremal_T,
+    lemma5_candidates,
     lemma5a_deformation,
     projective_distance,
     scaled_ricci_limit,
@@ -85,9 +85,9 @@ __all__ = [
     "CandidateError", "ConvergenceTrace", "DeformationSpec",
     "ExtremalCandidate", "OverflowGuardError", "ScaledRicciLimit",
     "candidate_e1u2", "candidate_min_u1", "candidate_T1_T2",
-    "candidate_two_step", "complement_frame", "convergence_check",
-    "deformed_metric", "deformed_ricci", "deformed_ricci_frame",
-    "extremal_T", "lemma5a_deformation", "projective_distance",
+    "complement_frame", "convergence_check", "deformed_metric",
+    "deformed_ricci", "deformed_ricci_frame", "extremal_T",
+    "lemma5_candidates", "lemma5a_deformation", "projective_distance",
     "scaled_ricci_limit", "spec_for_pattern", "two_step_deformation",
     "worst_gap",
     "FRAME_KEYS", "NormalFormFrame", "normal_form_frame",

@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments, calls the library and
+prints the report. Candidates, witnesses and random draws all come from
+the library.
 
 Subcommands: catalog, check, ric, sect, deform, signsets, classify,
 maxmin, verify-paper.  Reports embed the resolved configuration and the
@@ -34,14 +36,12 @@ from .curvature import (
 from .deformation import (
     CandidateError,
     DeformationSpec,
-    codim1_adapted_metric,
     convergence_check,
     deformed_ricci,
     extremal_T,
-    lemma5a_deformation,
+    lemma5_candidates,
     scaled_ricci_limit,
     sphere_grid,
-    two_step_deformation,
     worst_gap,
 )
 from .io import (
@@ -348,53 +348,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _maxmin_candidates(a: NilpotentAlgebra, rng, samples: int):
-    """(candidates, notes): Lemma 5 construction matching the structure."""
-    notes = []
-    out = []
-    if a.is_two_step():
-        gp = np.array([[float(v) for v in row]
-                       for row in a.derived_algebra().basis])
-        for k in range(samples):
-            metric = Metric.random(a.n, rng)
-            e = rng.uniform(-1.0, 1.0, size=gp.shape[0]) @ gp
-            nrm = np.sqrt(metric.norm2(e))
-            if nrm < 1e-6:
-                notes.append(f"sample {k}: derived direction degenerate")
-                continue
-            try:
-                spec, cand = two_step_deformation(a, metric, e / nrm)
-            except CandidateError as exc:
-                notes.append(f"sample {k}: {exc}")
-                continue
-            if cand.is_zero:
-                notes.append(f"sample {k}: zero candidate")
-                continue
-            out.append((cand, spec))
-        return out, notes
-    ideal = a.find_codim1_abelian_ideal()
-    if ideal is None:
-        notes.append("no closed-form construction for this structure; "
-                     "reporting the expected subspace only")
-        return out, notes
-    a_basis = np.array([[float(v) for v in row] for row in ideal.basis])
-    c_vec = np.array([float(v) for v in ideal.complement()[0]])
-    for k in range(samples):
-        u1 = rng.uniform(-1.0, 1.0, size=a_basis.shape[0]) @ a_basis
-        u1 = u1 / np.linalg.norm(u1)
-        if np.linalg.norm(a.bracket_float(c_vec,
-                                          a.bracket_float(c_vec, u1))) < 1e-8:
-            continue
-        try:
-            metric, e = codim1_adapted_metric(a, c_vec, u1)
-            spec, cand = lemma5a_deformation(a, metric, e, u1, c_vec)
-        except CandidateError as exc:
-            notes.append(f"sample {k}: {exc}")
-            continue
-        out.append((cand, spec))
-    return out, notes
-
-
 def cmd_maxmin(args) -> int:
     a = _load_algebra(args.algebra)
     expected = theorem2_expected_M(a)
@@ -408,8 +361,7 @@ def cmd_maxmin(args) -> int:
                           "(M-bar = m-bar = P(g)).")
         _emit(report, args)
         return 0
-    rng = np.random.default_rng(args.seed)
-    cands, notes = _maxmin_candidates(a, rng, args.samples)
+    cands, notes = lemma5_candidates(a, args.seed, args.samples)
     runs = []
     for cand, spec in cands:
         try:
@@ -423,16 +375,14 @@ def cmd_maxmin(args) -> int:
     report["candidates"] = runs
     report["notes"] = notes
     if runs:
-        exp_basis = np.array([[float(v) for v in row]
-                              for row in expected.basis])
         report["candidates_in_expected_subspace"] = sum(
             expected.contains_float(r["T"]) for r in runs)
         # grid-coverage statistic over the expected subspace
-        if exp_basis.shape[0] <= 3:
-            grid = sphere_grid(exp_basis.shape[0], 0.2) @ exp_basis
+        if expected.dim <= 3:
             report["coverage"] = {
                 "grid_resolution": 0.2,
-                "worst_gap": worst_gap(grid, [r["T"] for r in runs])}
+                "worst_gap": worst_gap(sphere_grid(expected, 0.2),
+                                       [r["T"] for r in runs])}
         else:
             report["coverage"] = {"note": "expected subspace dimension > 3; "
                                           "grid statistic skipped"}

@@ -11,15 +11,19 @@ closed forms when the exponent pattern is (+1 x p, 0, -1 x q).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra
+from .algebra import NilpotentAlgebra, Subspace
 from .curvature import Metric, RicciReport, frame_structure, ricci_frame
 
 OVERFLOW_LIMIT = 700.0
-DEFAULT_T_GRID = tuple(float(2 ** k) for k in range(0, 11))
+# the t at which convergence_check compares directions
+T_GRID = tuple(float(2 ** k) for k in range(0, 11))
+# tilt of e toward [u1, u2] when lemma5a_deformation needs one
+LEMMA5A_TILT = 1e-5
+# inner products at or below this count as zero in the p = 2, q = 3 frame
+EU_PRECONDITION_TOL = 1e-10
 # g-orthonormality is tested to max(ORTHONORMAL_ABS, ORTHONORMAL_COND *
 # eps * cond(G)): the rounding of a Cholesky-built frame grows with cond(G)
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 19). On
@@ -168,28 +172,19 @@ class ScaledRicciLimit:
 def _lambda_triples(lam: np.ndarray) -> tuple[float, list, float]:
     """d, the maximizing set Lambda, and the gap to the runner-up.
 
-    Ties are exact when all exponents are rational-valued floats on a
-    small grid; otherwise decided with a relative tolerance, since
-    membership in Lambda changes the limit discontinuously.
+    Ties are decided with the tolerance 1e-12 (max |lambda_i| + 1), since
+    membership in Lambda changes the limit discontinuously. On integer
+    exponents the float sums are exact, so ties are too.
     """
     n = len(lam)
-    frs = [Fraction(x).limit_denominator(10**6) for x in lam]
-    exact = all(abs(float(f) - x) < 1e-13 * (abs(x) + 1)
-                for f, x in zip(frs, lam))
     vals: dict[tuple[int, int, int], float] = {}
     for i in range(n):
         for j in range(i):
             for k in range(n):
                 vals[(i, j, k)] = lam[k] - lam[i] - lam[j]
     d = max(vals.values())
-    if exact:
-        dfr = max(frs[k] - frs[i] - frs[j] for (i, j, k) in vals)
-        lam_set = [t for t, (i, j, k) in zip(vals, vals)
-                   if frs[t[2]] - frs[t[0]] - frs[t[1]] == dfr]
-        d = float(dfr)
-    else:
-        tol = 1e-12 * (np.abs(lam).max() + 1.0)
-        lam_set = [t for t, v in vals.items() if v >= d - tol]
+    tol = 1e-12 * (np.abs(lam).max() + 1.0)
+    lam_set = [t for t, v in vals.items() if v >= d - tol]
     rest = [v for t, v in vals.items() if t not in set(lam_set)]
     gap = d - max(rest) if rest else np.inf
     return d, sorted(lam_set), gap
@@ -361,16 +356,17 @@ def candidate_e1u2(algebra: NilpotentAlgebra, metric: Metric,
 
 
 def lemma5a_deformation(algebra: NilpotentAlgebra, metric: Metric,
-                        e, u1, u2, eps: float = 1e-5
+                        e, u1, u2
                         ) -> tuple[DeformationSpec, ExtremalCandidate]:
     """Deformation realizing the candidate of candidate_e1u2 as the maximal
     Ricci eigendirection in the limit.
 
     When <e, [u1, u2]> != 0 the exponent pattern (+1 on e, -1 on u1, u2)
     works directly. When it vanishes, the maximal direction is reached by
-    continuity: e is tilted by eps toward the component of [u1, u2]
-    orthogonal to span(e, u1, u2), which makes the top limit eigenvalue
-    simple while moving the limiting direction only O(eps) away from T.
+    continuity: e is tilted by LEMMA5A_TILT toward the component of
+    [u1, u2] orthogonal to span(e, u1, u2), which makes the top limit
+    eigenvalue simple while moving the limiting direction only
+    O(LEMMA5A_TILT) away from T.
     The returned candidate always carries the unperturbed T.
     """
     e = np.asarray(e, float)
@@ -392,7 +388,7 @@ def lemma5a_deformation(algebra: NilpotentAlgebra, metric: Metric,
     if nw < 1e-12:
         raise CandidateError("[u1, u2] lies in span(e, u1, u2)")
     w = w / nw
-    e_tilt = e + eps * w
+    e_tilt = e + LEMMA5A_TILT * w
     e_tilt = e_tilt / np.sqrt(metric.norm2(e_tilt))
     tilted = candidate_e1u2(algebra, metric, e_tilt, u1, u2)
     if not tilted.simple:
@@ -417,19 +413,18 @@ def _eu_inner_products(algebra, metric, e1, e2, u1, u2, u3):
     return u12, vals, a, b
 
 
-def _check_eu_preconditions(algebra, metric, e1, e2, u1, u2, u3,
-                            tol: float = 1e-10):
+def _check_eu_preconditions(algebra, metric, e1, e2, u1, u2, u3):
     vecs = [np.asarray(v, float) for v in (e1, e2, u1, u2, u3)]
     _require_orthonormal(metric, vecs, ["e1", "e2", "u1", "u2", "u3"])
     e1, e2, u1, u2, u3 = vecs
     u12, vals, a, b = _eu_inner_products(algebra, metric, e1, e2, u1, u2, u3)
     for name, v in vals.items():
-        if abs(v) > tol:
+        if abs(v) > EU_PRECONDITION_TOL:
             raise CandidateError(f"precondition {name} = 0 violated "
                                  f"(got {v:.3e})")
-    if abs(a) <= tol:
+    if abs(a) <= EU_PRECONDITION_TOL:
         raise CandidateError("precondition <e1,u12> != 0 violated")
-    if abs(b) <= tol:
+    if abs(b) <= EU_PRECONDITION_TOL:
         raise CandidateError("precondition <e2,u13> != 0 violated")
     return e1, e2, u1, u2, u3, u12, a, b
 
@@ -486,9 +481,15 @@ def complement_frame(metric: Metric, vectors) -> np.ndarray:
     return b @ np.linalg.inv(np.linalg.cholesky(b.T @ metric.gram @ b)).T
 
 
-def _two_step(algebra: NilpotentAlgebra, metric: Metric,
-              e) -> tuple[ExtremalCandidate, np.ndarray]:
-    """candidate_two_step and the complement frame of g' it sums over."""
+def two_step_deformation(algebra: NilpotentAlgebra, metric: Metric, e
+                         ) -> tuple[DeformationSpec, ExtremalCandidate]:
+    """The two-step candidate T = sum_{i,j} <e, u_ij> u_ij over a
+    g-orthonormal basis u of (g')^perp, and the deformation realizing it:
+    exponent +1 on e, -1 on u, and 0 on the rest of g'.
+
+    Requires a two-step algebra and a unit e in g'. T is nonzero for
+    nonzero e: the defining map is injective on g'.
+    """
     if not algebra.is_two_step() or algebra.is_abelian():
         raise CandidateError("algebra must be two-step nilpotent "
                              "(and nonabelian)")
@@ -498,8 +499,7 @@ def _two_step(algebra: NilpotentAlgebra, metric: Metric,
         raise CandidateError("e must lie in the derived algebra")
     if abs(metric.norm2(e) - 1.0) > orthonormal_tol(metric):
         raise CandidateError("e must be a unit vector")
-    u = complement_frame(metric, [[float(x) for x in row]
-                                  for row in gp.basis])
+    u = complement_frame(metric, np.array(gp.basis, float))
     q = u.shape[1]
     t = np.zeros(algebra.n)
     lam = 0.0
@@ -509,26 +509,8 @@ def _two_step(algebra: NilpotentAlgebra, metric: Metric,
             coef = metric.inner(e, uij)
             t += coef * uij
             lam += coef * coef
-    return ExtremalCandidate(T=t, lambda_extreme=lam,
-                             construction="two_step", simple=True), u
-
-
-def candidate_two_step(algebra: NilpotentAlgebra, metric: Metric,
-                       e) -> ExtremalCandidate:
-    """T = sum_{i,j} <e, u_ij> u_ij over a g-orthonormal basis of (g')^perp.
-
-    Requires a two-step algebra and a unit e in g'. T is nonzero for
-    nonzero e: the defining map is injective on g'.
-    """
-    return _two_step(algebra, metric, e)[0]
-
-
-def two_step_deformation(algebra: NilpotentAlgebra, metric: Metric, e
-                         ) -> tuple[DeformationSpec, ExtremalCandidate]:
-    """candidate_two_step and the deformation realizing it: exponent +1
-    on e, -1 on the complement frame of g' that T is built from, and 0 on
-    the rest of g'."""
-    cand, u = _two_step(algebra, metric, e)
+    cand = ExtremalCandidate(T=t, lambda_extreme=lam,
+                             construction="two_step", simple=True)
     return spec_for_pattern(algebra, metric, [e], list(u.T)), cand
 
 
@@ -603,24 +585,28 @@ def worst_gap(grid, cands) -> float:
     return max(row_mins)
 
 
-def sphere_grid(dim: int, resolution: float) -> np.ndarray:
-    """Directions covering the projective space of R^dim to the given
-    sine-distance resolution, for dim 1, 2 or 3 (a Fibonacci sphere);
-    any other dim raises ValueError."""
+def sphere_grid(subspace: Subspace, resolution: float) -> np.ndarray:
+    """Directions of a subspace of dimension 1, 2 or 3, in g-coordinates:
+    they cover its projective space to the given sine-distance resolution
+    in the coordinates of its RREF basis (a Fibonacci sphere when the
+    dimension is 3); any other dimension raises ValueError."""
+    dim = subspace.dim
     if dim not in (1, 2, 3):
         raise ValueError(f"sphere_grid covers dimensions 1 to 3, not {dim}")
     if dim == 1:
-        return np.array([[1.0]])
-    if dim == 2:
+        coords = np.array([[1.0]])
+    elif dim == 2:
         k = int(np.ceil(np.pi / resolution)) + 1
         angles = np.linspace(0.0, np.pi, k, endpoint=False)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    count = max(64, int(8.0 / resolution ** 2))
-    idx = np.arange(count, dtype=float) + 0.5
-    phi = np.arccos(1.0 - 2.0 * idx / count)
-    theta = np.pi * (1.0 + 5 ** 0.5) * idx
-    return np.column_stack([np.cos(theta) * np.sin(phi),
-                            np.sin(theta) * np.sin(phi), np.cos(phi)])
+        coords = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        count = max(64, int(8.0 / resolution ** 2))
+        idx = np.arange(count, dtype=float) + 0.5
+        phi = np.arccos(1.0 - 2.0 * idx / count)
+        theta = np.pi * (1.0 + 5 ** 0.5) * idx
+        coords = np.column_stack([np.cos(theta) * np.sin(phi),
+                                  np.sin(theta) * np.sin(phi), np.cos(phi)])
+    return coords @ np.array(subspace.basis, float)
 
 
 # singular values at or below this count as zero in complete_basis
@@ -654,6 +640,63 @@ def codim1_adapted_metric(algebra: NilpotentAlgebra, c, u1
     return Metric.orthonormalizing(np.column_stack(have + comp)), comp[0]
 
 
+def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int
+                      ) -> tuple[list[tuple[ExtremalCandidate,
+                                            DeformationSpec]], list[str]]:
+    """(pairs, notes): up to `samples` (candidate, deformation) pairs of
+    the Lemma 5 construction that fits the structure, drawn from a
+    generator seeded with `seed`, and notes on the samples skipped.
+
+    Two-step: a random metric and unit e in g' (`two_step_deformation`).
+    With a codimension-one abelian ideal a and complement c: a random
+    unit u1 in a with [c, [c, u1]] != 0, in the metric of
+    `codim1_adapted_metric` (`lemma5a_deformation`). Otherwise no pairs,
+    and a note that there is no closed form."""
+    rng = np.random.default_rng(seed)
+    notes = []
+    out = []
+    if algebra.is_two_step():
+        gp = np.array(algebra.derived_algebra().basis, float)
+        for k in range(samples):
+            metric = Metric.random(algebra.n, rng)
+            e = rng.uniform(-1.0, 1.0, size=gp.shape[0]) @ gp
+            nrm = np.sqrt(metric.norm2(e))
+            if nrm < 1e-6:
+                notes.append(f"sample {k}: derived direction degenerate")
+                continue
+            try:
+                spec, cand = two_step_deformation(algebra, metric, e / nrm)
+            except CandidateError as exc:
+                notes.append(f"sample {k}: {exc}")
+                continue
+            if cand.is_zero:
+                notes.append(f"sample {k}: zero candidate")
+                continue
+            out.append((cand, spec))
+        return out, notes
+    ideal = algebra.find_codim1_abelian_ideal()
+    if ideal is None:
+        notes.append("no closed-form construction for this structure; "
+                     "reporting the expected subspace only")
+        return out, notes
+    a_basis = np.array(ideal.basis, float)
+    c_vec = np.array(ideal.complement()[0], float)
+    for k in range(samples):
+        u1 = rng.uniform(-1.0, 1.0, size=a_basis.shape[0]) @ a_basis
+        u1 = u1 / np.linalg.norm(u1)
+        if np.linalg.norm(algebra.bracket_float(
+                c_vec, algebra.bracket_float(c_vec, u1))) < 1e-8:
+            continue
+        try:
+            metric, e = codim1_adapted_metric(algebra, c_vec, u1)
+            spec, cand = lemma5a_deformation(algebra, metric, e, u1, c_vec)
+        except CandidateError as exc:
+            notes.append(f"sample {k}: {exc}")
+            continue
+        out.append((cand, spec))
+    return out, notes
+
+
 @dataclass
 class ConvergenceTrace:
     rows: list[tuple[float, float, float]]  # (t, extreme eigenvalue, distance)
@@ -667,10 +710,9 @@ class ConvergenceTrace:
 
 def convergence_check(spec: DeformationSpec, algebra: NilpotentAlgebra,
                       candidate: ExtremalCandidate,
-                      t_grid=DEFAULT_T_GRID,
                       target: float = 1e-4) -> ConvergenceTrace:
     """Projective distance between the candidate line and the extremal
-    eigendirection of ric_t along the grid.
+    eigendirection of ric_t along T_GRID.
 
     `converged` uses the best distance over the grid: once the eigenvector
     components across exponent blocks differ by more than the float
@@ -688,7 +730,7 @@ def convergence_check(spec: DeformationSpec, algebra: NilpotentAlgebra,
     limited_at = None
     rows = []
     clustered = []
-    for t in t_grid:
+    for t in T_GRID:
         if t > precision_limit and limited_at is None:
             limited_at = float(t)
         try:

@@ -58,6 +58,8 @@ from .rational import in_row_space, nullspace, rank, solve
 RIC_POSITIVE_MIN = 1e-9
 RIC_NEGATIVE_MAX = -1e-9
 K_NEGATIVE_MAX = -1e-9
+# adapted_metric_family scales one adapted direction by 10^(+-k) for these k
+ADAPTED_DECADES = (1, 2, 3, 4)
 
 
 class PreconditionError(ValueError):
@@ -475,11 +477,10 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x) -> SignWitness:
     raise WitnessSearchError("negative Ricci deformation failed")
 
 
-def adapted_metric_family(algebra: NilpotentAlgebra, x, y,
-                          decades: tuple[int, ...] = (1, 2, 3, 4)
-                          ) -> list[Metric]:
+def adapted_metric_family(algebra: NilpotentAlgebra, x, y) -> list[Metric]:
     """Plane-adapted diagonal metrics: an adapted basis (x, y, [x, y],
-    completion) with one direction scaled by 10^(+-k) at a time.
+    completion) with one direction scaled by 10^(+-k) at a time, k in
+    ADAPTED_DECADES.
 
     Negative sectional curvature on a plane outside the nonnegative-sign
     set is typically reached by shrinking or stretching a single adapted
@@ -492,7 +493,7 @@ def adapted_metric_family(algebra: NilpotentAlgebra, x, y,
     cols = [xf, yf] + ([w] if np.linalg.norm(w) > 1e-9 else [])
     b = np.column_stack(cols + complete_basis(cols))
     out = []
-    for k in decades:
+    for k in ADAPTED_DECADES:
         for pos in range(n):
             for sgn in (-1, 1):
                 d = np.ones(n)
@@ -512,9 +513,11 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
     of <X,e_1><e_1,[e,X]> <Y,e_2><e_2,[e,Y]>, and e_1, e_2 are picked to
     make that product positive.
 
-    The pencil fails at some e of the pool: [u, X] ^ [u, Y] is quadratic
-    in u, so it vanishes on all of g if it vanishes at every e_i and
-    e_i + e_j. For such an e, ad_e is injective on the plane, and e is
+    e is the first e_i, then the first e_i + e_j in combinations order,
+    at which [e, X] and [e, Y] are independent over Q. The pencil fails
+    at one of them: [u, X] ^ [u, Y] is quadratic in u, so it vanishes on
+    all of g if it vanishes at every e_i and e_i + e_j; None when it
+    does. For such an e, ad_e is injective on the plane, and e is
     not in plane + [e, plane]: e = [e, A] + B there would make e - B an
     eigenvector of ad_A with eigenvalue -1. So the frame exists, and
     [e, X] leaves span(Y, [e, Y], e), unless Y is the one direction D
@@ -522,58 +525,60 @@ def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
     directions x, y, x + y, x - y avoids both.
     """
     n = algebra.n
-    pool = [np.eye(n)[:, i] for i in range(n)]
-    pool = pool + [p + q for i, p in enumerate(pool)
-                   for q in pool[i + 1:]] \
-        + [p - q for i, p in enumerate(pool) for q in pool[i + 1:]]
-    for e in pool:
-        for x_v, y_v in itertools.permutations(
-                (bx, by, bx + by, bx - by), 2):
-            w = algebra.bracket_float(e, y_v)
-            if np.linalg.matrix_rank(np.column_stack([bx, by, w]),
-                                     tol=1e-9) < 3:
-                continue
-            have = [x_v, w, y_v, e]
-            if np.linalg.matrix_rank(np.column_stack(have), tol=1e-9) < 4:
-                continue
-            comp = complete_basis(have)
-            basis = np.column_stack([x_v] + comp + [w, y_v, e])
-            metric = Metric.orthonormalizing(basis)
-            # component of [e, X] orthogonal to span(e, Y, [e, Y])
-            coords = np.linalg.solve(basis, algebra.bracket_float(e, x_v))
-            dvec = sum(coords[i] * basis[:, i]
-                       for i in range(1 + len(comp)))
-            dnorm = np.sqrt(max(metric.norm2(dvec), 0.0))
-            if dnorm < 1e-9:
-                continue
-            dhat = dvec / dnorm
-            xhat = x_v / np.sqrt(metric.norm2(x_v))
-            if abs(abs(metric.inner(xhat, dhat)) - 1.0) < 1e-9:
-                e1 = xhat
-                s1 = float(np.sign(metric.inner(dhat, xhat)))
-            else:
-                e1 = xhat + dhat
-                e1 = e1 / np.sqrt(metric.norm2(e1))
-                s1 = 1.0
-            e2 = y_v / np.sqrt(metric.norm2(y_v)) \
-                + s1 * w / np.sqrt(metric.norm2(w))
-            e2 = e2 / np.sqrt(metric.norm2(e2))
-            en = e / np.sqrt(metric.norm2(e))
-            # e1, e2, en are g-orthonormal; the middle block has the one
-            # exponent 2, so its basis does not change g_t
-            frame = np.column_stack(
-                [e1, e2, complement_frame(metric, [e1, e2, en]), en])
-            lam = np.array([10.0, 9.0] + [2.0] * (n - 3) + [0.0])
-            tables = secdef_coefficients(algebra, metric, lam, bx, by,
-                                         frame=frame)
-            for t in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
-                val = tables["evaluate"](t)
-                if val < K_NEGATIVE_MAX:
-                    return SignWitness(kind="K_negative",
-                                       gram=metric.gram, value=float(val),
-                                       target=[list(map(float, bx)),
-                                               list(map(float, by))],
-                                       lambdas=lam, frame=frame, t=t)
+    xe, ye = exact_vector(bx), exact_vector(by)
+    units = [basis_vector(n, i) for i in range(n)]
+    pool = units + [[p + q for p, q in zip(u, v)]
+                    for u, v in itertools.combinations(units, 2)]
+    e = next((np.array(u, float) for u in pool
+              if rank([algebra.bracket(u, xe), algebra.bracket(u, ye)]) == 2),
+             None)
+    if e is None:
+        return None
+    for x_v, y_v in itertools.permutations((bx, by, bx + by, bx - by), 2):
+        w = algebra.bracket_float(e, y_v)
+        if np.linalg.matrix_rank(np.column_stack([bx, by, w]), tol=1e-9) < 3:
+            continue
+        have = [x_v, w, y_v, e]
+        if np.linalg.matrix_rank(np.column_stack(have), tol=1e-9) < 4:
+            continue
+        comp = complete_basis(have)
+        basis = np.column_stack([x_v] + comp + [w, y_v, e])
+        metric = Metric.orthonormalizing(basis)
+        # component of [e, X] orthogonal to span(e, Y, [e, Y])
+        coords = np.linalg.solve(basis, algebra.bracket_float(e, x_v))
+        dvec = sum(coords[i] * basis[:, i]
+                   for i in range(1 + len(comp)))
+        dnorm = np.sqrt(max(metric.norm2(dvec), 0.0))
+        if dnorm < 1e-9:
+            continue
+        dhat = dvec / dnorm
+        xhat = x_v / np.sqrt(metric.norm2(x_v))
+        if abs(abs(metric.inner(xhat, dhat)) - 1.0) < 1e-9:
+            e1 = xhat
+            s1 = float(np.sign(metric.inner(dhat, xhat)))
+        else:
+            e1 = xhat + dhat
+            e1 = e1 / np.sqrt(metric.norm2(e1))
+            s1 = 1.0
+        e2 = y_v / np.sqrt(metric.norm2(y_v)) \
+            + s1 * w / np.sqrt(metric.norm2(w))
+        e2 = e2 / np.sqrt(metric.norm2(e2))
+        en = e / np.sqrt(metric.norm2(e))
+        # e1, e2, en are g-orthonormal; the middle block has the one
+        # exponent 2, so its basis does not change g_t
+        frame = np.column_stack(
+            [e1, e2, complement_frame(metric, [e1, e2, en]), en])
+        lam = np.array([10.0, 9.0] + [2.0] * (n - 3) + [0.0])
+        tables = secdef_coefficients(algebra, metric, lam, bx, by,
+                                     frame=frame)
+        for t in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
+            val = tables["evaluate"](t)
+            if val < K_NEGATIVE_MAX:
+                return SignWitness(kind="K_negative",
+                                   gram=metric.gram, value=float(val),
+                                   target=[list(map(float, bx)),
+                                           list(map(float, by))],
+                                   lambdas=lam, frame=frame, t=t)
     return None
 
 

@@ -27,10 +27,10 @@ from .curvature import (
 from .deformation import (
     DeformationSpec,
     candidate_e1u2,
-    candidate_two_step,
     codim1_adapted_metric,
     convergence_check,
     deformed_ricci_frame,
+    lemma5_candidates,
     lemma5a_deformation,
     projective_distance,
     scaled_ricci_limit,
@@ -497,34 +497,18 @@ def check_closure_dichotomy(seed: int = 0) -> dict:
 def coverage_grid_cases(seed: int = 0, resolution: float = 0.1
                         ) -> dict[str, tuple[np.ndarray, list]]:
     """{case: (grid, candidates)} for the grid cases of `check_coverage`:
-    the lines of P(g') on h5 against two-step candidates at random metrics
-    (drawn from seed), and the lines of P(a) on filiform4 against the
-    codimension-one abelian ideal candidates."""
-    rng = np.random.default_rng(seed)
-    cases = {}
-    # h5: two-step candidates from random derived-algebra directions
+    the lines of P(g') on h5 against the 50 two-step candidates of
+    `lemma5_candidates` at seed, and the lines of P(a) on filiform4
+    against the codimension-one abelian ideal candidates."""
     alg = build("heisenberg", m=2)
-    gp_basis = np.array([[float(v) for v in row]
-                         for row in alg.derived_algebra().basis])
-    cands = []
-    for _ in range(50):
-        metric = Metric.random(alg.n, rng)
-        coeffs = rng.uniform(-1.0, 1.0, size=gp_basis.shape[0])
-        e = coeffs @ gp_basis
-        nrm = np.sqrt(metric.norm2(e))
-        if nrm < 1e-6:
-            continue
-        cand = candidate_two_step(alg, metric, e / nrm)
-        if not cand.is_zero:
-            cands.append(cand.T)
-    cases["h5"] = (sphere_grid(gp_basis.shape[0], resolution) @ gp_basis,
-                   cands)
+    pairs, _ = lemma5_candidates(alg, seed, 50)
+    cases = {"h5": (sphere_grid(alg.derived_algebra(), resolution),
+                    [cand.T for cand, _ in pairs])}
     # filiform4: codimension-one abelian ideal construction covers P(a)
     alg = build("filiform4")
     ideal = alg.find_codim1_abelian_ideal()
-    a_basis = np.array([[float(v) for v in row] for row in ideal.basis])
-    grid = sphere_grid(a_basis.shape[0], resolution) @ a_basis
-    c_vec = np.array([float(v) for v in ideal.complement()[0]])
+    grid = sphere_grid(ideal, resolution)
+    c_vec = np.array(ideal.complement()[0], float)
     cands = []
     for gdir in grid:
         u1 = gdir / np.linalg.norm(gdir)

@@ -1,6 +1,8 @@
 """Metric deformations, scaled Ricci limits, and closed-form extremal
 candidates, each cross-checked against an independent direct computation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,21 +14,23 @@ from nilcurv import (
     Metric,
     NilpotentAlgebra,
     OverflowGuardError,
+    Subspace,
     build,
     candidate_e1u2,
     candidate_min_u1,
     candidate_T1_T2,
-    candidate_two_step,
     complement_frame,
     convergence_check,
     deformed_metric,
     deformed_ricci,
     extremal_T,
+    lemma5_candidates,
     lemma5a_deformation,
     projective_distance,
     ricci_operator,
     scaled_ricci_limit,
     spec_for_pattern,
+    theorem2_expected_M,
     two_step_deformation,
     worst_gap,
 )
@@ -96,6 +100,28 @@ def test_scaled_limit_block_spectrum():
         assert np.abs(approx - limit.phi0).max() < 1e-6
 
 
+@pytest.mark.parametrize("lam", [
+    ("1/3", "1/6", "-1/6", "-1/3"),
+    ("1/3", "1/3", "-1/6", "1/3"),
+    ("1/10", "2/10", "-3/10", "7/10", "-1/3"),
+])
+def test_lambda_triples_match_exact_exponents(lam):
+    """Lambda, d and the gap of non-dyadic exponents agree with the same
+    sums over Q. At (1/3, 1/3, -1/6, 1/3) the nine maximizing triples
+    differ by one ulp in float: ties come from the tolerance alone."""
+    exact = [Fraction(x) for x in lam]
+    n = len(exact)
+    vals = {(i, j, k): exact[k] - exact[i] - exact[j]
+            for i in range(n) for j in range(i) for k in range(n)}
+    d = max(vals.values())
+    runner_up = max(v for v in vals.values() if v != d)
+    d_got, lam_set, gap = deformation._lambda_triples(
+        np.array([float(x) for x in exact]))
+    assert lam_set == sorted(t for t, v in vals.items() if v == d)
+    assert abs(d_got - float(d)) <= 1e-15
+    assert abs(gap - float(d - runner_up)) <= 1e-15
+
+
 def test_extremal_T_satisfies_limit_eigen_equation():
     alg = build("L5_lemma7a")
     rng = np.random.default_rng(6)
@@ -114,7 +140,6 @@ def test_candidate_two_step_h3():
     z = np.array([0.0, 0.0, 1.0])
     spec, cand = two_step_deformation(alg, metric, z)
     assert np.abs(cand.T - 2.0 * z).max() < 1e-12
-    assert np.array_equal(cand.T, candidate_two_step(alg, metric, z).T)
     trace = convergence_check(spec, alg, cand)
     assert trace.converged and trace.best_distance() < 1e-4
 
@@ -124,12 +149,12 @@ def test_candidate_two_step_irrational_unit_in_derived_algebra():
     T = 2 <e, [X, Y]> [X, Y] = 20 e; a unit vector off g' is rejected."""
     alg = NilpotentAlgebra(4, {(0, 1): {2: 1, 3: 3}})
     e = np.array([0.0, 0.0, 1.0, 3.0]) / np.sqrt(10.0)
-    cand = candidate_two_step(alg, Metric.identity(4), e)
+    cand = two_step_deformation(alg, Metric.identity(4), e)[1]
     assert np.abs(cand.T - 20.0 * e).max() < 1e-12
     assert abs(cand.lambda_extreme - 20.0) < 1e-12
     off = np.array([0.0, 0.0, 3.0, -1.0]) / np.sqrt(10.0)
     with pytest.raises(CandidateError, match="derived algebra"):
-        candidate_two_step(alg, Metric.identity(4), off)
+        two_step_deformation(alg, Metric.identity(4), off)
 
 
 def test_lemma5a_filiform4():
@@ -140,6 +165,32 @@ def test_lemma5a_filiform4():
     assert np.abs(cand.T + x).max() < 1e-12   # T = -X
     trace = convergence_check(spec, alg, cand)
     assert trace.converged
+
+
+@pytest.mark.parametrize("key, params, construction", [
+    ("heisenberg", {"m": 2}, "two_step"),
+    ("filiform4", {}, "e1u2"),
+    ("filiform_standard", {"n": 5}, None),
+])
+def test_lemma5_candidates_follow_the_structure(key, params, construction):
+    """Two-step and codimension-one abelian algebras get one candidate per
+    sample, each with the deformation it is checked against and inside
+    the Theorem 2 subspace, the same at the same seed; any other algebra
+    gets only a note."""
+    alg = build(key, **params)
+    pairs, notes = lemma5_candidates(alg, 3, 6)
+    if construction is None:
+        assert pairs == [] and notes[0].startswith("no closed-form")
+        return
+    expected = theorem2_expected_M(alg)
+    assert len(pairs) == 6 and notes == []
+    for cand, spec in pairs:
+        assert cand.construction == construction and cand.simple
+        assert isinstance(spec, DeformationSpec)
+        assert expected.contains_float(cand.T)
+    again, _ = lemma5_candidates(alg, 3, 6)
+    assert all(np.array_equal(c.T, d.T) for (c, _), (d, _) in
+               zip(pairs, again))
 
 
 def test_candidate_e1u2_requires_orthonormal():
@@ -346,10 +397,17 @@ def test_worst_gap_rejects_zero_rows_and_empty_candidates():
 
 
 def test_sphere_grid_covers_dimensions_one_to_three_only():
+    """Directions in g-coordinates, inside the subspace, with unit
+    coordinates in its RREF basis."""
+    vectors = [[1, 2, 0, 0, 1], [0, 1, 1, 0, 0], [0, 0, 0, 1, 3],
+               [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
     for dim in (1, 2, 3):
-        grid = sphere_grid(dim, 0.2)
-        assert grid.shape[1] == dim
-        assert np.allclose(np.linalg.norm(grid, axis=1), 1.0)
+        sub = Subspace(vectors[:dim], 5)
+        grid = sphere_grid(sub, 0.2)
+        assert grid.shape[1] == 5
+        assert all(sub.contains_float(g) for g in grid)
+        coords = grid[:, sub.pivots]
+        assert np.allclose(np.linalg.norm(coords, axis=1), 1.0)
     for dim in (0, 4, 5):
         with pytest.raises(ValueError):
-            sphere_grid(dim, 0.2)
+            sphere_grid(Subspace(vectors[:dim], 5), 0.2)

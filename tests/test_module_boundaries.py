@@ -1,11 +1,17 @@
 """No library module imports or reads another module's private names, no
 library function binds a name it never reads or imports anything except
 where listed as lazy, no library module other than the package's
-`__init__` imports a name it never reads, and floats are rounded to
-Fractions and bases turned into metrics only at the listed sites."""
+`__init__` imports a name it never reads, floats are rounded to
+Fractions and bases turned into metrics only at the listed sites, neither
+sign_sets nor the CLI draws at random, and pyproject.toml declares exactly
+the third-party packages the library imports."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nilcurv"
 MODULES = {p.stem for p in SRC.glob("*.py")}
@@ -195,7 +201,6 @@ def test_no_function_imports():
 # (module file, function): where a float is rounded to a Fraction. A float
 # tested against an exact subspace goes through Subspace.contains_float.
 ROUNDING_SITES = {("rational.py", "as_fraction"),
-                  ("deformation.py", "_lambda_triples"),
                   ("verify.py", "check_coverage")}
 
 
@@ -318,6 +323,51 @@ def test_witnesses_are_not_drawn_at_random():
     """Sign witnesses are constructions: sign_sets seeds no generator and
     draws no random metric."""
     assert random_draws((SRC / "sign_sets.py").read_text()) == []
+
+
+def test_cli_draws_nothing_at_random():
+    """The maxmin candidates come from deformation.lemma5_candidates: the
+    CLI seeds no generator and draws no random metric."""
+    assert random_draws((SRC / "cli.py").read_text()) == []
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports of `source`, function-level
+    ones included, that are neither in the standard library nor the
+    package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found |= {name.split(".")[0] for name in names}
+    return found - set(sys.stdlib_module_names) - {"nilcurv"}
+
+
+def test_checker_flags_third_party_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy as np\n"
+              "from . import rational\n"
+              "from nilcurv.algebra import Subspace\n"
+              "from scipy.linalg import null_space\n"
+              "def f():\n"
+              "    import sympy.polys\n")
+    assert third_party_imports(source) == {"numpy", "scipy", "sympy"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    """pyproject.toml declares exactly the third-party packages that src
+    imports, lazy imports included."""
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+    with open(SRC.parents[1] / "pyproject.toml", "rb") as f:
+        declared = {re.split(r"[\s<>=!~;\[]", dep)[0]
+                    for dep in tomllib.load(f)["project"]["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text())
+                             for p in SRC.glob("*.py")))
+    assert imported == declared
 
 
 def call_sites(source: str, name: str) -> list[str]:

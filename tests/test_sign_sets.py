@@ -26,7 +26,7 @@ from nilcurv import (
 )
 from nilcurv import sign_sets
 from nilcurv.curvature import ricci_form_matrix
-from nilcurv.rational import nullspace, solve
+from nilcurv.rational import nullspace, rank, solve
 from nilcurv.sign_sets import (
     PreconditionError,
     _scaled_ric_of_frame_vector,
@@ -361,6 +361,34 @@ def test_pencil_witness_is_K_of_its_deformed_metric():
     assert w.lambdas is not None and w.lambdas[-1] == 0.0
     k = sectional_K(a, deformed_metric(w.spec(), w.t), x, y)
     assert abs(k - w.value) <= 1e-12 * (1.0 + abs(w.value))
+
+
+@pytest.mark.parametrize("key", ["filiform4", "L5_lemma7a"])
+def test_pencil_witness_deforms_along_first_exact_e(key):
+    """On every abelian {-1,0,1} plane outside G_geq, the last frame column
+    of the pencil witness is parallel to the first e_i, else the first
+    e_i + e_j in combinations order, at which [e, x] and [e, y] have
+    rank 2 over Q."""
+    a = build(key)
+    n = a.n
+    eye = np.eye(n, dtype=int)
+    pool = [eye[i] for i in range(n)] + [
+        eye[i] + eye[j] for i, j in itertools.combinations(range(n), 2)]
+    grid = np.array(_grid_planes(n))
+    xs, ys = grid[:, 0], grid[:, 1]
+    labels = plane_labels(a, xs, ys)
+    planes = np.nonzero(labels["abelian"] & ~labels["G_geq"])[0]
+    assert len(planes) > 0
+    for i in planes:
+        x, y = [int(v) for v in xs[i]], [int(v) for v in ys[i]]
+        e = next(u for u in pool
+                 if rank([a.bracket(list(u), x), a.bracket(list(u), y)]) == 2)
+        w = sign_sets._pencil_failure_witness(a, xs[i].astype(float),
+                                              ys[i].astype(float))
+        col = w.frame[:, -1]
+        unit = e / np.linalg.norm(e)
+        assert np.linalg.norm(col - (col @ unit) * unit) \
+            <= 1e-12 * np.linalg.norm(col)
 
 
 def test_witnesses_need_no_random_stage(monkeypatch):

@@ -7,8 +7,9 @@ conditions rk5 and rk7 (Lemma 7) and the largest bracket closure dim L
 (Lemma 6) are generic ranks of bracket words in k vectors. One routine
 bounds them: below by the exact rank at seeded integer tuples, each a
 witness, and above, when GL(k) keeps the span of the words, by bordered
-minors expanded as sparse integer polynomials. So rk5 and dim L are
-exact; a negative rk7 verdict and a missing cocycle certificate are
+minors expanded as sparse integer polynomials. The cocycle class is a
+generic rank too, of a bordered matrix of quadratic forms. So rk5, dim L
+and the cocycle class are exact; only a negative rk7 verdict is
 budget-qualified. Only the standard library and numpy are imported.
 """
 
@@ -30,17 +31,9 @@ from .algebra import (
 from .catalog import build
 from .rational import Matrix, nullspace, rank
 
-RATIONAL_BOUND = 97
-
 
 class ClassificationError(ValueError):
     """Preconditions of a classification operation unmet."""
-
-
-def _random_rational_vector(rng, n: int) -> list[Fraction]:
-    return [Fraction(int(rng.integers(-RATIONAL_BOUND, RATIONAL_BOUND + 1)),
-                     int(rng.integers(1, RATIONAL_BOUND + 1)))
-            for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +56,7 @@ def _eval_words(bracket, xs: list, words) -> list:
     return list(xs) + [value(w) for w in words]
 
 
-# seeded points tried by `_grid_rank`; `_generic_rank` draws further ones
+# seeded points tried before a minor walk; more are drawn if it succeeds
 _GRID_POINTS = 4
 
 
@@ -109,28 +102,16 @@ def _generic_rank(a: NilpotentAlgebra, k: int,
     (`_schur_complement`).
 
     Lower bound: `_grid_rank`. Upper bound, when that stays below the cap:
-    a walk up from the empty minor of S, each step to a nonzero minor one
-    size larger that borders the last. When all the bordering minors
-    vanish, so does every larger minor (the bordering theorem). If the
-    walk ends above the grid rank, further seeded points are drawn until
-    one reaches it.
+    `_minor_rank` of S. If that ends above the grid rank, further seeded
+    points are drawn until one reaches it.
     """
     best, wit = _grid_rank(a, k, words)
     cap = min(k + len(words), a.n)
     if best == cap:
         return best, wit
-    s_mat = _schur_complement(a, k, words)
-    rows, cols = [], []
-    while k + len(rows) < cap:
-        border = next(((i, j) for i in range(len(words)) if i not in rows
-                       for j in range(a.n - k) if j not in cols
-                       if _poly_det([[s_mat[r][c] for c in cols + [j]]
-                                     for r in rows + [i]])), None)
-        if border is None:
-            break
-        rows.append(border[0])
-        cols.append(border[1])
-    generic = min(cap, k + len(rows))   # n <= k vectors span g
+    # n <= k vectors span g
+    generic = min(cap, k + _minor_rank(_schur_complement(a, k, words),
+                                       cap - k))
     if generic > best:
         wit = next(xs for xs in itertools.islice(
             _grid_points(k, a.n), _GRID_POINTS, None)
@@ -138,16 +119,35 @@ def _generic_rank(a: NilpotentAlgebra, k: int,
     return generic, wit
 
 
+def _minor_rank(mat: list[list[dict]], cap: int) -> int:
+    """min(cap, generic rank) of a matrix of polynomials: a walk up from
+    the empty minor, each step to a nonzero minor one size larger that
+    borders the last. When all the bordering minors vanish, so does every
+    larger minor (the bordering theorem, Gantmacher)."""
+    rows, cols = [], []
+    while len(rows) < cap:
+        border = next(((i, j) for i in range(len(mat)) if i not in rows
+                       for j in range(len(mat[i])) if j not in cols
+                       if _poly_det([[mat[r][c] for c in cols + [j]]
+                                     for r in rows + [i]])), None)
+        if border is None:
+            break
+        rows.append(border[0])
+        cols.append(border[1])
+    return len(rows)
+
+
 # sparse integer polynomials: {monomial: coefficient}, the monomial
 # prod_v y_v^(d_v) packed as the integer sum_v d_v 16^v, so that a product
 # of monomials is a sum. No degree reaches 16: an entry of the Schur
 # complement has degree at most 3 in each variable (the X112 row of rk5),
-# a minor of at most three rows at most 9.
+# a minor of at most three rows at most 9; an entry of the bordered
+# cocycle matrix at most 2, a minor of at most three rows at most 5.
 
-def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
+def _poly_add(p: dict, q: dict, factor: int = 1) -> dict:
     out = dict(p)
     for m, c in q.items():
-        v = out.get(m, 0) + sign * c
+        v = out.get(m, 0) + factor * c
         if v:
             out[m] = v
         else:
@@ -327,14 +327,11 @@ def derivation_dimension(a: NilpotentAlgebra) -> int:
             cij = a.basis_bracket(i, j)
             for m in range(n):
                 row = [Fraction(0)] * (n * n)
-
-                def idx(r, c):
-                    return r * n + c
                 for k in range(n):
-                    row[idx(m, k)] += cij[k]
+                    row[m * n + k] += cij[k]
                 for p in range(n):
-                    row[idx(p, i)] -= a.basis_bracket(p, j)[m]
-                    row[idx(p, j)] -= a.basis_bracket(i, p)[m]
+                    row[p * n + i] -= a.basis_bracket(p, j)[m]
+                    row[p * n + j] -= a.basis_bracket(i, p)[m]
                 if any(v != 0 for v in row):
                     rows.append(row)
     return n * n - (rank(rows) if rows else 0)
@@ -421,14 +418,12 @@ def derivation_class_certificate(a: NilpotentAlgebra) -> dict | None:
     return None
 
 
-def cocycle_class_certificate(a: NilpotentAlgebra, samples: int = 30,
-                              seed: int = 0) -> dict | None:
+def cocycle_class_certificate(a: NilpotentAlgebra) -> dict | None:
     """A central line R c with two-step quotient h = g / R c, where the
     cocycle omega (the c-component of the bracket) satisfies: for almost
     all X there is Y with omega(X, [X,Y]_h) = 0 and
     omega(Y, [X,Y]_h) != 0. None if g is two-step (outside Lemma 7), if
-    g has no such line, or if no seeded X of `samples` certifies the
-    condition.
+    g has no such line, or if the condition fails: exact either way.
 
     For g not two-step the line is forced: g / R c is two-step iff
     C3 = [g, [g, g]] lies in R c, and C3 != 0, so a line exists iff
@@ -437,12 +432,15 @@ def cocycle_class_certificate(a: NilpotentAlgebra, samples: int = 30,
     R c makes it two-step, and g' strictly contains C3 (nilpotency), so
     it is nonabelian; none of this is re-tested.
 
-    The X satisfying the condition contain a Zariski-open set, which is
-    nonempty once one X qualifies at which the linear form
-    Y -> omega(X, [X,Y]_h) is nonzero. If that form vanishes for every X
-    (a polarization check on basis pairs), the condition is
-    "omega(Y, [X,Y]_h) != 0 for some Y", open in X, and any X with it
-    qualifies. The first qualifying seeded X is returned as `x`.
+    With L_X(Y) = omega(X, [X,Y]_h) and M_X the matrix of the quadratic
+    form Q_X(Y) = omega(Y, [X,Y]_h), the bordered matrix
+    B(X) = [[M_X, L_X], [L_X^T, 0]] has rank 2 + rank(M_X on ker L_X)
+    where L_X != 0. So if L is not identically zero, X qualifies iff
+    L_X != 0 and rank B(X) >= 3, a Zariski-open condition: it holds for
+    almost all X iff the generic rank of B over Q(X) reaches 3. If L is
+    identically zero, the threshold is 1. `_minor_rank` decides when no
+    seeded point of the first `_GRID_POINTS` qualifies; the qualifying
+    seeded point is returned as `x`.
     """
     series = a.lower_central_series()
     if len(series) < 3 or series[2].dim != 1:
@@ -468,36 +466,44 @@ def cocycle_class_certificate(a: NilpotentAlgebra, samples: int = 30,
             if entry:
                 q_brackets[(i, j)] = entry
     quotient = NilpotentAlgebra(m, q_brackets, name=f"{a.name}/c")
-    entries = [(i, j, w) for i, row in enumerate(omega)
+
+    # B over Q(X), X_i the variable 16^i, with integer coefficients; at a
+    # point x, whose coordinates are constants, the walk is the rank of B(x)
+    scale = math.lcm(*(v.denominator for comps in q_brackets.values()
+                       for v in comps.values()),
+                     *(w.denominator for row in omega for w in row))
+    entries = [(i, j, int(w * scale)) for i, row in enumerate(omega)
                for j, w in enumerate(row) if w != 0]
+    es = [[{0: 1} if k == j else {} for k in range(m)] for j in range(m)]
 
     def om(u, v):
-        return sum(u[i] * w * v[j] for i, j, w in entries)
+        out: dict = {}
+        for i, j, w in entries:
+            if u[i] and v[j]:
+                out = _poly_add(out, _poly_mul(u[i], v[j]), w)
+        return out
 
-    br = quotient.bracket
-    basis = [basis_vector(m, j) for j in range(m)]
-    # omega(X, [X, e_j]_h) is quadratic in X: zero for every X iff its
-    # polarization vanishes on basis pairs
-    lin_vanishes = all(om(basis[i], br(basis[k], basis[j]))
-                       + om(basis[k], br(basis[i], basis[j])) == 0
-                       for i in range(m) for k in range(i, m)
-                       for j in range(m))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x = _random_rational_vector(rng, m)
-        lin = [om(x, br(x, e)) for e in basis]
-        if any(v != 0 for v in lin):
-            kern = nullspace([lin], m)
-        elif lin_vanishes:
-            kern = basis
-        else:
-            continue
-        # the quadratic Y -> omega(Y, [X,Y]_h) is not identically zero on
-        # the kernel: its polarization is nonzero on some basis pair
-        if any(om(kern[p], br(x, kern[q])) + om(kern[q], br(x, kern[p]))
-               != 0 for p in range(len(kern)) for q in range(p, len(kern))):
-            return {"c": c, "quotient": quotient, "omega": omega, "x": x}
-    return None
+    def bordered(x):
+        x_es = [_poly_bracket(quotient, scale, x, e) for e in es]
+        lin = [om(x, v) for v in x_es]
+        return [[_poly_add(om(es[p], x_es[q]), om(es[q], x_es[p]))
+                 for q in range(m)] + [lin[p]]
+                for p in range(m)] + [lin + [{}]]
+
+    generic = bordered([{16 ** i: 1} for i in range(m)])
+    need = 3 if any(generic[-1]) else 1
+
+    def qualifies(x) -> bool:
+        b = bordered([{0: int(v)} if v else {} for v in x])  # integer x
+        return (need == 1 or any(b[-1])) and _minor_rank(b, need) == need
+
+    points = (pt[0] for pt in _grid_points(1, m))
+    x = next(filter(qualifies, itertools.islice(points, _GRID_POINTS)), None)
+    if x is None:
+        if _minor_rank(generic, need) < need:
+            return None
+        x = next(filter(qualifies, points))
+    return {"c": c, "quotient": quotient, "omega": omega, "x": x}
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +592,7 @@ class StructureVerdict:
     budget_note: str = ""
 
 
-def classify(a: NilpotentAlgebra, samples: int = 30,
-             seed: int = 0) -> StructureVerdict:
+def classify(a: NilpotentAlgebra) -> StructureVerdict:
     """The structure verdict, each part computed once: the rank
     conditions, two-step, the codimension-one abelian ideal and the
     small-closure dichotomy; and, for a nonabelian algebra that is not
@@ -603,10 +608,10 @@ def classify(a: NilpotentAlgebra, samples: int = 30,
         rk5_witness=w5, rk7_witness=w7,
         codim1_abelian=a.find_codim1_abelian_ideal(),
         lemma6=lemma6_classify(a),
-        budget_note=(f"rk5 and dim L are exact; a negative rk7 verdict is "
-                     f"budget-qualified ({_GRID_POINTS} seeded points of "
-                     f"the {{-2..2}} grid), and so is a missing cocycle "
-                     f"certificate ({samples} samples, seed {seed})"))
+        budget_note=(f"rk5, dim L and the cocycle class are exact; a "
+                     f"negative rk7 verdict is budget-qualified "
+                     f"({_GRID_POINTS} seeded points of the {{-2..2}} "
+                     f"grid)"))
     if two_step or rk5 or rk7:   # abelian counts as two-step
         return verdict
     dcert = derivation_class_certificate(a)
@@ -614,22 +619,21 @@ def classify(a: NilpotentAlgebra, samples: int = 30,
         verdict.lemma7_classes.append("derivation")
         verdict.certificates["derivation"] = dcert
         verdict.N, verdict.L_shape = shape_of_L(a, verdict.lemma6["witness"])
-    ccert = cocycle_class_certificate(a, samples, seed)
+    ccert = cocycle_class_certificate(a)
     if ccert is not None:
         verdict.lemma7_classes.append("cocycle")
         verdict.certificates["cocycle"] = ccert
     return verdict
 
 
-def lemma7_classify(a: NilpotentAlgebra, samples: int = 30,
-                    seed: int = 0) -> StructureVerdict:
+def lemma7_classify(a: NilpotentAlgebra) -> StructureVerdict:
     """The `classify` verdict of a nonabelian, not two-step algebra on
     which both rank conditions fail; ClassificationError otherwise."""
     if a.is_abelian():
         raise ClassificationError("algebra is abelian")
     if a.is_two_step():
         raise ClassificationError("algebra is two-step")
-    verdict = classify(a, samples, seed)
+    verdict = classify(a)
     if verdict.rk5_holds or verdict.rk7_holds:
         raise ClassificationError(
             "a rank condition holds: the generic-case analysis applies "

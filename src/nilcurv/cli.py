@@ -122,17 +122,18 @@ def _human_lines(data, indent=0):
     return lines
 
 
-def _emit(report: dict, args) -> None:
-    report = _jsonable(report)
-    if getattr(args, "json", False):
-        text = json.dumps(report, sort_keys=True, indent=1) + "\n"
-    else:
-        text = "\n".join(_human_lines(report)) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+def _write(text: str, args) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, args) -> None:
+    report = _jsonable(report)
+    text = (json.dumps(report, sort_keys=True, indent=1) if args.json
+            else "\n".join(_human_lines(report)))
+    _write(text + "\n", args)
 
 
 def _config(args, **extra) -> dict:
@@ -272,11 +273,7 @@ def cmd_deform(args) -> int:
             raise InputError(f"--trace: no closed-form candidate: {exc}")
         lines = ["t,lambda_max_t,proj_distance"]
         lines += [f"{t},{lam},{dist}" for (t, lam, dist) in trace.rows]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args)
         return 0
     _emit(report, args)
     return 0
@@ -340,11 +337,10 @@ def _witness_dict(w) -> dict:
 def cmd_classify(args) -> int:
     a = _load_algebra(args.algebra)
     _emit({"config": _config(args, algebra=args.algebra),
-           "verdict": classify(a, args.samples, args.seed),
+           "verdict": classify(a),
            "tolerances": {
                "rank_checks": "exact rational; negative rk7 budget-qualified",
-               "certificates": "exact rational; missing cocycle "
-                               "budget-qualified"}}, args)
+               "certificates": "exact rational"}}, args)
     return 0
 
 
@@ -411,11 +407,7 @@ def cmd_verify_paper(args) -> int:
             lines.append(f"{r['name']:32s} {str(r['passed']):5s} "
                          f"{r['runtime_s']:9.3f}")
         lines.append(f"overall: {'PASS' if result['passed'] else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args)
     return 0 if result["passed"] else 1
 
 
@@ -438,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, metric=False, samples=None, tol=None):
+    def common(sp, metric=False):
         sp.add_argument("--seed", type=int, default=0,
                         help="RNG seed (default 0)")
         sp.add_argument("--json", action="store_true",
@@ -447,11 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if metric:
             sp.add_argument("--metric", default=None,
                             help="metric JSON path (default: identity Gram)")
-        if samples is not None:
-            sp.add_argument("--samples", type=_positive_int,
-                            default=samples)
-        if tol is not None:
-            sp.add_argument("--tol", type=float, default=tol)
 
     sp = sub.add_parser("catalog", help="list/emit the algebra catalog")
     sp.add_argument("--filter", default=None,
@@ -497,12 +484,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="structural classification verdict")
     sp.add_argument("algebra")
-    common(sp, samples=30)
+    common(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("maxmin", help="Ricci-extremal candidate report")
     sp.add_argument("algebra")
-    common(sp, samples=10, tol=1e-3)
+    sp.add_argument("--samples", type=_positive_int, default=10)
+    sp.add_argument("--tol", type=float, default=1e-3)
+    common(sp)
     sp.set_defaults(func=cmd_maxmin)
 
     sp = sub.add_parser("verify-paper", help="run the acceptance suite")

@@ -484,7 +484,8 @@ def complement_frame(metric: Metric, vectors) -> np.ndarray:
 def two_step_deformation(algebra: NilpotentAlgebra, metric: Metric, e
                          ) -> tuple[DeformationSpec, ExtremalCandidate]:
     """The two-step candidate T = sum_{i,j} <e, u_ij> u_ij over a
-    g-orthonormal basis u of (g')^perp, and the deformation realizing it:
+    g-orthonormal basis u of (g')^perp, its eigenvalue (1/2) sum_{i,j}
+    <e, u_ij>^2 (as `extremal_T`), and the deformation realizing it:
     exponent +1 on e, -1 on u, and 0 on the rest of g'.
 
     Requires a two-step algebra and a unit e in g'. T is nonzero for
@@ -509,7 +510,7 @@ def two_step_deformation(algebra: NilpotentAlgebra, metric: Metric, e
             coef = metric.inner(e, uij)
             t += coef * uij
             lam += coef * coef
-    cand = ExtremalCandidate(T=t, lambda_extreme=lam,
+    cand = ExtremalCandidate(T=t, lambda_extreme=0.5 * lam,
                              construction="two_step", simple=True)
     return spec_for_pattern(algebra, metric, [e], list(u.T)), cand
 
@@ -533,14 +534,16 @@ def spec_for_pattern(algebra: NilpotentAlgebra, metric: Metric,
 
 
 def projective_distance(u, v) -> float:
-    """Sine of the principal angle between the lines R u and R v."""
+    """Sine of the principal angle between the lines R u and R v: the norm
+    of the rejection of u^ from v^, which unlike sqrt(1 - cos^2) keeps
+    its relative precision for nearly parallel lines."""
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("projective distance undefined for the zero vector")
-    c = np.dot(u, v) / (nu * nv)
-    return float(np.sqrt(max(0.0, 1.0 - c * c)))
+    u, v = u / nu, v / nv
+    return float(min(1.0, np.linalg.norm(u - np.dot(u, v) * v)))
 
 
 # grid rows per block in worst_gap's screen; bounds its temporary arrays

@@ -494,20 +494,23 @@ def check_closure_dichotomy(seed: int = 0) -> dict:
 # 8. Extremal-direction coverage
 
 
-def coverage_grid_cases(seed: int = 0, resolution: float = 0.1
-                        ) -> dict[str, tuple[np.ndarray, list]]:
+# sine distance of the coverage grids, and the bound on their worst gap
+COVERAGE_RESOLUTION = 0.1
+
+
+def coverage_grid_cases(seed: int = 0) -> dict[str, tuple[np.ndarray, list]]:
     """{case: (grid, candidates)} for the grid cases of `check_coverage`:
     the lines of P(g') on h5 against the 50 two-step candidates of
     `lemma5_candidates` at seed, and the lines of P(a) on filiform4
     against the codimension-one abelian ideal candidates."""
     alg = build("heisenberg", m=2)
     pairs, _ = lemma5_candidates(alg, seed, 50)
-    cases = {"h5": (sphere_grid(alg.derived_algebra(), resolution),
+    cases = {"h5": (sphere_grid(alg.derived_algebra(), COVERAGE_RESOLUTION),
                     [cand.T for cand, _ in pairs])}
     # filiform4: codimension-one abelian ideal construction covers P(a)
     alg = build("filiform4")
     ideal = alg.find_codim1_abelian_ideal()
-    grid = sphere_grid(ideal, resolution)
+    grid = sphere_grid(ideal, COVERAGE_RESOLUTION)
     c_vec = np.array(ideal.complement()[0], float)
     cands = []
     for gdir in grid:
@@ -526,13 +529,12 @@ def coverage_grid_cases(seed: int = 0, resolution: float = 0.1
 
 def check_coverage(seed: int = 0) -> dict:
     t0 = time.perf_counter()
-    resolution = 0.1
     details = {}
     failures = []
-    for case, (grid, cands) in coverage_grid_cases(seed, resolution).items():
+    for case, (grid, cands) in coverage_grid_cases(seed).items():
         worst = worst_gap(grid, cands)
         details[case] = {"candidates": len(cands), "worst_gap": worst}
-        if worst >= resolution:
+        if worst >= COVERAGE_RESOLUTION:
             failures.append({"case": case, "worst_gap": worst})
     # normal forms: candidate span is the whole algebra
     alpha_grid = (-2.0, -1.0, 1.0, 2.0, 3.0)
@@ -557,7 +559,8 @@ def check_coverage(seed: int = 0) -> dict:
             failures.append({"case": key, "span_rank": rk, "expected": n})
     return _result("coverage", not failures, t0,
                    {**details, "failures": failures},
-                   {"grid_resolution": resolution, "span_rank": "exact"})
+                   {"grid_resolution": COVERAGE_RESOLUTION,
+                    "span_rank": "exact"})
 
 
 # ---------------------------------------------------------------------------

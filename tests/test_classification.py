@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,16 @@ from nilcurv import (
 )
 from nilcurv.algebra import basis_vector
 from nilcurv.cli import main
-from nilcurv.classification import _random_rational_vector
 from nilcurv.rational import nullspace, rank, solve
 from test_algebra import in_basis, unimodular
+
+RATIONAL_BOUND = 97
+
+
+def _random_rational_vector(rng, n: int) -> list[Fraction]:
+    return [Fraction(int(rng.integers(-RATIONAL_BOUND, RATIONAL_BOUND + 1)),
+                     int(rng.integers(1, RATIONAL_BOUND + 1)))
+            for _ in range(n)]
 
 
 def test_rk5_holds_on_filiform5():
@@ -150,6 +158,52 @@ def test_rk5_and_dimL_decided_by_minors_alone(monkeypatch):
         assert (ok, v["max_dimL"]) == expected[a.name], a.name
         assert wit is None if not ok else rank(_rk5_rows(a, *wit)) == 5
         assert rank(_dimL_rows(a, *v["witness"])) == v["max_dimL"]
+
+
+def _sympy_poly(p, gens):
+    """A packed sparse polynomial as a sympy expression."""
+    def monomial(m):
+        out = 1
+        for g in gens:
+            m, d = divmod(m, 16)
+            out *= g ** d
+        return out
+    return sum(c * monomial(m) for m, c in p.items())
+
+
+def test_minor_rank_on_known_ranks():
+    """min(cap, generic rank) on matrices whose rank is known: singular
+    at every point yet nonzero, rank only off the diagonal, and products
+    of random polynomial factors, checked against sympy."""
+    x, y, z = {1: 1}, {16: 1}, {256: 1}
+    mul, add = classification._poly_mul, classification._poly_add
+    minor_rank = classification._minor_rank
+    assert minor_rank([[{}, {}], [{}, {}]], 2) == 0
+    assert minor_rank([[mul(x, x), mul(x, y)], [mul(y, x), mul(y, y)]], 2) == 1
+    assert minor_rank([[{}, x], [y, {}]], 2) == 2
+    assert minor_rank([[{}, x], [y, {}]], 1) == 1
+    sym = [[x, y, add(x, y)], [z, x, add(z, x)], [add(x, z), add(x, y),
+                                                 add(add(x, x), add(y, z))]]
+    assert minor_rank(sym, 3) == 2
+    gens = sympy.symbols("y0:3")
+    rng = np.random.default_rng(5)
+
+    def factor(rows, cols):
+        """Entries c y^m, m a monomial of degree <= 2, c in -3..3."""
+        return [[{int(m): int(c)} if c else {}
+                 for m, c in zip(rng.choice([0, 1, 16, 256, 17, 272], cols),
+                                 rng.integers(-3, 4, cols))]
+                for _ in range(rows)]
+    for inner in (1, 2, 3):
+        left, right = factor(4, inner), factor(inner, 4)
+        mat = [[{} for _ in range(4)] for _ in range(4)]
+        for i, j, k in itertools.product(range(4), range(4), range(inner)):
+            mat[i][j] = add(mat[i][j], mul(left[i][k], right[k][j]))
+        expected = sympy.Matrix([[_sympy_poly(p, gens) for p in row]
+                                 for row in mat]).rank()
+        assert expected == inner
+        assert minor_rank(mat, 4) == expected
+        assert minor_rank(mat, 1) == min(1, expected)
 
 
 def _rank_verdicts(a):
@@ -364,7 +418,7 @@ def assert_cocycle_witness(a, cert):
 def test_cocycle_certificate_on_class_b_extension():
     a = _class_b_algebra()
     assert a.validate().valid
-    cert = cocycle_class_certificate(a, samples=30, seed=0)
+    cert = cocycle_class_certificate(a)
     assert cert is not None
     assert_cocycle_witness(a, cert)
     assert cert["quotient"].is_two_step()
@@ -397,6 +451,22 @@ def test_cocycle_verdict_is_basis_independent(seed):
         mapped = Subspace([solve(p, v) for v in c3.basis], b.n)
         assert Subspace([cert_b["c"]], b.n) == mapped
         assert_cocycle_witness(b, cert_b)
+
+
+def test_cocycle_verdict_decided_by_minors_alone(monkeypatch):
+    """With no seeded points tried first, the bordered-minor walk alone
+    gives the verdict, and the points drawn after it a witness."""
+    algebras = [_class_b_algebra()] + [build(k, **kw)
+                                       for k, kw in LEMMA7_CATALOG]
+    expected = {a.name: cocycle_class_certificate(a) is None
+                for a in algebras}
+    assert list(expected.values()).count(False) == 1   # class-B only
+    monkeypatch.setattr(classification, "_GRID_POINTS", 0)
+    for a in algebras:
+        cert = cocycle_class_certificate(a)
+        assert (cert is None) == expected[a.name], a.name
+        if cert is not None:
+            assert_cocycle_witness(a, cert)
 
 
 def test_rational_roots_of_binary_forms():

@@ -207,13 +207,26 @@ def test_maxmin_two_step(h3_path, capsys):
     assert data["candidates_in_expected_subspace"] == len(data["candidates"])
 
 
-@pytest.mark.parametrize("command", ["classify", "maxmin"])
+@pytest.mark.parametrize("command", ["maxmin"])
 @pytest.mark.parametrize("samples", ["0", "-3", "1.5"])
 def test_samples_must_be_positive(h3_path, capsys, command, samples):
     with pytest.raises(SystemExit) as exc:
         main([command, h3_path, "--samples", samples, "--json"])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+def test_classify_takes_no_samples(h3_path, capsys):
+    """classify draws nothing, so it has no --samples; it keeps --seed,
+    which every subcommand takes and echoes."""
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", h3_path, "--samples", "5", "--json"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    code, out, _ = run(capsys, "classify", h3_path, "--seed", "105", "--json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["seed"] == 105 and "samples" not in config
 
 
 # (catalog key, parameters, seed): one random metric of each run has

@@ -25,6 +25,7 @@ from nilcurv import (
     deformed_ricci,
     extremal_T,
     lemma5_candidates,
+    list_catalog,
     lemma5a_deformation,
     projective_distance,
     ricci_operator,
@@ -146,15 +147,36 @@ def test_candidate_two_step_h3():
 
 def test_candidate_two_step_irrational_unit_in_derived_algebra():
     """e = (0, 0, 1, 3)/sqrt(10) spans g' of [X, Y] = Z1 + 3 Z2, and
-    T = 2 <e, [X, Y]> [X, Y] = 20 e; a unit vector off g' is rejected."""
+    T = 2 <e, [X, Y]> [X, Y] = 20 e with top eigenvalue
+    <e, [X, Y]>^2 = 10; a unit vector off g' is rejected."""
     alg = NilpotentAlgebra(4, {(0, 1): {2: 1, 3: 3}})
     e = np.array([0.0, 0.0, 1.0, 3.0]) / np.sqrt(10.0)
     cand = two_step_deformation(alg, Metric.identity(4), e)[1]
     assert np.abs(cand.T - 20.0 * e).max() < 1e-12
-    assert abs(cand.lambda_extreme - 20.0) < 1e-12
+    assert abs(cand.lambda_extreme - 10.0) < 1e-12
     off = np.array([0.0, 0.0, 3.0, -1.0]) / np.sqrt(10.0)
     with pytest.raises(CandidateError, match="derived algebra"):
         two_step_deformation(alg, Metric.identity(4), off)
+
+
+def test_two_step_eigenvalue_is_the_scaled_limit_top():
+    """On every two-step catalog algebra and random metrics, the two-step
+    candidate reports the top eigenvalue that extremal_T reads off the
+    scaled limit of its own deformation."""
+    rng = np.random.default_rng(3)
+    for entry in list_catalog("two-step"):
+        alg = entry.build()
+        if alg.is_abelian():
+            continue
+        gp = np.array(alg.derived_algebra().basis, float)
+        for _ in range(5):
+            metric = Metric.random(alg.n, rng)
+            e = rng.uniform(-1.0, 1.0, gp.shape[0]) @ gp
+            spec, cand = two_step_deformation(
+                alg, metric, e / np.sqrt(metric.norm2(e)))
+            top = extremal_T(scaled_ricci_limit(spec, alg), alg)
+            assert abs(cand.lambda_extreme - top.lambda_extreme) \
+                <= 1e-9 * top.lambda_extreme, entry.key
 
 
 def test_lemma5a_filiform4():
@@ -231,6 +253,15 @@ def test_projective_distance_properties():
                    - projective_distance(v, u)) < 1e-12
     with pytest.raises(ValueError):
         projective_distance(np.zeros(3), np.ones(3))
+
+
+def test_projective_distance_of_nearly_parallel_lines():
+    """u and u + 1e-12 w with w a unit vector orthogonal to u are about
+    1e-12 apart: sqrt(1 - cos^2) gives 0 or a multiple of sqrt(eps)."""
+    u = np.array([0.6, 0.8, 0.0])
+    for w in (np.array([-0.8, 0.6, 0.0]), np.array([0.0, 0.0, 1.0])):
+        d = projective_distance(u, u + 1e-12 * w)
+        assert abs(d - 1e-12) < 1e-15
 
 
 def test_convergence_rejects_non_simple():

@@ -395,11 +395,9 @@ def test_checker_flags_calls_and_sampling_parameters():
 
 
 def test_rank_conditions_are_not_sampled():
-    """rk5, rk7 and dim L are read at fixed seeded points, so no rank
-    function takes `samples` or `seed`: they feed only the cocycle X,
-    the one caller of `_random_rational_vector`."""
+    """rk5, rk7, dim L and the cocycle class are read at fixed seeded
+    points, so no function of the module takes `samples` or `seed`, and
+    only `_grid_points` makes a generator."""
     source = (SRC / "classification.py").read_text()
-    assert sorted(sampling_functions(source)) == [
-        "classify", "cocycle_class_certificate", "lemma7_classify"]
-    assert call_sites(source, "_random_rational_vector") == [
-        "cocycle_class_certificate"]
+    assert sampling_functions(source) == []
+    assert call_sites(source, "default_rng") == ["_grid_points"]

@@ -207,13 +207,19 @@ def test_maxmin_two_step(h3_path, capsys):
     assert data["candidates_in_expected_subspace"] == len(data["candidates"])
 
 
-@pytest.mark.parametrize("command", ["maxmin"])
+@pytest.mark.parametrize("command", ["classify", "maxmin"])
 @pytest.mark.parametrize("samples", ["0", "-3", "1.5"])
 def test_samples_must_be_positive(h3_path, capsys, command, samples):
+    """maxmin refuses a sample count that is not a positive integer;
+    classify draws nothing, so it refuses --samples of any value."""
     with pytest.raises(SystemExit) as exc:
         main([command, h3_path, "--samples", samples, "--json"])
     assert exc.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command == "classify":
+        assert "unrecognized arguments: --samples" in err
+    else:
+        assert "positive integer" in err
 
 
 def test_classify_takes_no_samples(h3_path, capsys):

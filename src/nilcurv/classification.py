@@ -327,11 +327,14 @@ def derivation_dimension(a: NilpotentAlgebra) -> int:
             cij = a.basis_bracket(i, j)
             for m in range(n):
                 row = [Fraction(0)] * (n * n)
+
+                def idx(r, c):
+                    return r * n + c
                 for k in range(n):
-                    row[m * n + k] += cij[k]
+                    row[idx(m, k)] += cij[k]
                 for p in range(n):
-                    row[p * n + i] -= a.basis_bracket(p, j)[m]
-                    row[p * n + j] -= a.basis_bracket(i, p)[m]
+                    row[idx(p, i)] -= a.basis_bracket(p, j)[m]
+                    row[idx(p, j)] -= a.basis_bracket(i, p)[m]
                 if any(v != 0 for v in row):
                     rows.append(row)
     return n * n - (rank(rows) if rows else 0)
@@ -435,12 +438,13 @@ def cocycle_class_certificate(a: NilpotentAlgebra) -> dict | None:
     With L_X(Y) = omega(X, [X,Y]_h) and M_X the matrix of the quadratic
     form Q_X(Y) = omega(Y, [X,Y]_h), the bordered matrix
     B(X) = [[M_X, L_X], [L_X^T, 0]] has rank 2 + rank(M_X on ker L_X)
-    where L_X != 0. So if L is not identically zero, X qualifies iff
-    L_X != 0 and rank B(X) >= 3, a Zariski-open condition: it holds for
-    almost all X iff the generic rank of B over Q(X) reaches 3. If L is
-    identically zero, the threshold is 1. `_minor_rank` decides when no
-    seeded point of the first `_GRID_POINTS` qualifies; the qualifying
-    seeded point is returned as `x`.
+    where L_X != 0. So X qualifies iff L_X != 0 and rank B(X) >= 3, a
+    Zariski-open condition: it holds for almost all X iff L is not
+    identically zero and the generic rank of B over Q(X) reaches 3, which
+    `_minor_rank` decides. Then the first seeded point that qualifies is
+    returned as `x`. (L identically zero means ad_X^2 = 0 for all X, as h
+    is two-step and c central, and then Q_X(Y), the c-component of
+    -ad_Y^2 X, vanishes too.)
     """
     series = a.lower_central_series()
     if len(series) < 3 or series[2].dim != 1:
@@ -491,18 +495,14 @@ def cocycle_class_certificate(a: NilpotentAlgebra) -> dict | None:
                 for p in range(m)] + [lin + [{}]]
 
     generic = bordered([{16 ** i: 1} for i in range(m)])
-    need = 3 if any(generic[-1]) else 1
+    if not any(generic[-1]) or _minor_rank(generic, 3) < 3:
+        return None
 
     def qualifies(x) -> bool:
         b = bordered([{0: int(v)} if v else {} for v in x])  # integer x
-        return (need == 1 or any(b[-1])) and _minor_rank(b, need) == need
+        return any(b[-1]) and _minor_rank(b, 3) == 3
 
-    points = (pt[0] for pt in _grid_points(1, m))
-    x = next(filter(qualifies, itertools.islice(points, _GRID_POINTS)), None)
-    if x is None:
-        if _minor_rank(generic, need) < need:
-            return None
-        x = next(filter(qualifies, points))
+    x = next(filter(qualifies, (pt[0] for pt in _grid_points(1, m))))
     return {"c": c, "quotient": quotient, "omega": omega, "x": x}
 
 

@@ -453,22 +453,6 @@ def test_cocycle_verdict_is_basis_independent(seed):
         assert_cocycle_witness(b, cert_b)
 
 
-def test_cocycle_verdict_decided_by_minors_alone(monkeypatch):
-    """With no seeded points tried first, the bordered-minor walk alone
-    gives the verdict, and the points drawn after it a witness."""
-    algebras = [_class_b_algebra()] + [build(k, **kw)
-                                       for k, kw in LEMMA7_CATALOG]
-    expected = {a.name: cocycle_class_certificate(a) is None
-                for a in algebras}
-    assert list(expected.values()).count(False) == 1   # class-B only
-    monkeypatch.setattr(classification, "_GRID_POINTS", 0)
-    for a in algebras:
-        cert = cocycle_class_certificate(a)
-        assert (cert is None) == expected[a.name], a.name
-        if cert is not None:
-            assert_cocycle_witness(a, cert)
-
-
 def test_rational_roots_of_binary_forms():
     """Roots (y1 : y2) of b11 y1^2 + 2 b12 y1 y2 + b22 y2^2: none for a
     negative or non-square discriminant."""

@@ -619,11 +619,18 @@ BASIS_RANK_TOL = 1e-9
 def complete_basis(vectors) -> list[np.ndarray]:
     """Standard basis vectors that complete independent `vectors` to a
     basis: e_0, ..., e_{n-1} in order, each kept when it raises the
-    numerical rank (singular values above BASIS_RANK_TOL)."""
+    numerical rank (singular values above BASIS_RANK_TOL).
+
+    The scan stops once it holds n vectors: n columns of length n have
+    rank at most n, so no later e_i could be kept. Dependent `vectors`
+    keep the rank below the column count, so no e_i is ever kept and the
+    result is [] either way."""
     have = [np.asarray(v, float) for v in vectors]
     n = len(have[0])
     out: list[np.ndarray] = []
     for e in np.eye(n):
+        if len(have) + len(out) == n:
+            break
         if np.linalg.matrix_rank(np.column_stack(have + out + [e]),
                                  tol=BASIS_RANK_TOL) > len(have) + len(out):
             out.append(e)

@@ -11,6 +11,7 @@ the candidate set spans the whole algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -26,6 +27,13 @@ from .deformation import (
 )
 
 FRAME_KEYS = ("L5_lemma7a", "L6_1", "L6_2", "L6_3")
+
+
+@cache
+def _frame_algebra(key: str) -> NilpotentAlgebra:
+    """The catalog algebra of one of FRAME_KEYS, built once per process;
+    no frame mutates it."""
+    return build(key)
 
 
 @dataclass
@@ -64,7 +72,7 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
     a1, a2, a3 = (float(a) for a in alphas)
     if min(abs(a1), abs(a2), abs(a3)) < 1e-12:
         raise CandidateError("alphas must be nonzero")
-    algebra = build(key)
+    algebra = _frame_algebra(key)
     n = algebra.n
     ident = np.eye(n)
     if key == "L5_lemma7a":

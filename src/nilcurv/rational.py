@@ -35,34 +35,38 @@ def as_matrix(rows: Iterable[Sequence]) -> Matrix:
 
 
 def rref(rows: Iterable[Sequence]) -> Matrix:
-    """Reduced row echelon form; zero rows dropped, pivots normalized to 1."""
-    m = as_matrix(rows)
-    if not m:
-        return []
-    ncols = len(m[0])
-    out: Matrix = []
-    pivot_row = 0
-    for col in range(ncols):
-        pick = None
-        for r in range(pivot_row, len(m)):
-            if m[r][col] != 0:
-                pick = r
-                break
-        if pick is None:
+    """Reduced row echelon form; zero rows dropped, pivots normalized to 1.
+
+    Built row by row: each row read is reduced by the basis so far (kept
+    fully reduced, keyed by pivot column) and, if nonzero, becomes a new
+    pivot row that is cleared from the others. The RREF of a matrix is
+    unique, so this gives the same rows as a column sweep. Rows are read
+    lazily, and reading stops once every column has a pivot: the RREF is
+    then the identity, whatever rows remain.
+    """
+    basis: dict[int, Row] = {}
+    ncols = None
+    for raw in rows:
+        row = [as_fraction(x) for x in raw]
+        if ncols is None:
+            ncols = len(row)
+        for p, b in basis.items():
+            f = row[p]
+            if f:
+                row = [a - f * v if v else a for a, v in zip(row, b)]
+        piv = next((j for j, x in enumerate(row) if x), None)
+        if piv is None:
             continue
-        m[pivot_row], m[pick] = m[pick], m[pivot_row]
-        pv = m[pivot_row][col]
-        m[pivot_row] = [x / pv for x in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(m):
+        pv = row[piv]
+        row = [x / pv for x in row]
+        for p, b in basis.items():
+            f = b[piv]
+            if f:
+                basis[p] = [a - f * v if v else a for a, v in zip(b, row)]
+        basis[piv] = row
+        if len(basis) == ncols:
             break
-    for row in m[:pivot_row]:
-        out.append(row)
-    return out
+    return [basis[p] for p in sorted(basis)]
 
 
 def rank(rows: Iterable[Sequence]) -> int:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -330,17 +331,17 @@ class SignWitness:
                                frame=self.frame)
 
 
-def _scaled_ric_of_frame_vector(algebra: NilpotentAlgebra,
-                                metric: Metric, frame: np.ndarray,
-                                lambdas: np.ndarray, t: float,
-                                idx: int) -> tuple[float, float]:
-    """(exp(-d t) Ric_t(e_idx, e_idx), d) with d the dominant exponent.
+def _scaled_ric_ladder(algebra: NilpotentAlgebra, metric: Metric,
+                       frame: np.ndarray, lambdas: np.ndarray, idx: int
+                       ) -> Callable[[float], tuple[float, float]]:
+    """t -> (exp(-d t) Ric_t(e_idx, e_idx), d) with d the dominant exponent.
 
     Ric_t(e_idx, e_idx) is exp(lambda_idx t) times the [idx, idx] entry
     of deformed_ricci_frame, which only involves the triples touching idx.
     Those get the weights exp((lambda_k - lambda_i - lambda_j + lambda_idx
     - d) t) <= 1, the others (and numerical-noise constants) weight 0, so
-    the value stays finite for large t.
+    the value stays finite for large t. The frame tensor, the exponents
+    and d do not depend on t and are computed once, here.
     """
     c = frame_structure(algebra, metric, frame)
     lam = lambdas
@@ -350,10 +351,19 @@ def _scaled_ric_of_frame_vector(algebra: NilpotentAlgebra,
     touch[idx], touch[:, idx], touch[:, :, idx] = True, True, True
     live = touch & (np.abs(c) > 1e-12 * (np.abs(c).max() + 1.0))
     if not live.any():
-        return 0.0, 0.0
+        return lambda t: (0.0, 0.0)
     d = float(expo[live].max())
-    weights = np.exp(np.where(live, expo - d, -np.inf) * t)
-    return float(ricci_frame(c, weights)[idx, idx]), d
+    shifted = np.where(live, expo - d, -np.inf)
+    return lambda t: (float(ricci_frame(c, np.exp(shifted * t))[idx, idx]),
+                      d)
+
+
+def _scaled_ric_of_frame_vector(algebra: NilpotentAlgebra,
+                                metric: Metric, frame: np.ndarray,
+                                lambdas: np.ndarray, t: float,
+                                idx: int) -> tuple[float, float]:
+    """The one-t case of `_scaled_ric_ladder`."""
+    return _scaled_ric_ladder(algebra, metric, frame, lambdas, idx)(t)
 
 
 def _independent_pair_for(algebra: NilpotentAlgebra, zv) -> tuple:
@@ -425,9 +435,9 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z) -> SignWitness:
                           [1.0, 0.0]])
     assert lam.shape == (n,)
     target = 0.5 * alpha * alpha
+    scaled_ric = _scaled_ric_ladder(algebra, metric, basis, lam, 0)
     for t in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]:
-        val, d = _scaled_ric_of_frame_vector(algebra, metric, basis, lam,
-                                             t, 0)
+        val, d = scaled_ric(t)
         if val > RIC_POSITIVE_MIN and abs(val - target) <= 0.05 * target:
             with np.errstate(over="ignore"):
                 full = val * np.exp(d * t)
@@ -463,9 +473,9 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x) -> SignWitness:
     lam = np.zeros(n)
     lam[1] = 1.0
     lam[-1] = -1.0
+    scaled_ric = _scaled_ric_ladder(algebra, metric, basis, lam, 0)
     for t in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
-        val, d = _scaled_ric_of_frame_vector(algebra, metric, basis, lam,
-                                             t, 0)
+        val, d = scaled_ric(t)
         if val < 0:
             with np.errstate(over="ignore"):
                 full = val * np.exp(d * t)

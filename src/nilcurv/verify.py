@@ -545,16 +545,15 @@ def check_coverage(seed: int = 0) -> dict:
             s = [0.0] * shift_len
             s[i] = 1.0
             shifts.append(tuple(s))
-        rows = []
-        for alphas in itertools.product(alpha_grid, repeat=3):
-            for shift in shifts:
-                frame = normal_form_frame(key, alphas, shift)
-                t_vec = frame.candidate().T
-                rows.append([Fraction(x).limit_denominator(10 ** 6)
-                             for x in t_vec])
+        t_vecs = [normal_form_frame(key, alphas, shift).candidate().T
+                  for alphas in itertools.product(alpha_grid, repeat=3)
+                  for shift in shifts]
         n = build(key).n
-        rk = rank(rows)
-        details[key] = {"candidates": len(rows), "span_rank": rk}
+        # rank reads rows only until the span is full, so only those rows
+        # are rationalized
+        rk = rank([Fraction(x).limit_denominator(10 ** 6) for x in t_vec]
+                  for t_vec in t_vecs)
+        details[key] = {"candidates": len(t_vecs), "span_rank": rk}
         if rk != n:
             failures.append({"case": key, "span_rank": rk, "expected": n})
     return _result("coverage", not failures, t0,

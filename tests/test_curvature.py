@@ -39,6 +39,54 @@ def test_metric_validation():
         Metric(np.ones((2, 3)))
 
 
+def _symmetric_by_allclose(g):
+    """The symmetry test of Metric before its exact fast path."""
+    return np.allclose(g, g.T, atol=1e-12 * (1 + np.abs(g).max()))
+
+
+def _passes_symmetry_test(g):
+    try:
+        Metric(g)
+    except MetricError as err:
+        return "symmetric" not in str(err)
+    return True
+
+
+def test_metric_symmetry_test_matches_allclose():
+    rng = np.random.default_rng(16)
+    cases = []
+    for n in (1, 2, 4, 6):
+        for _ in range(5):
+            g = Metric.random(n, rng).gram
+            cases.append(g)                        # exactly symmetric
+            cases.append(-g)                       # symmetric, not PD
+            for rel in (1e-9, 1e-6, 1e-4, 1e-2):   # rtol of allclose: 1e-5
+                p = g.copy()
+                i, j = rng.integers(0, n, size=2)
+                p[i, j] += rel * (np.abs(g).max() + 1.0)
+                cases.append(p)
+            for bad in (np.nan, np.inf, -np.inf):
+                p = g.copy()
+                i, j = rng.integers(0, n, size=2)
+                p[i, j] = bad
+                cases.append(p.copy())             # one entry
+                p[j, i] = bad
+                cases.append(p)                    # a symmetric pair
+    verdicts = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for g in cases:
+            want = _symmetric_by_allclose(g)
+            assert _passes_symmetry_test(g) == want, g
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    # an empty gram has no max: both raise
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError):
+        _symmetric_by_allclose(empty)
+    with pytest.raises(ValueError):
+        Metric(empty)
+
+
 def test_frame_orthonormal():
     rng = np.random.default_rng(1)
     for _ in range(5):

@@ -37,6 +37,8 @@ from nilcurv import (
 )
 from nilcurv import deformation
 from nilcurv.deformation import (
+    BASIS_RANK_TOL,
+    complete_basis,
     deformed_ricci_frame,
     orthonormal_tol,
     sphere_grid,
@@ -415,6 +417,35 @@ def test_worst_gap_on_the_coverage_grids(monkeypatch):
         for rows in (deformation._GAP_ROWS, 1, 7):
             monkeypatch.setattr(deformation, "_GAP_ROWS", rows)
             assert worst_gap(grid, cands) == expected
+
+
+def _complete_basis_full_scan(vectors):
+    """complete_basis without its stop at n vectors: every e_i is tried."""
+    have = [np.asarray(v, float) for v in vectors]
+    out = []
+    for e in np.eye(len(have[0])):
+        if np.linalg.matrix_rank(np.column_stack(have + out + [e]),
+                                 tol=BASIS_RANK_TOL) > len(have) + len(out):
+            out.append(e)
+    return out
+
+
+def test_complete_basis_matches_full_scan():
+    rng = np.random.default_rng(16)
+    cases = []
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            cases.append(list(rng.normal(size=(k, n))))           # generic
+            cases.append(list(np.eye(n)[rng.permutation(n)[:k]]))  # axes
+        v = rng.normal(size=n)
+        cases.append([v, 2.0 * v])                                 # dependent
+        cases.append([v, np.zeros(n)])
+        cases.append(list(rng.normal(size=(n + 1, n))))            # too many
+    for vectors in cases:
+        got = complete_basis(vectors)
+        want = _complete_basis_full_scan(vectors)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_worst_gap_rejects_zero_rows_and_empty_candidates():

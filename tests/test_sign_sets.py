@@ -25,10 +25,11 @@ from nilcurv import (
     sectional_K,
 )
 from nilcurv import sign_sets
-from nilcurv.curvature import ricci_form_matrix
+from nilcurv.curvature import frame_structure, ricci_form_matrix, ricci_frame
 from nilcurv.rational import nullspace, rank, solve
 from nilcurv.sign_sets import (
     PreconditionError,
+    _scaled_ric_ladder,
     _scaled_ric_of_frame_vector,
     plane_labels,
 )
@@ -252,6 +253,47 @@ def test_scaled_ric_matches_deformed_metric():
                 want = np.exp(-d * t) * float(e @ r @ e)
                 assert abs(val - want) < 1e-9 * (1.0 + abs(want)), \
                     (a.name, t, idx)
+
+
+def _scaled_ric_per_t(algebra, metric, frame, lam, t, idx):
+    """The scaled Ricci value with every step redone at one t."""
+    c = frame_structure(algebra, metric, frame)
+    expo = lam[None, None, :] - lam[:, None, None] - lam[None, :, None] \
+        + lam[idx]
+    touch = np.zeros(c.shape, dtype=bool)
+    touch[idx], touch[:, idx], touch[:, :, idx] = True, True, True
+    live = touch & (np.abs(c) > 1e-12 * (np.abs(c).max() + 1.0))
+    if not live.any():
+        return 0.0, 0.0
+    d = float(expo[live].max())
+    weights = np.exp(np.where(live, expo - d, -np.inf) * t)
+    return float(ricci_frame(c, weights)[idx, idx]), d
+
+
+def test_scaled_ric_ladder_is_bitwise_the_per_t_value():
+    """At every t of both witness ladders, with the exponent patterns of
+    both witness searches and a random one, on every non-abelian catalog
+    algebra."""
+    rng = np.random.default_rng(16)
+    ts = [2.0 ** k for k in range(8)]       # 1 .. 128
+    for entry in list_catalog():
+        a = entry.build()
+        if a.is_abelian():
+            continue
+        n = a.n
+        metric = Metric.random(n, rng)
+        positive = np.concatenate([[float(n)],
+                                   np.arange(n - 2, 1, -1, dtype=float),
+                                   [1.0, 0.0]])
+        negative = np.zeros(n)
+        negative[1], negative[-1] = 1.0, -1.0
+        for lam in (positive, negative, rng.uniform(-1.0, 1.0, size=n)):
+            for idx in range(n):
+                ladder = _scaled_ric_ladder(a, metric, metric.frame, lam, idx)
+                for t in ts:
+                    want = _scaled_ric_per_t(a, metric, metric.frame, lam, t,
+                                             idx)
+                    assert ladder(t) == want, (a.name, lam, idx, t)
 
 
 def test_knonneg_value():

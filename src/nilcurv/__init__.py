@@ -12,12 +12,10 @@ from .curvature import (
     Metric,
     MetricError,
     RicciReport,
-    ricci_form,
     ricci_frame,
     ricci_operator,
     sectional_K,
     sectional_kappa,
-    u_operator,
 )
 from .classification import (
     ClassificationError,
@@ -44,11 +42,9 @@ from .deformation import (
     OverflowGuardError,
     ScaledRicciLimit,
     candidate_e1u2,
-    candidate_min_u1,
     candidate_T1_T2,
     complement_frame,
     convergence_check,
-    deformed_metric,
     deformed_ricci,
     deformed_ricci_frame,
     extremal_T,
@@ -71,7 +67,6 @@ from .sign_sets import (
     find_negative_K_witness,
     find_negative_ric_witness,
     find_positive_ric_witness,
-    knonneg_value,
     secdef_coefficients,
 )
 from .verify import run_suite
@@ -80,13 +75,12 @@ __all__ = [
     "NilpotentAlgebra", "Subspace", "ValidationReport",
     "CatalogEntry", "build", "list_catalog",
     "Metric", "MetricError", "RicciReport",
-    "ricci_form", "ricci_frame", "ricci_operator", "sectional_K",
-    "sectional_kappa", "u_operator",
+    "ricci_frame", "ricci_operator", "sectional_K", "sectional_kappa",
     "CandidateError", "ConvergenceTrace", "DeformationSpec",
     "ExtremalCandidate", "OverflowGuardError", "ScaledRicciLimit",
-    "candidate_e1u2", "candidate_min_u1", "candidate_T1_T2",
-    "complement_frame", "convergence_check", "deformed_metric",
-    "deformed_ricci", "deformed_ricci_frame", "extremal_T",
+    "candidate_e1u2", "candidate_T1_T2", "complement_frame",
+    "convergence_check", "deformed_ricci", "deformed_ricci_frame",
+    "extremal_T",
     "lemma5_candidates", "lemma5a_deformation", "projective_distance",
     "scaled_ricci_limit", "spec_for_pattern", "two_step_deformation",
     "worst_gap",
@@ -96,7 +90,7 @@ __all__ = [
     "PreconditionError", "SignWitness", "WitnessSearchError",
     "classify_plane", "classify_ric_vector", "find_negative_K_witness",
     "find_negative_ric_witness", "find_positive_ric_witness",
-    "knonneg_value", "secdef_coefficients",
+    "secdef_coefficients",
     "ClassificationError", "StructureVerdict", "check_rk5", "check_rk7",
     "classify", "cocycle_class_certificate", "derivation_class_certificate",
     "derivation_dimension", "invariant_tuple", "lemma6_classify",

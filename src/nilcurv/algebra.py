@@ -298,22 +298,6 @@ class NilpotentAlgebra:
         vs.append(self.bracket(x1, x3))
         return Subspace(vs, self.n)
 
-    def is_ideal(self, s: Subspace) -> bool:
-        for i in range(self.n):
-            ei = basis_vector(self.n, i)
-            for v in s.basis:
-                if not s.contains(self.bracket(ei, v)):
-                    return False
-        return True
-
-    def is_abelian_subspace(self, s: Subspace) -> bool:
-        bs = s.basis
-        for a in range(len(bs)):
-            for b in range(a + 1, len(bs)):
-                if any(x != 0 for x in self.bracket(bs[a], bs[b])):
-                    return False
-        return True
-
     def find_codim1_abelian_ideal(self) -> Subspace | None:
         """A codimension-one abelian ideal, decided by one exact linear solve.
 

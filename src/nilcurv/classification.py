@@ -4,13 +4,14 @@ subalgebra shapes.
 
 All verdicts are decided over exact rational arithmetic. The rank
 conditions rk5 and rk7 (Lemma 7) and the largest bracket closure dim L
-(Lemma 6) are generic ranks of bracket words in k vectors. One routine
-bounds them: below by the exact rank at seeded integer tuples, each a
-witness, and above, when GL(k) keeps the span of the words, by bordered
-minors expanded as sparse integer polynomials. The cocycle class is a
-generic rank too, of a bordered matrix of quadratic forms. So rk5, dim L
-and the cocycle class are exact; only a negative rk7 verdict is
-budget-qualified. Only the standard library and numpy are imported.
+(Lemma 6) are generic ranks of bracket words in k vectors. rk5 and dim L
+are decided by a bordered-minor walk on polynomials alone; the first
+seeded integer tuple that reaches the rank is only its witness. The
+cocycle class is decided the same way, on a bordered matrix of
+quadratic forms. rk7 is searched at a few seeded points: the walk's
+normalization does not keep its words, so a negative rk7 verdict is the
+one that is budget-qualified. Only the standard library and numpy are
+imported.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _eval_words(bracket, xs: list, words) -> list:
     return list(xs) + [value(w) for w in words]
 
 
-# seeded points tried before a minor walk; more are drawn if it succeeds
+# seeded points at which check_rk7 looks for a rank-7 triple
 _GRID_POINTS = 4
 
 
@@ -71,26 +72,11 @@ def _grid_points(k: int, n: int):
                for row in rng.integers(-r, r + 1, size=(k, n))]
 
 
-def _grid_rank(a: NilpotentAlgebra, k: int, words) -> tuple[int, list | None]:
-    """(rank, tuple): the largest exact rank of the k vectors and their
-    words over the first `_GRID_POINTS` seeded points, stopping at the
-    cap, and the first point that reaches it. A lower bound on the generic
-    rank, and a witness anyone can re-check."""
-    cap = min(k + len(words), a.n)
-    best, wit = 0, None
-    for xs in itertools.islice(_grid_points(k, a.n), _GRID_POINTS):
-        r = rank(_eval_words(a.bracket, xs, words))
-        if r > best:
-            best, wit = r, xs
-        if best == cap:
-            break
-    return best, wit
-
-
 def _generic_rank(a: NilpotentAlgebra, k: int,
-                  words) -> tuple[int, list | None]:
+                  words) -> tuple[int, list]:
     """(rank, tuple): the exact generic rank of the k vectors and their
-    words, and a seeded integer tuple that reaches it.
+    words, and the first seeded integer tuple of `_grid_points` that
+    reaches it, a witness anyone can re-check.
 
     Valid only when GL(k), acting on the tuple, keeps the span of the
     vectors and words: it does for dim L (the brackets move by Lambda^2 of
@@ -99,23 +85,15 @@ def _generic_rank(a: NilpotentAlgebra, k: int,
     [X1, X12]). The generic rank is then reached where the first k
     coordinates form an invertible block, so at X_s = e_s +
     sum_{i>=k} y_(s,i) e_i, where it is k + rank S over Q(y)
-    (`_schur_complement`).
-
-    Lower bound: `_grid_rank`. Upper bound, when that stays below the cap:
-    `_minor_rank` of S. If that ends above the grid rank, further seeded
-    points are drawn until one reaches it.
+    (`_schur_complement`), which `_minor_rank` decides. The seeded points
+    play no part in the rank.
     """
-    best, wit = _grid_rank(a, k, words)
     cap = min(k + len(words), a.n)
-    if best == cap:
-        return best, wit
-    # n <= k vectors span g
-    generic = min(cap, k + _minor_rank(_schur_complement(a, k, words),
-                                       cap - k))
-    if generic > best:
-        wit = next(xs for xs in itertools.islice(
-            _grid_points(k, a.n), _GRID_POINTS, None)
-            if rank(_eval_words(a.bracket, xs, words)) == generic)
+    # k >= n vectors span g at a generic point
+    generic = (cap if cap <= k else
+               k + _minor_rank(_schur_complement(a, k, words), cap - k))
+    wit = next(xs for xs in _grid_points(k, a.n)
+               if rank(_eval_words(a.bracket, xs, words)) == generic)
     return generic, wit
 
 
@@ -223,12 +201,14 @@ def check_rk5(a: NilpotentAlgebra) -> tuple[bool, list | None]:
 
 def check_rk7(a: NilpotentAlgebra) -> tuple[bool, list | None]:
     """Existence of a triple with
-    rank(X1, X2, X3, X12, X13, X23, X312) = 7, searched at the seeded
-    points of `_grid_rank`. GL(3) does not keep the span of these words,
-    so there is no upper bound: a False verdict means "not found within
-    budget"."""
-    r, wit = _grid_rank(a, 3, _RK7_WORDS)
-    return (True, wit) if r == 7 else (False, None)
+    rank(X1, X2, X3, X12, X13, X23, X312) = 7, searched at the first
+    `_GRID_POINTS` seeded points of `_grid_points`. GL(3) does not keep
+    the span of these words, so `_generic_rank` does not apply: a False
+    verdict means "not found within budget"."""
+    for xs in itertools.islice(_grid_points(3, a.n), _GRID_POINTS):
+        if rank(_eval_words(a.bracket, xs, _RK7_WORDS)) == 7:
+            return True, xs
+    return False, None
 
 
 def max_dimL_exact(a: NilpotentAlgebra) -> int:

@@ -247,7 +247,10 @@ def cmd_deform(args) -> int:
         gram, lambdas = load_deformation(args.spec, a.n)
     except FileNotFoundError:
         raise InputError(f"no such file: {args.spec}")
-    spec = DeformationSpec(base=Metric(gram), lambdas=lambdas)
+    try:
+        spec = DeformationSpec(base=Metric(gram), lambdas=lambdas)
+    except ValueError as exc:   # MetricError, or a check of DeformationSpec
+        raise InputError(f"spec {args.spec}: {exc}")
     limit = scaled_ricci_limit(spec, a)
     report = {"config": _config(args, algebra=args.algebra, spec=args.spec,
                                 t=args.t),

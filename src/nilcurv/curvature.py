@@ -1,7 +1,8 @@
-"""Curvature of a left-invariant metric: U-operator, sectional curvature,
-Ricci form, Ricci operator and its spectrum.
+"""Curvature of a left-invariant metric: sectional curvature, the Ricci
+form, the Ricci operator and its spectrum.
 
-All numerics are float; rational cross-checks live in the test suite. The
+All numerics are float; rational cross-checks and the term-by-term
+U-operator reference live in the test suite. The
 orthonormal frame of a metric is fixed deterministically as the inverse
 transpose of the lower Cholesky factor of the Gram matrix.
 """
@@ -98,21 +99,6 @@ def frame_structure(algebra: NilpotentAlgebra, metric: Metric,
     return np.einsum("abk,kl,lc->abc", b, metric.gram, f)
 
 
-def u_operator(algebra: NilpotentAlgebra, metric: Metric, v, w) -> np.ndarray:
-    """U(v, w): <U(v,w), z> = (1/2)(<v,[z,w]> + <w,[z,v]>) for all z."""
-    v = np.asarray(v, float)
-    w = np.asarray(w, float)
-    if len(v) != algebra.n or len(w) != algebra.n:
-        raise ValueError("vector length must equal algebra dimension")
-    c = algebra.structure_tensor()
-    g = metric.gram
-    # f_m = (1/2)(<v, [e_m, w]> + <w, [e_m, v]>)
-    zw = np.einsum("mjk,j->mk", c, w)  # [e_m, w]
-    zv = np.einsum("mjk,j->mk", c, v)
-    f = 0.5 * (zw @ g @ v + zv @ g @ w)
-    return metric._inv @ f
-
-
 # planes per block in the batched sectional curvature; bounds its
 # temporary arrays
 _CHUNK = 4096
@@ -200,11 +186,6 @@ def ricci_form_matrix(algebra: NilpotentAlgebra, metric: Metric) -> np.ndarray:
     """Matrix R with Ric(X, Y) = X^T R Y in the original basis."""
     finv = np.linalg.inv(metric.frame)
     return finv.T @ ricci_frame(frame_structure(algebra, metric)) @ finv
-
-
-def ricci_form(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:
-    r = ricci_form_matrix(algebra, metric)
-    return float(np.asarray(x, float) @ r @ np.asarray(y, float))
 
 
 @dataclass

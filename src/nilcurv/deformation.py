@@ -83,7 +83,9 @@ def _check_t(spec: DeformationSpec, t: float) -> None:
 
 
 def deformed_metric(spec: DeformationSpec, t: float) -> Metric:
-    """Gram matrix of g_t in the original basis."""
+    """Gram matrix of g_t in the original basis: the direct reference
+    for `deformed_ricci` in the tests and in the curvature-sweep
+    benchmark check (perfbench/workloads.py)."""
     _check_t(spec, t)
     finv = np.linalg.inv(spec.frame)
     gram = finv.T @ np.diag(np.exp(spec.lambdas * t)) @ finv
@@ -242,9 +244,6 @@ class ExtremalCandidate:
                                   # two_step | generic_limit
     simple: bool
     kind: str = "max"             # max | min
-    xi: np.ndarray | None = None
-    eta: np.ndarray | None = None
-    rotated_frame: bool = False
 
     @property
     def is_zero(self) -> bool:
@@ -277,7 +276,6 @@ def extremal_T(limit: ScaledRicciLimit,
                                  construction="generic_limit", simple=False)
     n = limit.spec.n
     frame = limit.spec.frame
-    rotated = False
     js = limit.J
     e_plus = [frame[:, k] for k in range(p)]
     top = avecs[:, -1]
@@ -289,7 +287,6 @@ def extremal_T(limit: ScaledRicciLimit,
         o = avecs[:, order]
         js = [sum(o[l, k] * limit.J[l] for l in range(p)) for k in range(p)]
         e_plus = [frame[:, :p] @ o[:, k] for k in range(p)]
-        rotated = True
     sum_j2 = sum(j @ j for j in js)
     # Y = sum_{r,s} (J_1)_{rs} [e_{n-q+r}, e_{n-q+s}]
     y = np.zeros(n)
@@ -313,8 +310,7 @@ def extremal_T(limit: ScaledRicciLimit,
     eta = np.linalg.solve(resolvent, xi)
     t_vec = y + sum(eta[r] * low[r] for r in range(q))
     cand = ExtremalCandidate(T=t_vec, lambda_extreme=lam_max,
-                             construction="generic_limit", simple=True,
-                             xi=xi, eta=eta, rotated_frame=rotated)
+                             construction="generic_limit", simple=True)
     if not cand.is_zero:
         # eigen-equation check in frame coordinates
         tf = np.linalg.solve(frame, t_vec)
@@ -427,16 +423,6 @@ def _check_eu_preconditions(algebra, metric, e1, e2, u1, u2, u3):
     if abs(b) <= EU_PRECONDITION_TOL:
         raise CandidateError("precondition <e2,u13> != 0 violated")
     return e1, e2, u1, u2, u3, u12, a, b
-
-
-def candidate_min_u1(algebra: NilpotentAlgebra, metric: Metric,
-                     e1, e2, u1, u2, u3) -> ExtremalCandidate:
-    """Ricci-minimal candidate u1; min eigenvalue -a^2 - b^2 is always
-    simple since it lies strictly below both -a^2 and -b^2."""
-    _, _, u1, _, _, _, a, b = _check_eu_preconditions(
-        algebra, metric, e1, e2, u1, u2, u3)
-    return ExtremalCandidate(T=u1, lambda_extreme=-(a * a + b * b),
-                             construction="eumin", simple=True, kind="min")
 
 
 def candidate_T1_T2(algebra: NilpotentAlgebra, metric: Metric,
@@ -710,9 +696,7 @@ def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int
 @dataclass
 class ConvergenceTrace:
     rows: list[tuple[float, float, float]]  # (t, extreme eigenvalue, distance)
-    clustered_at: list[float]
     converged: bool
-    precision_limited_at: float | None = None
 
     def best_distance(self) -> float:
         return min(r[2] for r in self.rows)
@@ -727,39 +711,23 @@ def convergence_check(spec: DeformationSpec, algebra: NilpotentAlgebra,
     `converged` uses the best distance over the grid: once the eigenvector
     components across exponent blocks differ by more than the float
     precision (roughly exp(-spread * t) < machine epsilon), the recovered
-    direction degrades again; that onset is recorded rather than treated
-    as divergence.
+    direction degrades again, which is not divergence.
     """
     if not candidate.simple:
         raise CandidateError("candidate eigenvalue is not certified simple")
     if candidate.is_zero:
         raise CandidateError("candidate vector is zero")
-    spread = float(spec.lambdas.max() - spec.lambdas.min())
-    precision_limit = (np.inf if spread == 0.0
-                       else 2.0 * np.log(1e15) / spread)
-    limited_at = None
     rows = []
-    clustered = []
     for t in T_GRID:
-        if t > precision_limit and limited_at is None:
-            limited_at = float(t)
         try:
             report = deformed_ricci(spec, algebra, t)
         except OverflowGuardError:
             break
         if candidate.kind == "max":
-            vec = report.max_eigenvector
-            lam = report.eigenvalues[-1]
-            ok = report.max_simple
+            vec, lam = report.max_eigenvector, report.eigenvalues[-1]
         else:
-            vec = report.min_eigenvector
-            lam = report.eigenvalues[0]
-            ok = report.min_simple
-        if not ok:
-            clustered.append(t)
+            vec, lam = report.min_eigenvector, report.eigenvalues[0]
         rows.append((float(t), float(lam),
                      projective_distance(vec, candidate.T)))
     converged = bool(rows) and min(r[2] for r in rows) < target
-    return ConvergenceTrace(rows=rows, clustered_at=clustered,
-                            converged=converged,
-                            precision_limited_at=limited_at)
+    return ConvergenceTrace(rows=rows, converged=converged)

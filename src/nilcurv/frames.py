@@ -45,8 +45,6 @@ class NormalFormFrame:
     u_vectors: list[np.ndarray]     # u1, u2, u3
     expected_T: np.ndarray          # basis coordinates of the display value
     which: str                      # "T1" or "T2"
-    alphas: tuple[float, float, float]
-    shift: tuple[float, ...]
 
     def candidate(self) -> ExtremalCandidate:
         t1, t2 = candidate_T1_T2(self.algebra, self.metric,
@@ -91,7 +89,7 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
         metric = Metric.orthonormalizing(
             np.column_stack([e1, e2, u1, u2, u3]))
         return NormalFormFrame(key, algebra, metric, [e1, e2], [u1, u2, u3],
-                               expected, which, (a1, a2, a3), (b1, b2))
+                               expected, which)
     # six-dimensional forms: basis c, X, Y, Z, A1, A2
     c, x, y, z, aa1, aa2 = (ident[:, i] for i in range(6))
     s1, s2, s3 = (float(v) for v in (shift or (0.0, 0.0, 0.0)))
@@ -121,4 +119,4 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
     metric = Metric.orthonormalizing(
         np.column_stack([u1, u2, u3, e1, e2, u23]))
     return NormalFormFrame(key, algebra, metric, [e1, e2], [u1, u2, u3],
-                           expected, which, (a1, a2, a3), (s1, s2, s3))
+                           expected, which)

@@ -59,48 +59,55 @@ def algebra_from_dict(data: dict) -> NilpotentAlgebra:
     return NilpotentAlgebra(n, brackets, name=data.get("name", ""))
 
 
-def load_algebra(path: str | Path) -> NilpotentAlgebra:
+def _read_json(path: str | Path):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}")
-    return algebra_from_dict(data)
+
+
+def load_algebra(path: str | Path) -> NilpotentAlgebra:
+    return algebra_from_dict(_read_json(path))
 
 
 def save_algebra(a: NilpotentAlgebra, path: str | Path) -> None:
     Path(path).write_text(json.dumps(algebra_to_dict(a), indent=2) + "\n")
 
 
+def _float_array(value, key: str, shape: tuple) -> np.ndarray:
+    """value as a finite float array of the given shape; FormatError
+    otherwise."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"key '{key}' must be numeric: {exc}")
+    if out.shape != shape:
+        raise FormatError(f"key '{key}' must have shape {shape}, "
+                          f"got {out.shape}")
+    if not np.isfinite(out).all():
+        raise FormatError(f"key '{key}' must be finite")
+    return out
+
+
+def _gram_from_dict(data, n: int) -> np.ndarray:
+    """The n x n Gram matrix of a metric JSON object."""
+    if not isinstance(data, dict) or "gram" not in data:
+        raise FormatError("missing key 'gram'")
+    return _float_array(data["gram"], "gram", (n, n))
+
+
 def load_gram(path: str | Path | None, n: int) -> np.ndarray:
     if path is None:
         return np.eye(n)
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in {path}: {exc}")
-    if "gram" not in data:
-        raise FormatError("missing key 'gram'")
-    g = np.asarray(data["gram"], dtype=float)
-    if g.shape != (n, n):
-        raise FormatError(f"key 'gram' must be {n}x{n}, got {g.shape}")
-    return g
+    return _gram_from_dict(_read_json(path), n)
 
 
 def load_deformation(path: str | Path, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Returns (gram, lambdas)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in {path}: {exc}")
-    if "lambdas" not in data:
+    data = _read_json(path)
+    if not isinstance(data, dict) or "lambdas" not in data:
         raise FormatError("missing key 'lambdas'")
-    lambdas = np.asarray(data["lambdas"], dtype=float)
-    if lambdas.shape != (n,):
-        raise FormatError(f"key 'lambdas' must have length {n}")
-    if "metric" in data and data["metric"] is not None:
-        g = np.asarray(data["metric"]["gram"], dtype=float)
-        if g.shape != (n, n):
-            raise FormatError(f"metric gram must be {n}x{n}")
-    else:
-        g = np.eye(n)
-    return g, lambdas
+    lambdas = _float_array(data["lambdas"], "lambdas", (n,))
+    if data.get("metric") is None:
+        return np.eye(n), lambdas
+    return _gram_from_dict(data["metric"], n), lambdas

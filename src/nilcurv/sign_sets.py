@@ -298,16 +298,6 @@ def secdef_coefficients(algebra: NilpotentAlgebra, metric: Metric,
             "evaluate": evaluate}
 
 
-def knonneg_value(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:
-    """K on the RREF basis of a plane with metric-independent nonnegative
-    sectional curvature; there it equals
-    (1/4) sum_i (<X,[e_i,Y]> - <Y,[e_i,X]>)^2 over a g-orthonormal e_i."""
-    if "G_geq" not in classify_plane(algebra, x, y):
-        raise PreconditionError("plane is not in the nonnegative-sign set")
-    bx, by = np.array(Subspace([x, y], algebra.n).basis, dtype=float)
-    return sectional_K(algebra, metric, bx, by)
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -356,14 +346,6 @@ def _scaled_ric_ladder(algebra: NilpotentAlgebra, metric: Metric,
     shifted = np.where(live, expo - d, -np.inf)
     return lambda t: (float(ricci_frame(c, np.exp(shifted * t))[idx, idx]),
                       d)
-
-
-def _scaled_ric_of_frame_vector(algebra: NilpotentAlgebra,
-                                metric: Metric, frame: np.ndarray,
-                                lambdas: np.ndarray, t: float,
-                                idx: int) -> tuple[float, float]:
-    """The one-t case of `_scaled_ric_ladder`."""
-    return _scaled_ric_ladder(algebra, metric, frame, lambdas, idx)(t)
 
 
 def _independent_pair_for(algebra: NilpotentAlgebra, zv) -> tuple:

@@ -146,20 +146,6 @@ def test_max_dimL_exact_matches_sampled():
         assert rank(_dimL_rows(a, *v["witness"])) == exact, a.name
 
 
-def test_rk5_and_dimL_decided_by_minors_alone(monkeypatch):
-    """With no grid points the minor walk alone gives the rank, and the
-    points drawn after it give a witness that reaches it."""
-    expected = {a.name: (check_rk5(a)[0], max_dimL_exact(a))
-                for a in REFERENCE_ALGEBRAS}
-    monkeypatch.setattr(classification, "_GRID_POINTS", 0)
-    for a in REFERENCE_ALGEBRAS:
-        ok, wit = check_rk5(a)
-        v = lemma6_classify(a)
-        assert (ok, v["max_dimL"]) == expected[a.name], a.name
-        assert wit is None if not ok else rank(_rk5_rows(a, *wit)) == 5
-        assert rank(_dimL_rows(a, *v["witness"])) == v["max_dimL"]
-
-
 def _sympy_poly(p, gens):
     """A packed sparse polynomial as a sympy expression."""
     def monomial(m):
@@ -207,15 +193,22 @@ def test_minor_rank_on_known_ranks():
 
 
 def _rank_verdicts(a):
-    return (check_rk5(a)[0], check_rk7(a)[0], max_dimL_exact(a),
-            lemma6_classify(a)["class"])
+    """rk5, rk7, max dim L and the Lemma 6 class, each rank computed
+    once; the rk5 and dim L witnesses are re-checked exactly to reach
+    their ranks."""
+    ok, wit = check_rk5(a)
+    assert wit is None if not ok else rank(_rk5_rows(a, *wit)) == 5, a.name
+    v = lemma6_classify(a)
+    assert rank(_dimL_rows(a, *v["witness"])) == v["max_dimL"], a.name
+    return ok, check_rk7(a)[0], v["max_dimL"], v["class"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rank_verdicts_are_basis_independent(seed):
     """rk5, rk7, max dim L and the Lemma 6 class are the same in a
     unimodular basis as in the catalog basis, for every catalog algebra
-    with n <= 6."""
+    with n <= 6, and the rk5 and dim L witnesses in that basis reach
+    their ranks, re-checked exactly."""
     for e in list_catalog():
         a = e.build()
         if a.n <= 6:
@@ -251,16 +244,12 @@ def _max_dimL_sympy_reference(a):
 @pytest.mark.parametrize("entry", [e for e in list_catalog()
                                    if e.build().n <= 5],
                          ids=lambda e: e.label)
-def test_max_dimL_exact_matches_sympy_in_every_basis(entry, monkeypatch):
-    """The grid lower bound with the minor upper bound, and the minor
-    expansion alone, against the sympy oracle, in four bases."""
+def test_max_dimL_exact_matches_sympy_in_every_basis(entry):
+    """The minor walk against the sympy oracle, in four bases."""
     a = entry.build()
     ref = _max_dimL_sympy_reference(a)
     for b in [a] + [in_basis(a, unimodular(a.n, s)) for s in (1, 2, 3)]:
         assert max_dimL_exact(b) == ref
-        with monkeypatch.context() as m:
-            m.setattr(classification, "_GRID_POINTS", 0)
-            assert max_dimL_exact(b) == ref
 
 
 def test_max_dimL_exact_leaves_sympy_unloaded():

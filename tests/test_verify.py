@@ -14,11 +14,11 @@ from nilcurv import (
     curvature,
     list_catalog,
     sectional_K,
-    u_operator,
 )
 from nilcurv.rational import rank, rref
 from nilcurv.sign_sets import plane_labels
 from nilcurv.verify import _grid_planes, _meets_center
+from test_curvature import u_operator
 
 SMALL = [e.build() for e in list_catalog() if e.build().n <= 6]
 

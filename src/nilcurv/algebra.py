@@ -148,6 +148,7 @@ class NilpotentAlgebra:
         self._structure_float: np.ndarray | None = None
         self._center: Subspace | None = None
         self._derived: Subspace | None = None
+        self._word_basis: NilpotentAlgebra | None = None
 
     # -- bracket ---------------------------------------------------------
 
@@ -223,11 +224,9 @@ class NilpotentAlgebra:
                     if any(x != 0 for x in w):
                         gens.append(w)
             nxt = Subspace(gens, self.n)
-            if nxt.dim >= current.dim:
-                # not nilpotent: series stalled
-                series.append(nxt)
-                return series
             series.append(nxt)
+            if nxt.dim >= current.dim:   # not nilpotent: series stalled
+                return series
             current = nxt
         return series
 
@@ -249,6 +248,33 @@ class NilpotentAlgebra:
                 stacked.extend(self.ad(basis_vector(self.n, i)))
             self._center = Subspace(nullspace(stacked, self.n), self.n)
         return self._center
+
+    def word_basis(self) -> "NilpotentAlgebra":
+        """The algebra in a basis P of bracket words, sparse in any input
+        basis: the generators `derived_algebra().complement()`, layer by
+        layer each [generator, word] independent of the words so far, then
+        the complement of their span. Its brackets are P^-1 [P_i, P_j]."""
+        if self._word_basis is None:
+            n, gens = self.n, self.derived_algebra().complement()
+            words, span = list(gens), Subspace(gens, n)
+            for v in words:   # read while it grows, so layer by layer
+                for w in [self.bracket(g, v) for g in gens]:
+                    if not span.contains(w):
+                        words.append(w)
+                        span = Subspace(span.basis + [w], n)
+            words += span.complement()
+            # row k of inv is e_k in the coordinates of the words
+            inv = [row[n:] for row in rref(
+                [w + basis_vector(n, i) for i, w in enumerate(words)])]
+            brackets = {}
+            for i, j in itertools.combinations(range(n), 2):
+                w = self.bracket(words[i], words[j])
+                if any(w):
+                    brackets[(i, j)] = {c: sum(v * r[c] for v, r in zip(
+                        w, inv) if v) for c in range(n)}
+            self._word_basis = NilpotentAlgebra(n, brackets,
+                                                name=f"{self.name}|words")
+        return self._word_basis
 
 
     def is_two_step(self) -> bool:
@@ -288,15 +314,6 @@ class NilpotentAlgebra:
             nilpotency_class=cls,
             abelian=self.is_abelian(),
         )
-
-    def span_with_brackets(self, x1: VectorLike, x2: VectorLike,
-                           x3: VectorLike) -> Subspace:
-        """L(X1,X2,X3): the three vectors plus their pairwise brackets."""
-        vs = [exact_vector(x1), exact_vector(x2), exact_vector(x3)]
-        vs.append(self.bracket(x1, x2))
-        vs.append(self.bracket(x2, x3))
-        vs.append(self.bracket(x1, x3))
-        return Subspace(vs, self.n)
 
     def find_codim1_abelian_ideal(self) -> Subspace | None:
         """A codimension-one abelian ideal, decided by one exact linear solve.

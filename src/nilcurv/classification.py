@@ -4,14 +4,12 @@ subalgebra shapes.
 
 All verdicts are decided over exact rational arithmetic. The rank
 conditions rk5 and rk7 (Lemma 7) and the largest bracket closure dim L
-(Lemma 6) are generic ranks of bracket words in k vectors. rk5 and dim L
-are decided by a bordered-minor walk on polynomials alone; the first
-seeded integer tuple that reaches the rank is only its witness. The
-cocycle class is decided the same way, on a bordered matrix of
-quadratic forms. rk7 is searched at a few seeded points: the walk's
-normalization does not keep its words, so a negative rk7 verdict is the
-one that is budget-qualified. Only the standard library and numpy are
-imported.
+(Lemma 6) are generic ranks of bracket words in k vectors, decided by a
+bordered-minor walk on polynomials alone, in a bracket-word basis of the
+algebra; the first seeded integer tuple that reaches the rank is only
+its witness. So a False verdict is proven absence. The cocycle class is
+decided the same way, on a bordered matrix of quadratic forms. Only the
+standard library and numpy are imported.
 """
 
 from __future__ import annotations
@@ -24,13 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (
-    NilpotentAlgebra,
-    Subspace,
-    basis_vector,
-)
+from .algebra import NilpotentAlgebra, Subspace
 from .catalog import build
-from .rational import Matrix, nullspace, rank
+from .rational import Matrix, identity, nullspace, rank
 
 
 class ClassificationError(ValueError):
@@ -57,10 +51,6 @@ def _eval_words(bracket, xs: list, words) -> list:
     return list(xs) + [value(w) for w in words]
 
 
-# seeded points at which check_rk7 looks for a rank-7 triple
-_GRID_POINTS = 4
-
-
 def _grid_points(k: int, n: int):
     """Seeded integer k-tuples from {-2..2}^(k n), the box growing by one
     every 8 points, so that a nonzero polynomial is eventually nonzero at
@@ -78,20 +68,18 @@ def _generic_rank(a: NilpotentAlgebra, k: int,
     words, and the first seeded integer tuple of `_grid_points` that
     reaches it, a witness anyone can re-check.
 
-    Valid only when GL(k), acting on the tuple, keeps the span of the
-    vectors and words: it does for dim L (the brackets move by Lambda^2 of
-    the change) and for rk5 (X12 -> det X12, and [X'_i, X'12] is det times
-    a combination of X112 and X212), not for rk7 (X3 -> X3 + X1 adds
-    [X1, X12]). The generic rank is then reached where the first k
-    coordinates form an invertible block, so at X_s = e_s +
-    sum_{i>=k} y_(s,i) e_i, where it is k + rank S over Q(y)
-    (`_schur_complement`), which `_minor_rank` decides. The seeded points
-    play no part in the rank.
+    GL(2) on (X1, X2), X3 fixed, keeps the span of every condition
+    (X12 -> det X12; [X_i, X12] -> det times a combination of X112 and
+    X212; X13, X23 -> combinations of each other; X312 -> det X312), so
+    the rank is reached at X_s = e_s + sum_{i>=2} y_(s,i) e_i, s = 0, 1,
+    X3 free, where it is 2 + rank S over Q(y) (`_schur_complement`), which
+    `_minor_rank` decides. The rank does not depend on the basis: the walk
+    runs in the sparse `a.word_basis()`, the witness is drawn in a's.
     """
     cap = min(k + len(words), a.n)
     # k >= n vectors span g at a generic point
-    generic = (cap if cap <= k else
-               k + _minor_rank(_schur_complement(a, k, words), cap - k))
+    generic = (cap if cap <= k else 2 + _minor_rank(
+        _schur_complement(a.word_basis(), k, words), cap - 2))
     wit = next(xs for xs in _grid_points(k, a.n)
                if rank(_eval_words(a.bracket, xs, words)) == generic)
     return generic, wit
@@ -117,10 +105,12 @@ def _minor_rank(mat: list[list[dict]], cap: int) -> int:
 
 # sparse integer polynomials: {monomial: coefficient}, the monomial
 # prod_v y_v^(d_v) packed as the integer sum_v d_v 16^v, so that a product
-# of monomials is a sum. No degree reaches 16: an entry of the Schur
-# complement has degree at most 3 in each variable (the X112 row of rk5),
-# a minor of at most three rows at most 9; an entry of the bordered
-# cocycle matrix at most 2, a minor of at most three rows at most 5.
+# of monomials is a sum. No degree reaches 16: in a row of the Schur
+# complement a variable of X1 or X2 has degree at most one more than in
+# its word, so at most 2 + 3 + 2 = 7 in a minor of rk5, 8 in one of rk7
+# (X3 1, X12 2, X13 and X23 2 + 1, X312 2) and 6 of dim L, and one of X3
+# at most 1 per row; in the bordered cocycle matrix an entry has degree
+# at most 2, a minor of at most three rows at most 5.
 
 def _poly_add(p: dict, q: dict, factor: int = 1) -> dict:
     out = dict(p)
@@ -167,24 +157,27 @@ def _poly_bracket(a: NilpotentAlgebra, scale: int, x: list[dict],
 
 def _schur_complement(a: NilpotentAlgebra, k: int,
                       words) -> list[list[dict]]:
-    """S = B - C Y for the tuple X_s = e_s + sum_{i>=k} y_(s,i) e_i, in
-    the k(n-k) variables y_(s,i), numbered s (n-k) + i - k: the word rows
-    are (C | B) in the columns (first k | rest), the rows X_s (I | Y)."""
+    """S = B - C Y for X_s = e_s + sum_{i>=2} y_(s,i) e_i, s = 0, 1, and
+    X_2 = sum_i y_(2,i) e_i if k = 3, y_(s,i) the variable s (n-2) + i - 2
+    (s < 2) or 2 (n-2) + i: the other rows are (C | B) in the columns
+    (first 2 | rest), the rows X_0, X_1 (I | Y)."""
     n = a.n
     # integer coefficients: a scaled bracket scales each word by a power
     # of the scale, which keeps the rank
     scale = math.lcm(*(c.denominator for comps in a.brackets.values()
                        for c in comps.values()))
     xs = [[{0: 1} if j == s else
-           {16 ** (s * (n - k) + j - k): 1} if j >= k else {}
-           for j in range(n)] for s in range(k)]
+           {16 ** (s * (n - 2) + j - 2): 1} if j >= 2 else {}
+           for j in range(n)] for s in range(2)]
+    xs += [[{16 ** (2 * (n - 2) + (s - 2) * n + j): 1} for j in range(n)]
+           for s in range(2, k)]
     s_rows = []
     for w in _eval_words(lambda x, y: _poly_bracket(a, scale, x, y), xs,
-                         words)[k:]:
-        for r in range(k):   # w - w_r X_r is 0 in column r
+                         words)[2:]:
+        for r in range(2):   # w - w_r X_r is 0 in column r
             w = [_poly_add(p, _poly_mul(w[r], x), -1)
                  for p, x in zip(w, xs[r])]
-        s_rows.append(w[k:])
+        s_rows.append(w[2:])
     return s_rows
 
 
@@ -195,20 +188,19 @@ def _schur_complement(a: NilpotentAlgebra, k: int,
 def check_rk5(a: NilpotentAlgebra) -> tuple[bool, list | None]:
     """Existence of a pair with rank(X1, X2, X12, X112, X212) = 5, decided
     exactly as a generic rank, with a seeded integer witness pair."""
+    if a.n < 5:   # a rank never exceeds n
+        return False, None
     r, wit = _generic_rank(a, 2, _RK5_WORDS)
-    return (True, wit) if r == 5 else (False, None)
+    return r == 5, wit if r == 5 else None
 
 
 def check_rk7(a: NilpotentAlgebra) -> tuple[bool, list | None]:
-    """Existence of a triple with
-    rank(X1, X2, X3, X12, X13, X23, X312) = 7, searched at the first
-    `_GRID_POINTS` seeded points of `_grid_points`. GL(3) does not keep
-    the span of these words, so `_generic_rank` does not apply: a False
-    verdict means "not found within budget"."""
-    for xs in itertools.islice(_grid_points(3, a.n), _GRID_POINTS):
-        if rank(_eval_words(a.bracket, xs, _RK7_WORDS)) == 7:
-            return True, xs
-    return False, None
+    """Existence of a triple with rank(X1, X2, X3, X12, X13, X23, X312)
+    = 7, decided exactly as a generic rank, with a seeded witness triple."""
+    if a.n < 7:   # a rank never exceeds n
+        return False, None
+    r, wit = _generic_rank(a, 3, _RK7_WORDS)
+    return r == 7, wit if r == 7 else None
 
 
 def max_dimL_exact(a: NilpotentAlgebra) -> int:
@@ -306,15 +298,12 @@ def derivation_dimension(a: NilpotentAlgebra) -> int:
         for j in range(i + 1, n):
             cij = a.basis_bracket(i, j)
             for m in range(n):
-                row = [Fraction(0)] * (n * n)
-
-                def idx(r, c):
-                    return r * n + c
+                row = [Fraction(0)] * (n * n)   # d[r][c] at r n + c
                 for k in range(n):
-                    row[idx(m, k)] += cij[k]
+                    row[m * n + k] += cij[k]
                 for p in range(n):
-                    row[idx(p, i)] -= a.basis_bracket(p, j)[m]
-                    row[idx(p, j)] -= a.basis_bracket(i, p)[m]
+                    row[p * n + i] -= a.basis_bracket(p, j)[m]
+                    row[p * n + j] -= a.basis_bracket(i, p)[m]
                 if any(v != 0 for v in row):
                     rows.append(row)
     return n * n - (rank(rows) if rows else 0)
@@ -532,7 +521,7 @@ def shape_of_L(a: NilpotentAlgebra, triple) -> tuple[int, str | None]:
     N = 5 is matched against the five-dimensional normal form by
     invariants; N = 6 against the three six-dimensional forms by the
     derivation-action criterion plus invariant confirmation."""
-    sp = a.span_with_brackets(*triple)
+    sp = Subspace(_eval_words(a.bracket, triple, _DIML_WORDS), a.n)
     n_dim = sp.dim
     sub = restrict(a, sp)
     if sub is None:
@@ -569,7 +558,6 @@ class StructureVerdict:
     N: int | None = None
     L_shape: str | None = None
     certificates: dict = field(default_factory=dict)
-    budget_note: str = ""
 
 
 def classify(a: NilpotentAlgebra) -> StructureVerdict:
@@ -587,11 +575,7 @@ def classify(a: NilpotentAlgebra) -> StructureVerdict:
         rk5_holds=rk5, rk7_holds=rk7, two_step=two_step,
         rk5_witness=w5, rk7_witness=w7,
         codim1_abelian=a.find_codim1_abelian_ideal(),
-        lemma6=lemma6_classify(a),
-        budget_note=(f"rk5, dim L and the cocycle class are exact; a "
-                     f"negative rk7 verdict is budget-qualified "
-                     f"({_GRID_POINTS} seeded points of the {{-2..2}} "
-                     f"grid)"))
+        lemma6=lemma6_classify(a))
     if two_step or rk5 or rk7:   # abelian counts as two-step
         return verdict
     dcert = derivation_class_certificate(a)
@@ -626,10 +610,7 @@ def theorem2_expected_M(a: NilpotentAlgebra) -> Subspace:
     Ricci-maximal set: g' for two-step, a codimension-one abelian ideal
     when one exists, the whole algebra otherwise."""
     if a.is_abelian():
-        return Subspace([basis_vector(a.n, i) for i in range(a.n)], a.n)
+        return Subspace(identity(a.n), a.n)
     if a.is_two_step():
         return a.derived_algebra()
-    ideal = a.find_codim1_abelian_ideal()
-    if ideal is not None:
-        return ideal
-    return Subspace([basis_vector(a.n, i) for i in range(a.n)], a.n)
+    return a.find_codim1_abelian_ideal() or Subspace(identity(a.n), a.n)

@@ -36,6 +36,7 @@ from .curvature import (
 from .deformation import (
     CandidateError,
     DeformationSpec,
+    OverflowGuardError,
     convergence_check,
     deformed_ricci,
     extremal_T,
@@ -263,7 +264,10 @@ def cmd_deform(args) -> int:
         report["p"], report["q"] = limit.p, limit.q
         report["A_eigenvalues"] = np.linalg.eigvalsh(limit.A).tolist()
     if args.t is not None:
-        rep = deformed_ricci(spec, a, args.t)
+        try:
+            rep = deformed_ricci(spec, a, args.t)
+        except OverflowGuardError as exc:
+            raise InputError(f"--t: {exc}")
         report["ricci_t"] = {"t": args.t,
                              "eigenvalues": rep.eigenvalues.tolist()}
     if args.trace:
@@ -342,7 +346,7 @@ def cmd_classify(args) -> int:
     _emit({"config": _config(args, algebra=args.algebra),
            "verdict": classify(a),
            "tolerances": {
-               "rank_checks": "exact rational; negative rk7 budget-qualified",
+               "rank_checks": "exact rational",
                "certificates": "exact rational"}}, args)
     return 0
 

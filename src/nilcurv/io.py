@@ -32,14 +32,18 @@ def algebra_to_dict(a: NilpotentAlgebra) -> dict:
 
 
 def algebra_from_dict(data: dict) -> NilpotentAlgebra:
-    if "dim" not in data:
+    if not isinstance(data, dict) or "dim" not in data:
         raise FormatError("missing key 'dim'")
     n = data["dim"]
     if not isinstance(n, int) or n < 1:
         raise FormatError("key 'dim' must be a positive integer")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen: set[tuple[int, int, int]] = set()
-    for idx, entry in enumerate(data.get("brackets", [])):
+    entries = data.get("brackets", [])
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) for e in entries):
+        raise FormatError("key 'brackets' must be a list of objects")
+    for idx, entry in enumerate(entries):
         for key in ("i", "j", "k", "c"):
             if key not in entry:
                 raise FormatError(f"brackets[{idx}]: missing key '{key}'")

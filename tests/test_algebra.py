@@ -242,13 +242,6 @@ def test_codim1_abelian_ideal_catalog_verdicts():
         [basis_vector(4, i) for i in (1, 2, 3)], 4)
 
 
-def test_span_with_brackets():
-    a = build("filiform_standard", n=5)
-    t = tuple(basis_vector(5, i) for i in (0, 1, 2))
-    sp = a.span_with_brackets(*t)
-    assert sp.dim == 5
-
-
 def test_bracket_key_validation():
     with pytest.raises(ValueError):
         NilpotentAlgebra(3, {(1, 0): {2: Fraction(1)}})

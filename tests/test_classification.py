@@ -20,6 +20,7 @@ from nilcurv import (
     classification,
     check_rk5,
     check_rk7,
+    classify,
     cocycle_class_certificate,
     derivation_class_certificate,
     derivation_dimension,
@@ -194,26 +195,47 @@ def test_minor_rank_on_known_ranks():
 
 def _rank_verdicts(a):
     """rk5, rk7, max dim L and the Lemma 6 class, each rank computed
-    once; the rk5 and dim L witnesses are re-checked exactly to reach
-    their ranks."""
-    ok, wit = check_rk5(a)
-    assert wit is None if not ok else rank(_rk5_rows(a, *wit)) == 5, a.name
+    once; the rk5, rk7 and dim L witnesses are re-checked exactly to
+    reach their ranks."""
+    ok5, wit5 = check_rk5(a)
+    assert wit5 is None if not ok5 else rank(_rk5_rows(a, *wit5)) == 5, \
+        a.name
+    ok7, wit7 = check_rk7(a)
+    assert wit7 is None if not ok7 else rank(_rk7_rows(a, *wit7)) == 7, \
+        a.name
     v = lemma6_classify(a)
     assert rank(_dimL_rows(a, *v["witness"])) == v["max_dimL"], a.name
-    return ok, check_rk7(a)[0], v["max_dimL"], v["class"]
+    return ok5, ok7, v["max_dimL"], v["class"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rank_verdicts_are_basis_independent(seed):
     """rk5, rk7, max dim L and the Lemma 6 class are the same in a
-    unimodular basis as in the catalog basis, for every catalog algebra
-    with n <= 6, and the rk5 and dim L witnesses in that basis reach
-    their ranks, re-checked exactly."""
-    for e in list_catalog():
-        a = e.build()
-        if a.n <= 6:
-            b = in_basis(a, unimodular(a.n, seed))
-            assert _rank_verdicts(b) == _rank_verdicts(a), e.label
+    unimodular basis as in the original basis, for every catalog algebra
+    with n <= 6, class-B and the rk7 extension, and the witnesses in that
+    basis reach their ranks, re-checked exactly."""
+    algebras = [e.build() for e in list_catalog()]
+    for a in [a for a in algebras if a.n <= 6] + [_class_b_algebra(),
+                                                  _rk7_algebra()]:
+        b = in_basis(a, unimodular(a.n, seed))
+        assert _rank_verdicts(b) == _rank_verdicts(a), a.name
+
+
+def test_rk7_is_decided_by_the_walk_not_the_points(monkeypatch):
+    """Four rank-deficient triples ahead of the seeded points change
+    neither the rk7 verdict nor the rank its witness reaches: the points
+    only supply the witness."""
+    a = _rk7_algebra()
+    seeded = classification._grid_points
+
+    def padded(k, n):
+        for i in range(4):   # X3 = X1: rank at most 5
+            e1, e2 = basis_vector(n, i), basis_vector(n, i + 1)
+            yield [e1, e2, e1][:k]
+        yield from seeded(k, n)
+    monkeypatch.setattr(classification, "_grid_points", padded)
+    ok, wit = check_rk7(a)
+    assert ok and rank(_rk7_rows(a, *wit)) == 7
 
 
 def _max_dimL_sympy_reference(a):
@@ -501,6 +523,35 @@ def test_classify_runs_each_rank_search_once(tmp_path, monkeypatch, capsys):
     assert calls == {"check_rk5": 1, "check_rk7": 1}
 
 
+def _sl2():
+    """sl2 in the basis (h, e, f): g' = g, so it is not nilpotent."""
+    return NilpotentAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2},
+                                (1, 2): {0: 1}}, name="sl2")
+
+
+def test_classify_terminates_off_nilpotent_input():
+    """g' = g leaves the word basis no generators: it is completed by the
+    complement alone, the identity, and classify still returns."""
+    a = _sl2()
+    assert not a.is_nilpotent()
+    assert a.word_basis().brackets == a.brackets
+    v = classify(a)
+    assert not (v.rk5_holds or v.rk7_holds or v.two_step)
+
+
+def test_word_basis_is_the_algebra_in_a_sparse_basis():
+    """The word basis of an algebra in a dense basis is a nilpotent Lie
+    algebra with the same invariants, and no denser than the original."""
+    for a in [_class_b_algebra(), _rk7_algebra(), build("L6_1"),
+              build("filiform_standard", n=6)]:
+        b = in_basis(a, unimodular(a.n, 1))
+        w = b.word_basis()
+        assert w.validate().valid, a.name
+        assert invariant_tuple(w) == invariant_tuple(a), a.name
+        assert (sum(map(len, w.brackets.values()))
+                <= sum(map(len, b.brackets.values()))), a.name
+
+
 def test_lemma7_preconditions():
     with pytest.raises(ClassificationError):
         lemma7_classify(build("abelian", n=3))
@@ -518,6 +569,13 @@ def test_lemma7_identifies_shapes():
                        ("L6_3", "dimsix3")):
         v = lemma7_classify(build(key))
         assert v.N == 6 and v.L_shape == label, key
+
+
+def test_bracket_closure_of_a_basis_triple():
+    """L(e1, e2, e3), the span of the triple and its brackets, is all of
+    filiform5."""
+    t = tuple(basis_vector(5, i) for i in (0, 1, 2))
+    assert shape_of_L(build("filiform_standard", n=5), t)[0] == 5
 
 
 def test_generic_triple_shape_stability():

@@ -73,6 +73,24 @@ def test_ric_malformed_names_key(tmp_path, capsys):
     assert "i < j" in err or "i" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"dim": 3, "brackets": [1]},
+    {"dim": 3, "brackets": 5},
+    [{"dim": 3}],
+    3,
+], ids=["bracket-not-object", "brackets-not-list", "top-level-list",
+        "top-level-number"])
+def test_malformed_algebra_exits_2(tmp_path, capsys, data):
+    """An algebra file whose brackets are not a list of objects, or that
+    is not a JSON object, is an input error: exit 2 with one `error:`
+    line, never an exception."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_ric_missing_file(capsys):
     code, _, err = run(capsys, "ric", "/nonexistent.json")
     assert code == 2 and "no such file" in err
@@ -136,6 +154,19 @@ def test_malformed_metric_or_spec_exits_2(h3_path, tmp_path, capsys,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", ["1e6", "nan"])
+def test_deform_t_out_of_range_exits_2(tmp_path, capsys, t):
+    """A --t at which lambda t overflows, or that is not finite, is an
+    input error: exit 2 with one `error:` line."""
+    alg = tmp_path / "h3.json"
+    save_algebra(build("heisenberg", m=1), alg)
+    spec = tmp_path / "def.json"
+    spec.write_text(json.dumps({"lambdas": [1, -1, -1]}))
+    code, out, err = run(capsys, "deform", str(alg), str(spec), "--t", t)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --t: ") and err.count("\n") == 1, err
 
 
 def test_deform_phi0_eigenvalues(tmp_path, capsys):
@@ -213,7 +244,7 @@ def test_classify(tmp_path, capsys):
     v = json.loads(out)["verdict"]
     assert v["lemma7_classes"] == ["derivation"]
     assert v["N"] == 5 and v["L_shape"] == "lemma7a"
-    assert "budget" in v["budget_note"]
+    assert "budget_note" not in v
 
 
 def test_maxmin_abelian_convention(tmp_path, capsys):

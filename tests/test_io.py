@@ -39,6 +39,9 @@ def test_rational_coefficients_survive():
     ({"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"},
                              {"i": 1, "j": 2, "k": 3, "c": "2"}]},
      "duplicate"),
+    ({"dim": 3, "brackets": [1]}, "'brackets'"),
+    ({"dim": 3, "brackets": 5}, "'brackets'"),
+    ([{"dim": 3}], "'dim'"),
 ])
 def test_format_errors_name_offender(data, needle):
     with pytest.raises(FormatError) as exc:

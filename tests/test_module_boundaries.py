@@ -404,6 +404,14 @@ def test_rank_conditions_are_not_sampled():
     assert call_sites(source, "default_rng") == ["_grid_points"]
 
 
+def test_rank_conditions_share_one_routine():
+    """rk5, rk7 and dim L are each decided by `_generic_rank`, the one
+    exact rank routine, and nothing else calls it."""
+    source = (SRC / "classification.py").read_text()
+    assert sorted(call_sites(source, "_generic_rank")) == [
+        "check_rk5", "check_rk7", "lemma6_classify", "max_dimL_exact"]
+
+
 # exported names that no library module uses: both are `LAYERS` names of
 # perfbench/tracing.py, which wraps and counts them in the traced run
 UNCALLED_EXPORTS = {"lemma7_classify", "max_dimL_exact"}

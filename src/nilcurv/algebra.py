@@ -189,8 +189,9 @@ class NilpotentAlgebra:
         return self._structure_float
 
     def bracket_float(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """[x, y] in float, over the leading axes of stacked x and y."""
         c = self.structure_tensor()
-        return np.einsum("i,j,ijk->k", np.asarray(x, float),
+        return np.einsum("...i,...j,ijk->...k", np.asarray(x, float),
                          np.asarray(y, float), c)
 
     def ad(self, x: VectorLike) -> Matrix:

@@ -64,29 +64,72 @@ class Metric:
     @classmethod
     def orthonormalizing(cls, basis) -> "Metric":
         """The metric in which the columns of the square `basis` are
-        orthonormal: G = (B B^T)^-1, so that B^T G B = I. The computed
-        inverse is symmetrized: on a well-conditioned basis whose columns
-        differ much in length, its rounding can exceed the symmetry bound
-        of Metric."""
-        b = np.asarray(basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise MetricError("basis must be square")
-        try:
-            s = np.linalg.inv(b @ b.T)
-        except np.linalg.LinAlgError:
-            raise MetricError("basis vectors are linearly dependent")
-        metric = cls(0.5 * (s + s.T))
-        # entries of B^T G B - I below 1/n bound its norm below 1, so
-        # B^T G B, and with it B, is invertible
-        if np.abs(b.T @ metric.gram @ b - np.eye(len(b))).max() >= 1 / len(b):
-            raise MetricError("basis vectors are linearly dependent")
-        return metric
+        orthonormal (`orthonormalizing_grams` of one basis)."""
+        return cls(orthonormalizing_grams(basis))
 
     def inner(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.gram @ np.asarray(y, float))
 
     def norm2(self, x) -> float:
         return self.inner(x, x)
+
+
+def raise_first_failure(error: type, checks) -> None:
+    """Raise error, with `row` set, for the first row failing one of
+    checks (bad mask over the rows, message, *values to format it with),
+    with the message of the first check it fails: as a loop would."""
+    if not any(np.asarray(c[0]).any() for c in checks):
+        return
+    bad = np.reshape(np.broadcast_arrays(*(c[0] for c in checks)),
+                     (len(checks), -1))
+    row = int(np.argmax(bad.any(axis=0)))
+    _, message, *values = checks[int(np.argmax(bad[:, row]))]
+    exc = error(message.format(*(np.ravel(v)[row] for v in values)))
+    exc.row = row
+    raise exc
+
+
+def in_row_order(build, rows):
+    """build(rows), raising as a loop would: a failure at row r first
+    reruns build(rows[:r]), where an earlier row may fail a later step."""
+    try:
+        return build(rows)
+    except ValueError as exc:
+        if getattr(exc, "row", 0):
+            in_row_order(build, rows[:exc.row])
+        raise
+
+
+def orthonormalizing_grams(bases) -> np.ndarray:
+    """G = (B B^T)^-1, so B^T G B = I, for each B of a (..., n, n) stack,
+    symmetrized: on a well-conditioned basis whose columns differ much in
+    length, the rounding of the inverse can exceed the symmetry bound of
+    Metric. The first row failing Cholesky or the dependence bound raises."""
+    b = np.asarray(bases, dtype=float)
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise MetricError("basis must be square")
+    n = b.shape[-1]
+    dependent = "basis vectors are linearly dependent"
+    s = None
+    try:
+        s = np.linalg.inv(b @ np.swapaxes(b, -1, -2))
+        g = 0.5 * (s + np.swapaxes(s, -1, -2))
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        for r, row in enumerate(b.reshape(-1, n, n) if b.ndim > 2 else ()):
+            try:    # the loop over a stack finds its first failing row
+                orthonormalizing_grams(row)
+            except MetricError as exc:
+                exc.row = r
+                raise
+        raise MetricError(dependent if s is None
+                          else "gram must be positive definite")
+    # entries of B^T G B - I below 1/n bound its norm below 1, so
+    # B^T G B, and with it B, is invertible (a NaN entry fails the test)
+    near = np.abs(np.swapaxes(b, -1, -2) @ g @ b - np.eye(n)).max(
+        axis=(-2, -1)) < 1 / n
+    raise_first_failure(MetricError, [(~near, dependent)])
+    return g
 
 
 def frame_structure(algebra: NilpotentAlgebra, metric: Metric,

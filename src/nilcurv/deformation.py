@@ -5,7 +5,10 @@ A deformation moves along a diagonal geodesic in the space of inner
 products: g_t(U, V) = <exp(D t) U, V> with D diagonal in a chosen
 orthonormal frame. After scaling by 2 exp(-t d), the deformed Ricci
 operator converges to a limit operator whose extremal eigenvectors have
-closed forms when the exponent pattern is (+1 x p, 0, -1 x q).
+closed forms when the exponent pattern is (+1 x p, 0, -1 x q). The
+candidate constructions also take a (..., n, n) stack of Gram matrices in
+place of the metric, with vectors (..., n): the scalar call is the N=1
+case of the stacked one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import NilpotentAlgebra, Subspace
-from .curvature import Metric, RicciReport, frame_structure, ricci_frame
+from .curvature import (
+    Metric,
+    RicciReport,
+    frame_structure,
+    in_row_order,
+    orthonormalizing_grams,
+    raise_first_failure,
+    ricci_frame,
+)
 
 OVERFLOW_LIMIT = 700.0
 # the t at which convergence_check compares directions
@@ -33,12 +44,22 @@ ORTHONORMAL_ABS = 1e-10
 ORTHONORMAL_COND = 16.0
 
 
-def orthonormal_tol(metric: Metric) -> float:
-    """Bound on |<u, v> - delta_uv| for a g-orthonormal system; cond(G) is
-    the ratio of the extreme eigenvalues of the SPD Gram matrix."""
-    w = np.linalg.eigvalsh(metric.gram)
-    return max(ORTHONORMAL_ABS,
-               ORTHONORMAL_COND * np.finfo(float).eps * w[-1] / w[0])
+def _gram(metric) -> np.ndarray:
+    return metric.gram if isinstance(metric, Metric) \
+        else np.asarray(metric, float)
+
+
+def _inner(g, x, y):
+    return np.einsum("...i,...ij,...j->...", x, g, y)
+
+
+def orthonormal_tol(metric) -> float:
+    """Bound on |<u, v> - delta_uv| for a g-orthonormal system, one per
+    Gram matrix of a stack; cond(G) is the ratio of the extreme
+    eigenvalues of the SPD Gram matrix."""
+    w = np.linalg.eigvalsh(_gram(metric))
+    return np.maximum(ORTHONORMAL_ABS, ORTHONORMAL_COND
+                      * np.finfo(float).eps * (w[..., -1] / w[..., 0]))
 
 
 class OverflowGuardError(ValueError):
@@ -238,16 +259,16 @@ def scaled_ricci_limit(spec: DeformationSpec,
 
 @dataclass
 class ExtremalCandidate:
-    T: np.ndarray                 # basis coordinates
-    lambda_extreme: float
+    T: np.ndarray                 # basis coordinates; stacked, (N, n)
+    lambda_extreme: float         # stacked, (N,), as is simple
     construction: str             # e1u2 | eumin | e2u3_T1 | e2u3_T2 |
                                   # two_step | generic_limit
     simple: bool
     kind: str = "max"             # max | min
 
     @property
-    def is_zero(self) -> bool:
-        return bool(np.linalg.norm(self.T) < 1e-12)
+    def is_zero(self) -> bool | np.ndarray:
+        return np.linalg.norm(self.T, axis=-1) < 1e-12
 
 
 def extremal_T(limit: ScaledRicciLimit,
@@ -320,35 +341,35 @@ def extremal_T(limit: ScaledRicciLimit,
     return cand
 
 
-def _require_orthonormal(metric: Metric, vectors: list[np.ndarray],
-                         names: list[str]) -> None:
-    v = np.column_stack(vectors)
-    bad = np.abs(v.T @ metric.gram @ v - np.eye(len(names))) \
-        > orthonormal_tol(metric)
-    for i, nm in enumerate(names):
-        if bad[i, i]:
-            raise CandidateError(f"{nm} is not a unit vector")
-        for j in range(i):
-            if bad[i, j]:
-                raise CandidateError(f"{names[j]} and {nm} are not orthogonal")
+def _orthonormal_checks(g, vectors, names) -> list:
+    """`raise_first_failure` checks that the vectors are g-orthonormal:
+    each a unit vector, then orthogonal to the earlier ones."""
+    v = np.stack(np.broadcast_arrays(*vectors), axis=-1)
+    bad = np.abs(np.swapaxes(v, -1, -2) @ g @ v - np.eye(len(names))) \
+        > orthonormal_tol(g)[..., None, None]
+    return [(bad[..., i, j], f"{nm} is not a unit vector" if i == j
+             else f"{names[j]} and {nm} are not orthogonal")
+            for i, nm in enumerate(names) for j in [i, *range(i)]
+            ] if bad.any() else []
 
 
-def candidate_e1u2(algebra: NilpotentAlgebra, metric: Metric,
-                   e, u1, u2) -> ExtremalCandidate:
-    """T = 2<u12,e> u12 + <u212,e> u1 - <u112,e> u2 for orthonormal e,u1,u2."""
-    e = np.asarray(e, float)
-    u1 = np.asarray(u1, float)
-    u2 = np.asarray(u2, float)
-    _require_orthonormal(metric, [e, u1, u2], ["e", "u1", "u2"])
+def candidate_e1u2(algebra: NilpotentAlgebra, metric, e, u1, u2
+                   ) -> ExtremalCandidate:
+    """T = 2<u12,e> u12 + <u212,e> u1 - <u112,e> u2 for orthonormal e,u1,u2
+    (stacked, for each row; the first row not orthonormal raises)."""
+    e, u1, u2 = (np.asarray(v, float) for v in (e, u1, u2))
+    g = _gram(metric)
+    raise_first_failure(CandidateError, _orthonormal_checks(
+        g, [e, u1, u2], ["e", "u1", "u2"]))
     u12 = algebra.bracket_float(u1, u2)
     u112 = algebra.bracket_float(u1, u12)
     u212 = algebra.bracket_float(u2, u12)
-    t = (2.0 * metric.inner(u12, e) * u12
-         + metric.inner(u212, e) * u1
-         - metric.inner(u112, e) * u2)
-    a = metric.inner(e, u12)
+    a = _inner(g, e, u12)
+    t = (2.0 * a[..., None] * u12
+         + _inner(g, e, u212)[..., None] * u1
+         - _inner(g, e, u112)[..., None] * u2)
     return ExtremalCandidate(T=t, lambda_extreme=a * a,
-                             construction="e1u2", simple=bool(abs(a) > 1e-12))
+                             construction="e1u2", simple=np.abs(a) > 1e-12)
 
 
 def lemma5a_deformation(algebra: NilpotentAlgebra, metric: Metric,
@@ -394,66 +415,57 @@ def lemma5a_deformation(algebra: NilpotentAlgebra, metric: Metric,
                                    construction="e1u2", simple=True)
 
 
-def _eu_inner_products(algebra, metric, e1, e2, u1, u2, u3):
+def _eu_checks(algebra, g, e1, e2, u1, u2, u3):
+    """[u1, u2], a = <e1, u12>, b = <e2, u13> and the preconditions of the
+    p = 2, q = 3 frame, as `raise_first_failure` checks."""
     u12 = algebra.bracket_float(u1, u2)
     u13 = algebra.bracket_float(u1, u3)
     u23 = algebra.bracket_float(u2, u3)
-    vals = {
-        "<e1,u13>": metric.inner(e1, u13),
-        "<e1,u23>": metric.inner(e1, u23),
-        "<e2,u12>": metric.inner(e2, u12),
-        "<e2,u23>": metric.inner(e2, u23),
-    }
-    a = metric.inner(e1, u12)
-    b = metric.inner(e2, u13)
-    return u12, vals, a, b
+    checks = _orthonormal_checks(g, [e1, e2, u1, u2, u3],
+                                 ["e1", "e2", "u1", "u2", "u3"])
+    for name, x, y in (("<e1,u13>", e1, u13), ("<e1,u23>", e1, u23),
+                       ("<e2,u12>", e2, u12), ("<e2,u23>", e2, u23)):
+        v = _inner(g, x, y)
+        checks.append((np.abs(v) > EU_PRECONDITION_TOL,
+                       f"precondition {name} = 0 violated (got {{:.3e}})", v))
+    a, b = _inner(g, e1, u12), _inner(g, e2, u13)
+    checks += [(np.abs(a) <= EU_PRECONDITION_TOL,
+                "precondition <e1,u12> != 0 violated"),
+               (np.abs(b) <= EU_PRECONDITION_TOL,
+                "precondition <e2,u13> != 0 violated")]
+    return u12, a, b, checks
 
 
-def _check_eu_preconditions(algebra, metric, e1, e2, u1, u2, u3):
-    vecs = [np.asarray(v, float) for v in (e1, e2, u1, u2, u3)]
-    _require_orthonormal(metric, vecs, ["e1", "e2", "u1", "u2", "u3"])
-    e1, e2, u1, u2, u3 = vecs
-    u12, vals, a, b = _eu_inner_products(algebra, metric, e1, e2, u1, u2, u3)
-    for name, v in vals.items():
-        if abs(v) > EU_PRECONDITION_TOL:
-            raise CandidateError(f"precondition {name} = 0 violated "
-                                 f"(got {v:.3e})")
-    if abs(a) <= EU_PRECONDITION_TOL:
-        raise CandidateError("precondition <e1,u12> != 0 violated")
-    if abs(b) <= EU_PRECONDITION_TOL:
-        raise CandidateError("precondition <e2,u13> != 0 violated")
-    return e1, e2, u1, u2, u3, u12, a, b
-
-
-def candidate_T1_T2(algebra: NilpotentAlgebra, metric: Metric,
-                    e1, e2, u1, u2, u3
+def candidate_T1_T2(algebra: NilpotentAlgebra, metric, e1, e2, u1, u2, u3
                     ) -> tuple[ExtremalCandidate, ExtremalCandidate]:
     """The two Ricci-maximal candidates of the p=2, q=3 construction.
 
-    Requires |a| > |b| on top of the orthogonality preconditions.
+    Requires |a| > |b| on top of the orthogonality preconditions. Stacked
+    inputs give stacked candidates in one pass, the scalar call being the
+    N=1 case; the first row that fails raises.
     """
-    e1, e2, u1, u2, u3, u12, a, b = _check_eu_preconditions(
-        algebra, metric, e1, e2, u1, u2, u3)
-    if abs(a) <= abs(b):
-        raise CandidateError(f"requires |a| > |b|, got |a|={abs(a):.3e}, "
-                             f"|b|={abs(b):.3e}")
+    e1, e2, u1, u2, u3 = (np.asarray(v, float) for v in (e1, e2, u1, u2, u3))
+    g = _gram(metric)
+    u12, a, b, checks = _eu_checks(algebra, g, e1, e2, u1, u2, u3)
+    raise_first_failure(CandidateError, checks + [(
+        np.abs(a) <= np.abs(b),
+        "requires |a| > |b|, got |a|={:.3e}, |b|={:.3e}", np.abs(a),
+        np.abs(b))])
+    lam = a * a
     u112 = algebra.bracket_float(u1, u12)
-    u212 = algebra.bracket_float(u2, u12)
-    u312 = algebra.bracket_float(u3, u12)
-    p1 = metric.inner(e1, u212)
-    p2 = metric.inner(e2, u312)
-    p3 = metric.inner(e1, u112)
-    p4 = metric.inner(e2, u112)
+    a, b, p1, p2, p3, p4 = (x[..., None] for x in (
+        a, b, _inner(g, e1, algebra.bracket_float(u2, u12)),
+        _inner(g, e2, algebra.bracket_float(u3, u12)),
+        _inner(g, e1, u112), _inner(g, e2, u112)))
     t1 = (2.0 * (b * p1 + a * p2) * u1 - 3.0 * b * p3 * u2
           - 3.0 * a * p4 * u3 + 6.0 * a * b * u12)
     t2 = ((a * p1 + b * p2) / (2 * a * a + b * b) * u1
           - p3 / (2 * a) * u2
           - b * p4 / (a * a + b * b) * u3 + u12)
-    c1 = ExtremalCandidate(T=t1, lambda_extreme=a * a,
-                           construction="e2u3_T1", simple=True)
-    c2 = ExtremalCandidate(T=t2, lambda_extreme=a * a,
-                           construction="e2u3_T2", simple=True)
-    return c1, c2
+    return (ExtremalCandidate(T=t1, lambda_extreme=lam,
+                              construction="e2u3_T1", simple=True),
+            ExtremalCandidate(T=t2, lambda_extreme=lam,
+                              construction="e2u3_T2", simple=True))
 
 
 def complement_frame(metric: Metric, vectors) -> np.ndarray:
@@ -511,8 +523,8 @@ def spec_for_pattern(algebra: NilpotentAlgebra, metric: Metric,
     n = algebra.n
     p, q = len(plus), len(minus)
     chosen = [np.asarray(v, float) for v in plus + minus]
-    _require_orthonormal(metric, chosen,
-                         [f"v{i}" for i in range(len(chosen))])
+    raise_first_failure(CandidateError, _orthonormal_checks(
+        metric.gram, chosen, [f"v{i}" for i in range(len(chosen))]))
     middle = complement_frame(metric, chosen)
     frame = np.column_stack(chosen[:p] + [middle] + chosen[p:])
     lam = np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
@@ -610,30 +622,55 @@ def complete_basis(vectors) -> list[np.ndarray]:
     The scan stops once it holds n vectors: n columns of length n have
     rank at most n, so no later e_i could be kept. Dependent `vectors`
     keep the rank below the column count, so no e_i is ever kept and the
-    result is [] either way."""
-    have = [np.asarray(v, float) for v in vectors]
-    n = len(have[0])
-    out: list[np.ndarray] = []
-    for e in np.eye(n):
-        if len(have) + len(out) == n:
+    result is [] either way.
+
+    Rows of vectors (N, n) are completed in one scan (an e_i not kept is a
+    zero column), as n - k stacks that are zero where a row keeps fewer."""
+    vs = [np.asarray(v, float) for v in vectors]
+    shape, k = np.broadcast(*vs).shape, len(vs)
+    n = shape[-1]
+    m = np.zeros((*shape, k + n))
+    for j, v in enumerate(vs):
+        m[..., j] = v
+    m = m.reshape(-1, n, k + n)
+    count = np.full(len(m), k)
+    for i in range(n):
+        if count.min() >= n:
             break
-        if np.linalg.matrix_rank(np.column_stack(have + out + [e]),
-                                 tol=BASIS_RANK_TOL) > len(have) + len(out):
-            out.append(e)
-    return out
+        m[:, i, k + i] = 1.0
+        # the numerical rank, as np.linalg.matrix_rank with this tol
+        kept = (np.linalg.svd(m[..., :k + i + 1], compute_uv=False)
+                > BASIS_RANK_TOL).sum(axis=-1) > count
+        m[:, i, k + i] = kept
+        count += kept
+    kept = np.diagonal(m[..., k:], axis1=1, axis2=2) == 1.0
+    if len(shape) == 1:
+        return list(np.eye(n)[kept[0]])
+    # each row's kept e_i in order, then zero vectors
+    slots = np.argsort(~kept, axis=1, kind="stable")[:, :max(n - k, 0)]
+    return list((np.eye(n)[slots] * np.take_along_axis(
+        kept, slots, axis=1)[..., None]).swapaxes(0, 1))
 
 
 def codim1_adapted_metric(algebra: NilpotentAlgebra, c, u1
-                          ) -> tuple[Metric, np.ndarray]:
+                          ) -> tuple[Metric | np.ndarray, np.ndarray]:
     """(metric, e): the metric in which c, u1, [c, u1] and their
     completion by standard vectors (`complete_basis`) are orthonormal,
-    with e the first completion vector."""
-    have = [np.asarray(c, float), np.asarray(u1, float),
-            algebra.bracket_float(c, u1)]
-    comp = complete_basis(have)
-    if len(have) + len(comp) != algebra.n:
-        raise CandidateError("frame completion failed")
-    return Metric.orthonormalizing(np.column_stack(have + comp)), comp[0]
+    with e the first completion vector; rows of u1 give stacks of both,
+    and the first failing row raises."""
+    c = np.asarray(c, float)
+
+    def build(u1):
+        have = [c, u1, algebra.bracket_float(c, u1)]
+        comp = complete_basis(have)
+        # a scalar completion comes up short, a stacked one ends in zeros
+        raise_first_failure(CandidateError, [(
+            len(have) + len(comp) != algebra.n or ~comp[-1].any(axis=-1),
+            "frame completion failed")])
+        basis = np.stack(np.broadcast_arrays(*have, *comp), axis=-1)
+        return (Metric.orthonormalizing(basis) if basis.ndim == 2
+                else orthonormalizing_grams(basis)), comp[0]
+    return in_row_order(build, np.asarray(u1, float))
 
 
 def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int

@@ -48,6 +48,7 @@ from .curvature import (
     Metric,
     ad_images,
     frame_structure,
+    orthonormalizing_grams,
     ricci_form_matrix,
     ricci_frame,
     sectional_K,
@@ -484,14 +485,13 @@ def adapted_metric_family(algebra: NilpotentAlgebra, x, y) -> list[Metric]:
     w = algebra.bracket_float(xf, yf)
     cols = [xf, yf] + ([w] if np.linalg.norm(w) > 1e-9 else [])
     b = np.column_stack(cols + complete_basis(cols))
-    out = []
-    for k in ADAPTED_DECADES:
+    d = np.ones((len(ADAPTED_DECADES), n, 2, n))
+    for i, k in enumerate(ADAPTED_DECADES):
         for pos in range(n):
-            for sgn in (-1, 1):
-                d = np.ones(n)
-                d[pos] = 10.0 ** (sgn * k)
-                out.append(Metric.orthonormalizing(b * np.sqrt(d)))
-    return out
+            d[i, pos, :, pos] = 10.0 ** (-k), 10.0 ** k
+    # one stacked pass over the bases, in the order k, pos, sign
+    return [Metric(g) for g in orthonormalizing_grams(
+        b * np.sqrt(d.reshape(-1, 1, n)))]
 
 
 def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,

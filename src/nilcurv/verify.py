@@ -20,6 +20,7 @@ from . import sign_sets as ss
 from .catalog import build, list_catalog
 from .curvature import (
     Metric,
+    in_row_order,
     ricci_form_matrix,
     ricci_operator,
     sectional_K,
@@ -502,7 +503,9 @@ def coverage_grid_cases(seed: int = 0) -> dict[str, tuple[np.ndarray, list]]:
     """{case: (grid, candidates)} for the grid cases of `check_coverage`:
     the lines of P(g') on h5 against the 50 two-step candidates of
     `lemma5_candidates` at seed, and the lines of P(a) on filiform4
-    against the codimension-one abelian ideal candidates."""
+    against the codimension-one abelian ideal candidates, built as
+    stacks: one `codim1_adapted_metric` and `candidate_e1u2` pass over
+    all grid lines, whose scalar calls are the N=1 case."""
     alg = build("heisenberg", m=2)
     pairs, _ = lemma5_candidates(alg, seed, 50)
     cases = {"h5": (sphere_grid(alg.derived_algebra(), COVERAGE_RESOLUTION),
@@ -512,22 +515,26 @@ def coverage_grid_cases(seed: int = 0) -> dict[str, tuple[np.ndarray, list]]:
     ideal = alg.find_codim1_abelian_ideal()
     grid = sphere_grid(ideal, COVERAGE_RESOLUTION)
     c_vec = np.array(ideal.complement()[0], float)
-    cands = []
-    for gdir in grid:
-        u1 = gdir / np.linalg.norm(gdir)
-        if abs(np.linalg.norm(alg.bracket_float(
-                c_vec, alg.bracket_float(c_vec, u1)))) < 1e-8:
-            u1 = u1 + 0.02 * np.eye(4)[:, 1]  # tilt toward X
-            u1 = u1 / np.linalg.norm(u1)
-        metric, e = codim1_adapted_metric(alg, c_vec, u1)
-        cand = candidate_e1u2(alg, metric, e, u1, c_vec)
-        if not cand.is_zero:
-            cands.append(cand.T)
-    cases["filiform4"] = (grid, cands)
+
+    def unit(v):
+        # row norms by the dot product np.linalg.norm takes of one vector,
+        # so each row equals, to the bit, the row normalized on its own
+        return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    u1 = unit(grid)
+    # where [c, [c, u1]] = 0, tilt u1 toward X
+    flat = np.linalg.norm(alg.bracket_float(
+        c_vec, alg.bracket_float(c_vec, u1)), axis=1) < 1e-8
+    u1 = np.where(flat[:, None], unit(u1 + 0.02 * np.eye(4)[1]), u1)
+    cand = in_row_order(lambda u: candidate_e1u2(
+        alg, *codim1_adapted_metric(alg, c_vec, u), u, c_vec), u1)
+    cases["filiform4"] = (grid, cand.T[~cand.is_zero])
     return cases
 
 
 def check_coverage(seed: int = 0) -> dict:
+    """Worst gap of the grid cases, and the exact span rank of the
+    normal-form candidates, each form's built as one stacked frame (a
+    single frame is its N=1 case)."""
     t0 = time.perf_counter()
     details = {}
     failures = []
@@ -536,19 +543,17 @@ def check_coverage(seed: int = 0) -> dict:
         details[case] = {"candidates": len(cands), "worst_gap": worst}
         if worst >= COVERAGE_RESOLUTION:
             failures.append({"case": case, "worst_gap": worst})
-    # normal forms: candidate span is the whole algebra
-    alpha_grid = (-2.0, -1.0, 1.0, 2.0, 3.0)
+    # normal forms: candidate span is the whole algebra. One stacked frame
+    # per form, its rows the alphas and, innermost, the shifts 0 and e_i
+    alphas = np.array(list(itertools.product((-2.0, -1.0, 1.0, 2.0, 3.0),
+                                             repeat=3)))
     for key in FRAME_KEYS:
-        shift_len = 2 if key == "L5_lemma7a" else 3
-        shifts = [tuple(0.0 for _ in range(shift_len))]
-        for i in range(shift_len):
-            s = [0.0] * shift_len
-            s[i] = 1.0
-            shifts.append(tuple(s))
-        t_vecs = [normal_form_frame(key, alphas, shift).candidate().T
-                  for alphas in itertools.product(alpha_grid, repeat=3)
-                  for shift in shifts]
-        n = build(key).n
+        k = 2 if key == "L5_lemma7a" else 3
+        a_rows = np.repeat(alphas, k + 1, axis=0)
+        s_rows = np.tile(np.eye(k + 1, k, k=-1), (len(alphas), 1))
+        t_vecs = in_row_order(lambda r: normal_form_frame(
+            key, a_rows[r], s_rows[r]).candidate().T, np.arange(len(a_rows)))
+        n = t_vecs.shape[1]
         # rank reads rows only until the span is full, so only those rows
         # are rationalized
         rk = rank([Fraction(x).limit_denominator(10 ** 6) for x in t_vec]

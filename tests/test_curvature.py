@@ -17,6 +17,9 @@ from nilcurv.curvature import (
     DegeneratePlaneError,
     RicciReport,
     frame_structure,
+    in_row_order,
+    orthonormalizing_grams,
+    raise_first_failure,
     ricci_form_matrix,
 )
 
@@ -125,6 +128,90 @@ def test_orthonormalizing_accepts_unequal_column_lengths():
     g = Metric.orthonormalizing(b).gram
     assert np.array_equal(g, g.T)
     assert np.abs(b.T @ g @ b - np.eye(6)).max() < 1e-10
+
+
+def _orthonormalizing_reference(b):
+    """The scalar construction that orthonormalizing_grams stacks: the
+    symmetrized (B B^T)^-1 as a Metric, and the 1/n dependence bound."""
+    try:
+        s = np.linalg.inv(b @ b.T)
+    except np.linalg.LinAlgError:
+        raise MetricError("basis vectors are linearly dependent")
+    metric = Metric(0.5 * (s + s.T))
+    if np.abs(b.T @ metric.gram @ b - np.eye(len(b))).max() >= 1 / len(b):
+        raise MetricError("basis vectors are linearly dependent")
+    return metric.gram
+
+
+def _bases(rng, n, count):
+    """Random bases, every third with one column 100 times longer."""
+    b = rng.normal(size=(count, n, n))
+    b[::3, :, 0] *= 100.0
+    return b
+
+
+def test_one_row_stack_is_the_scalar_metric():
+    """A one-row stack, the N=1 case Metric.orthonormalizing, and the
+    scalar construction give the same Gram matrix to rounding."""
+    rng = np.random.default_rng(21)
+    for n in (3, 5, 6, 7):
+        for b in _bases(rng, n, 30):
+            want = _orthonormalizing_reference(b)
+            for got in (orthonormalizing_grams(b[None])[0],
+                        Metric.orthonormalizing(b).gram):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_stack_fails_like_the_loop():
+    """Dependent bases in the middle of a stack: the stack raises what
+    the loop of Metric.orthonormalizing raises at the first of them, on
+    the path where the stacked inverse fails (a zero row of B makes B B^T
+    exactly singular) and where it does not (dependence up to rounding)."""
+    rng = np.random.default_rng(22)
+    seen = set()
+    for trial in range(40):
+        b = _bases(rng, 5, 20)
+        b[13, 2] = 0.0
+        b[7 + trial % 5, :, -1] = b[7 + trial % 5, :, :-1] \
+            @ rng.normal(size=4)
+
+        def loop():
+            for row in b:
+                Metric.orthonormalizing(row)
+        want = _raised(loop)
+        assert want[0] is MetricError
+        assert _raised(orthonormalizing_grams, b) == want
+        seen.add(want[1])
+        b[7 + trial % 5] = rng.normal(size=(5, 5))
+        assert _raised(orthonormalizing_grams, b) == _raised(loop) \
+            == (MetricError, "basis vectors are linearly dependent")
+        assert _raised(orthonormalizing_grams, b.reshape(4, 5, 5, 5)) \
+            == _raised(loop)
+    assert len(seen) == 2     # both messages occur
+
+
+def test_rows_fail_in_loop_order():
+    """A row that fails only at a later step raises before a later row
+    that fails at an earlier step, as in a loop over the rows."""
+    def build(rows):
+        raise_first_failure(ValueError, [(rows == 2, "step 1 at {}",
+                                          rows)])
+        raise_first_failure(MetricError, [(rows == 1, "step 2 at {}",
+                                           rows)])
+        return rows
+    assert _raised(in_row_order, build, np.array([0, 2, 1])) \
+        == (ValueError, "step 1 at 2")
+    assert _raised(in_row_order, build, np.array([0, 1, 2])) \
+        == (MetricError, "step 2 at 1")
+    assert _raised(in_row_order, build, np.array([3, 2, 1, 2])) \
+        == (ValueError, "step 1 at 2")
+    assert list(in_row_order(build, np.array([0, 3]))) == [0, 3]
 
 
 def u_operator(algebra, metric, v, w):

@@ -1,6 +1,7 @@
 """Metric deformations, scaled Ricci limits, and closed-form extremal
 candidates, each cross-checked against an independent direct computation."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -37,13 +38,14 @@ from nilcurv import deformation
 from nilcurv.deformation import (
     BASIS_RANK_TOL,
     ExtremalCandidate,
-    _check_eu_preconditions,
+    _eu_checks,
     complete_basis,
     deformed_metric,
     deformed_ricci_frame,
     orthonormal_tol,
     sphere_grid,
 )
+from nilcurv.curvature import raise_first_failure
 from nilcurv.verify import coverage_grid_cases
 
 
@@ -230,8 +232,8 @@ def candidate_min_u1(algebra, metric, e1, e2, u1, u2, u3):
     """The paper's Ricci-minimal candidate u1; its min eigenvalue
     -a^2 - b^2 is always simple since it lies strictly below both -a^2
     and -b^2."""
-    _, _, u1, _, _, _, a, b = _check_eu_preconditions(
-        algebra, metric, e1, e2, u1, u2, u3)
+    _, a, b, checks = _eu_checks(algebra, metric.gram, e1, e2, u1, u2, u3)
+    raise_first_failure(CandidateError, checks)
     return ExtremalCandidate(T=u1, lambda_extreme=-(a * a + b * b),
                              construction="eumin", simple=True, kind="min")
 
@@ -484,3 +486,83 @@ def test_sphere_grid_covers_dimensions_one_to_three_only():
     for dim in (0, 4, 5):
         with pytest.raises(ValueError):
             sphere_grid(Subspace(vectors[:dim], 5), 0.2)
+
+
+def _frame_stack(key, rows):
+    """Gram matrices and frame vectors of normal_form_frame over rows of
+    alphas, as stacks."""
+    from nilcurv import normal_form_frame
+    frames = [normal_form_frame(key, a) for a in rows]
+    grams = np.array([f.metric.gram for f in frames])
+    vecs = [np.array([(f.e_vectors + f.u_vectors)[i] for f in frames])
+            for i in range(5)]
+    return frames[0].algebra, grams, vecs
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("key", ["L5_lemma7a", "L6_2"])
+def test_candidate_T1_T2_stack_fails_like_the_loop(key):
+    """A row whose e2 is not orthogonal to e1, or not a unit vector, in
+    the middle of a direct candidate_T1_T2 stack raises the error of that
+    row's scalar call."""
+    rows = list(itertools.product((-2.0, 1.0, 3.0), repeat=3))
+    alg, grams, vecs = _frame_stack(key, rows)
+    e1, e2 = vecs[0].copy(), vecs[1].copy()
+    e2[11] = (e2[11] + 0.5 * e1[11]) / np.sqrt(1.25)  # a unit vector
+    e2[17] = 2.0 * e2[17]                 # not a unit vector
+    stack = [e1, e2] + vecs[2:]
+
+    def loop():
+        for r in range(len(rows)):
+            candidate_T1_T2(alg, Metric(grams[r]), *(v[r] for v in stack))
+    want = _raised(loop)
+    assert want == (CandidateError, "e1 and e2 are not orthogonal")
+    assert _raised(candidate_T1_T2, alg, grams, *stack) == want
+    e2[11] = vecs[1][11]
+    want = _raised(loop)
+    assert want == (CandidateError, "e2 is not a unit vector")
+    assert _raised(candidate_T1_T2, alg, grams, *stack) == want
+
+
+@pytest.mark.parametrize("key", ["L5_lemma7a", "L6_1"])
+def test_candidate_T1_T2_stack_matches_scalar_calls(key):
+    rows = list(itertools.product((-2.0, -1.0, 1.0, 2.0, 3.0), repeat=3))
+    alg, grams, vecs = _frame_stack(key, rows)
+    t1, t2 = candidate_T1_T2(alg, grams, *vecs)
+    for r in range(len(rows)):
+        s1, s2 = candidate_T1_T2(alg, Metric(grams[r]),
+                                 *(v[r] for v in vecs))
+        for got, want in ((t1, s1), (t2, s2)):
+            assert np.abs(got.T[r] - want.T).max() \
+                <= 1e-12 * np.abs(want.T).max()
+            assert abs(got.lambda_extreme[r] - want.lambda_extreme) \
+                <= 1e-12 * want.lambda_extreme
+
+
+def test_codim1_adapted_metric_stack_matches_scalar_calls():
+    """Rows of u1 in the abelian ideal of filiform4: the stacked metrics
+    and completion vectors are the scalar calls', and a row whose frame
+    cannot be completed (u1 = c) raises the scalar call's error."""
+    from nilcurv.deformation import codim1_adapted_metric
+    alg = build("filiform4")
+    ideal = alg.find_codim1_abelian_ideal()
+    c = np.array(ideal.complement()[0], float)
+    rng = np.random.default_rng(5)
+    u1 = rng.normal(size=(12, len(ideal.basis))) \
+        @ np.array(ideal.basis, float)
+    grams, es = codim1_adapted_metric(alg, c, u1)
+    for r in range(len(u1)):
+        metric, e = codim1_adapted_metric(alg, c, u1[r])
+        assert np.array_equal(grams[r], metric.gram)
+        assert np.array_equal(es[r], e)
+    u1[7] = c
+    with pytest.raises(CandidateError) as scalar:
+        codim1_adapted_metric(alg, c, u1[7])
+    assert _raised(codim1_adapted_metric, alg, c, u1) \
+        == (CandidateError, str(scalar.value)) \
+        == (CandidateError, "frame completion failed")

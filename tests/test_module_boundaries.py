@@ -245,21 +245,40 @@ def test_no_new_rounding_sites():
 
 
 # (module file, function): the one place a metric is made from a basis it
-# orthonormalizes, G = (B B^T)^-1
-ORTHONORMALIZING_SITES = {("curvature.py", "orthonormalizing")}
+# orthonormalizes, G = (B B^T)^-1, for a stack of bases
+ORTHONORMALIZING_SITES = {("curvature.py", "orthonormalizing_grams")}
+
+# B^T of a matrix or a stack of them: attributes of B, methods of B, and
+# numpy functions taking B first
+_TRANSPOSE_ATTRS = {"T", "mT"}
+_TRANSPOSE_CALLS = {"swapaxes", "transpose", "matrix_transpose"}
+
+
+def _is_transpose_of(node, b) -> bool:
+    """node is B.T, B.mT, B.swapaxes(...), B.transpose(...), or
+    swapaxes/transpose/matrix_transpose(B, ...) under any module path, for
+    the expression b."""
+    same = ast.dump(b).__eq__
+    if isinstance(node, ast.Attribute):
+        return node.attr in _TRANSPOSE_ATTRS and same(ast.dump(node.value))
+    if _called_name(node) not in _TRANSPOSE_CALLS:
+        return False
+    fn = node.func
+    return (isinstance(fn, ast.Attribute) and same(ast.dump(fn.value))) \
+        or (bool(node.args) and same(ast.dump(node.args[0])))
 
 
 def _is_orthonormalizing_inverse(node) -> bool:
-    """`inv(B @ B.T)`, through any name ending in `inv`, with the same
-    expression B on both sides of the product."""
+    """`inv(B @ B^T)`, through any name ending in `inv`, with the same
+    expression B on both sides of the product and B^T in any of the forms
+    of `_is_transpose_of`."""
     if not (isinstance(node, ast.Call) and len(node.args) == 1):
         return False
-    fn, arg = node.func, node.args[0]
-    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
-    return (name == "inv" and isinstance(arg, ast.BinOp)
+    arg = node.args[0]
+    return (_called_name(node).endswith("inv")
+            and isinstance(arg, ast.BinOp)
             and isinstance(arg.op, ast.MatMult)
-            and isinstance(arg.right, ast.Attribute) and arg.right.attr == "T"
-            and ast.dump(arg.left) == ast.dump(arg.right.value))
+            and _is_transpose_of(arg.right, arg.left))
 
 
 def orthonormalizing_inverses(source: str) -> list[str]:
@@ -275,8 +294,23 @@ def test_checker_flags_orthonormalizing_inverses():
               "    g = inv(b.cols @ b.cols.T)\n"
               "    h = np.linalg.inv(b @ np.diag(d) @ b.T)\n"
               "    k = np.linalg.inv(b @ d.T)\n"
-              "    return g, h, k, np.linalg.inv(b.T @ b)\n")
-    assert orthonormalizing_inverses(source) == ["<module>", "f"]
+              "    return g, h, k, np.linalg.inv(b.T @ b)\n"
+              "def swap(b):\n"
+              "    return np.linalg.inv(b @ b.swapaxes(-1, -2))\n"
+              "def perm(b):\n"
+              "    return inv(b @ b.transpose(0, 2, 1))\n"
+              "def mat_t(b):\n"
+              "    return np.linalg.pinv(b @ b.mT)\n"
+              "def np_swap(b):\n"
+              "    return np.linalg.inv(b @ np.swapaxes(b, -1, -2))\n"
+              "def in_lambda(bs):\n"
+              "    return map(lambda m: inv(m @ np.matrix_transpose(m)), bs)\n"
+              "def other(b, d):\n"
+              "    return (np.linalg.inv(b @ d.swapaxes(-1, -2)),\n"
+              "            np.linalg.inv(b @ np.swapaxes(d, -1, -2)),\n"
+              "            np.linalg.inv(b @ b.swapaxes), inv(b @ b.sum()))\n")
+    assert sorted(orthonormalizing_inverses(source)) == [
+        "<module>", "f", "in_lambda", "mat_t", "np_swap", "perm", "swap"]
 
 
 def test_no_new_orthonormalizing_inverses():

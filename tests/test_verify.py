@@ -1,6 +1,7 @@
-"""Bulk kernels behind the sectional-sign-planes check: the plane grid,
-the exact plane labels and the batched sectional curvature, each against
-the exact, brute-force or scalar construction it replaces."""
+"""Bulk kernels behind the sectional-sign-planes and coverage checks: the
+plane grid, the exact plane labels, the batched sectional curvature and
+the stacked coverage candidates, each against the exact, brute-force or
+scalar construction it replaces."""
 
 import itertools
 from fractions import Fraction
@@ -10,14 +11,22 @@ import pytest
 
 from nilcurv import (
     Metric,
+    build,
+    candidate_e1u2,
     classify_plane,
     curvature,
     list_catalog,
     sectional_K,
 )
+from nilcurv.deformation import codim1_adapted_metric, sphere_grid
 from nilcurv.rational import rank, rref
 from nilcurv.sign_sets import plane_labels
-from nilcurv.verify import _grid_planes, _meets_center
+from nilcurv.verify import (
+    COVERAGE_RESOLUTION,
+    _grid_planes,
+    _meets_center,
+    coverage_grid_cases,
+)
 from test_curvature import u_operator
 
 SMALL = [e.build() for e in list_catalog() if e.build().n <= 6]
@@ -155,3 +164,32 @@ def test_batch_K_matches_scalar_sectional_K(alg, monkeypatch):
         one = sectional_K(alg, metric, xs[0], ys[0])
         assert isinstance(one, float)
         assert abs(one - want[0]) <= 1e-8 * abs(want[0]) + 1e-10 * scale
+
+
+def _filiform4_loop():
+    """Reference: the filiform4 coverage candidates one grid line at a
+    time, through the scalar calls."""
+    alg = build("filiform4")
+    ideal = alg.find_codim1_abelian_ideal()
+    c_vec = np.array(ideal.complement()[0], float)
+    cands = []
+    for gdir in sphere_grid(ideal, COVERAGE_RESOLUTION):
+        u1 = gdir / np.linalg.norm(gdir)
+        if abs(np.linalg.norm(alg.bracket_float(
+                c_vec, alg.bracket_float(c_vec, u1)))) < 1e-8:
+            u1 = u1 + 0.02 * np.eye(4)[:, 1]  # tilt toward X
+            u1 = u1 / np.linalg.norm(u1)
+        metric, e = codim1_adapted_metric(alg, c_vec, u1)
+        cand = candidate_e1u2(alg, metric, e, u1, c_vec)
+        if not cand.is_zero:
+            cands.append(cand.T)
+    return np.array(cands)
+
+
+def test_filiform4_coverage_stack_matches_the_loop():
+    """All 799 filiform4 candidates of the stacked pass equal the loop's
+    to 1e-12 of max|T|, tilted rows included."""
+    _, got = coverage_grid_cases(0)["filiform4"]
+    want = _filiform4_loop()
+    assert got.shape == want.shape == (799, 4)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -146,13 +146,21 @@ def _config(args, **extra) -> dict:
     return cfg
 
 
+# vector entries up to this size keep the curvatures of their planes, of
+# degree 4 in them, and the Gram matrices of their frames finite
+VECTOR_ENTRY_MAX = 1e12
+
+
 def _parse_vector(text: str, n: int, flag: str) -> np.ndarray:
     try:
         v = np.array([float(Fraction(p)) for p in text.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{flag}: cannot parse {text!r}: {exc}")
     if v.shape != (n,):
         raise InputError(f"{flag}: expected {n} comma-separated entries")
+    if np.abs(v).max() > VECTOR_ENTRY_MAX:
+        raise InputError(f"{flag}: entries must be at most "
+                         f"{VECTOR_ENTRY_MAX:g} in size")
     return v
 
 

@@ -75,36 +75,24 @@ class Metric:
 
 
 def raise_first_failure(error: type, checks) -> None:
-    """Raise error, with `row` set, for the first row failing one of
-    checks (bad mask over the rows, message, *values to format it with),
-    with the message of the first check it fails: as a loop would."""
+    """Raise error for the first row failing one of checks (bad mask over
+    the rows, message, *values to format it with), with the message of
+    the first check it fails."""
     if not any(np.asarray(c[0]).any() for c in checks):
         return
     bad = np.reshape(np.broadcast_arrays(*(c[0] for c in checks)),
                      (len(checks), -1))
     row = int(np.argmax(bad.any(axis=0)))
     _, message, *values = checks[int(np.argmax(bad[:, row]))]
-    exc = error(message.format(*(np.ravel(v)[row] for v in values)))
-    exc.row = row
-    raise exc
-
-
-def in_row_order(build, rows):
-    """build(rows), raising as a loop would: a failure at row r first
-    reruns build(rows[:r]), where an earlier row may fail a later step."""
-    try:
-        return build(rows)
-    except ValueError as exc:
-        if getattr(exc, "row", 0):
-            in_row_order(build, rows[:exc.row])
-        raise
+    raise error(message.format(*(np.ravel(v)[row] for v in values)))
 
 
 def orthonormalizing_grams(bases) -> np.ndarray:
     """G = (B B^T)^-1, so B^T G B = I, for each B of a (..., n, n) stack,
     symmetrized: on a well-conditioned basis whose columns differ much in
     length, the rounding of the inverse can exceed the symmetry bound of
-    Metric. The first row failing Cholesky or the dependence bound raises."""
+    Metric. Failing rows raise MetricError with the message of one of
+    them (the inverse, Cholesky or the dependence bound)."""
     b = np.asarray(bases, dtype=float)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise MetricError("basis must be square")
@@ -116,12 +104,6 @@ def orthonormalizing_grams(bases) -> np.ndarray:
         g = 0.5 * (s + np.swapaxes(s, -1, -2))
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        for r, row in enumerate(b.reshape(-1, n, n) if b.ndim > 2 else ()):
-            try:    # the loop over a stack finds its first failing row
-                orthonormalizing_grams(row)
-            except MetricError as exc:
-                exc.row = r
-                raise
         raise MetricError(dependent if s is None
                           else "gram must be positive definite")
     # entries of B^T G B - I below 1/n bound its norm below 1, so

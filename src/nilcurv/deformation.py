@@ -22,7 +22,6 @@ from .curvature import (
     Metric,
     RicciReport,
     frame_structure,
-    in_row_order,
     orthonormalizing_grams,
     raise_first_failure,
     ricci_frame,
@@ -656,21 +655,18 @@ def codim1_adapted_metric(algebra: NilpotentAlgebra, c, u1
                           ) -> tuple[Metric | np.ndarray, np.ndarray]:
     """(metric, e): the metric in which c, u1, [c, u1] and their
     completion by standard vectors (`complete_basis`) are orthonormal,
-    with e the first completion vector; rows of u1 give stacks of both,
-    and the first failing row raises."""
-    c = np.asarray(c, float)
-
-    def build(u1):
-        have = [c, u1, algebra.bracket_float(c, u1)]
-        comp = complete_basis(have)
-        # a scalar completion comes up short, a stacked one ends in zeros
-        raise_first_failure(CandidateError, [(
-            len(have) + len(comp) != algebra.n or ~comp[-1].any(axis=-1),
-            "frame completion failed")])
-        basis = np.stack(np.broadcast_arrays(*have, *comp), axis=-1)
-        return (Metric.orthonormalizing(basis) if basis.ndim == 2
-                else orthonormalizing_grams(basis)), comp[0]
-    return in_row_order(build, np.asarray(u1, float))
+    with e the first completion vector; rows of u1 give stacks of both.
+    Bad rows raise the error of one of their scalar calls."""
+    c, u1 = np.asarray(c, float), np.asarray(u1, float)
+    have = [c, u1, algebra.bracket_float(c, u1)]
+    comp = complete_basis(have)
+    # a scalar completion comes up short, a stacked one ends in zeros
+    raise_first_failure(CandidateError, [(
+        len(have) + len(comp) != algebra.n or ~comp[-1].any(axis=-1),
+        "frame completion failed")])
+    basis = np.stack(np.broadcast_arrays(*have, *comp), axis=-1)
+    return (Metric.orthonormalizing(basis) if basis.ndim == 2
+            else orthonormalizing_grams(basis)), comp[0]
 
 
 def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int

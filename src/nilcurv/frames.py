@@ -19,7 +19,6 @@ from .algebra import NilpotentAlgebra
 from .catalog import build
 from .curvature import (
     Metric,
-    in_row_order,
     orthonormalizing_grams,
     raise_first_failure,
 )
@@ -45,7 +44,7 @@ def _frame_algebra(key: str) -> NilpotentAlgebra:
 class NormalFormFrame:
     key: str
     algebra: NilpotentAlgebra
-    metric: Metric                  # a Gram stack for a stack of frames
+    metric: Metric | np.ndarray     # a Gram stack for a stack of frames
     e_vectors: list[np.ndarray]     # e1, e2
     u_vectors: list[np.ndarray]     # u1, u2, u3
     expected_T: np.ndarray          # basis coordinates of the display value
@@ -77,6 +76,7 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
     for none. All finite and at most FRAME_PARAMETER_MAX in size. Rows of
     alphas and shifts give all their frames in one pass, as one frame of
     stacked vectors and Gram matrices; a single frame is the N=1 case.
+    Bad rows raise the error of one of their single frames.
     """
     if key not in FRAME_KEYS:
         raise KeyError(f"no normal-form frame for {key!r}")
@@ -86,30 +86,30 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
     shifts = np.broadcast_to(np.zeros(n - 3) if shift is None else shift,
                              (len(rows), n - 3)).astype(float)
 
-    def build(r):
-        big = ~(np.abs(np.hstack([rows[r], shifts[r]])) <= FRAME_PARAMETER_MAX)
-        raise_first_failure(CandidateError, [
-            ((np.abs(rows[r]) < 1e-12).any(axis=1), "alphas must be nonzero"),
-            (big.any(axis=1), "alphas and shift must be finite, at most "
-                              f"{FRAME_PARAMETER_MAX:g}")])
-        a1, a2, a3 = rows[r].T[..., None]
-        if key == "L5_lemma7a":
-            # basis c, X, Y, Z, A
-            c, x, y, z, a = np.eye(n)
-            b1, b2 = shifts[r].T[..., None]
-            cphi = c + (b1 * a + b2 * z) / a1
-            u1 = 6 * a1 * cphi + a2 * x
-            u2 = cphi
-            u3 = 10 * a1 * cphi + a3 * y
-            e1 = -a2 * a
-            e2 = np.sqrt(2.0) * (-10 * a1 * a2 * a + a2 * a3 * z)
-            expected = (a1 * c + a2 * x + a3 * y
-                        + (b1 - 0.5 * a2 * a3 / a1) * a + b2 * z)
-            return "T2", [e1, e2, u1, u2, u3], expected, \
-                orthonormalizing_grams(np.stack([e1, e2, u1, u2, u3], -1))
+    big = ~(np.abs(np.hstack([rows, shifts])) <= FRAME_PARAMETER_MAX)
+    raise_first_failure(CandidateError, [
+        ((np.abs(rows) < 1e-12).any(axis=1), "alphas must be nonzero"),
+        (big.any(axis=1), "alphas and shift must be finite, at most "
+                          f"{FRAME_PARAMETER_MAX:g}")])
+    a1, a2, a3 = rows.T[..., None]
+    if key == "L5_lemma7a":
+        # basis c, X, Y, Z, A
+        c, x, y, z, a = np.eye(n)
+        b1, b2 = shifts.T[..., None]
+        cphi = c + (b1 * a + b2 * z) / a1
+        u1 = 6 * a1 * cphi + a2 * x
+        u2 = cphi
+        u3 = 10 * a1 * cphi + a3 * y
+        e1 = -a2 * a
+        e2 = np.sqrt(2.0) * (-10 * a1 * a2 * a + a2 * a3 * z)
+        which = "T2"
+        expected = (a1 * c + a2 * x + a3 * y
+                    + (b1 - 0.5 * a2 * a3 / a1) * a + b2 * z)
+        grams = orthonormalizing_grams(np.stack([e1, e2, u1, u2, u3], -1))
+    else:
         # six-dimensional forms: basis c, X, Y, Z, A1, A2
         c, x, y, z, aa1, aa2 = np.eye(n)
-        s1, s2, s3 = shifts[r].T[..., None]
+        s1, s2, s3 = shifts.T[..., None]
         u_shift = s1 * aa1 + s2 * aa2 + s3 * z
         cphi = c + u_shift
         if key == "L6_2":
@@ -121,7 +121,7 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
             c_coef = 0.2 * a1 * a1 / a3
         else:  # L6_1 and L6_3 share a row
             u1 = -2 * a1 * cphi + a2 * x + a3 * y
-            u2 = np.tile(x, (len(r), 1))
+            u2 = np.tile(x, (len(rows), 1))
             u3 = cphi + aa1
             which = "T1"
             base_t = (a1 * c + a2 * x + a3 * y - 3 * a1 * aa1 - 3 * a3 * z)
@@ -130,9 +130,10 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
         e2 = 2.0 * algebra.bracket_float(u1, u3)
         u23 = algebra.bracket_float(u2, u3)
         # the automorphism c -> c + U sends T to T + (c-coefficient of T) U
-        return which, [e1, e2, u1, u2, u3], base_t + c_coef * u_shift, \
-            orthonormalizing_grams(np.stack([u1, u2, u3, e1, e2, u23], -1))
-    which, vecs, expected, grams = in_row_order(build, np.arange(len(rows)))
+        expected = base_t + c_coef * u_shift
+        grams = orthonormalizing_grams(
+            np.stack([u1, u2, u3, e1, e2, u23], -1))
+    vecs = [e1, e2, u1, u2, u3]
     if np.ndim(alphas) == 1:
         vecs, expected, grams = [v[0] for v in vecs], expected[0], \
             Metric(grams[0])

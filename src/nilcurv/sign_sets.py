@@ -279,11 +279,9 @@ def secdef_coefficients(algebra: NilpotentAlgebra, metric: Metric,
     def mu(uf, vf):
         return uf[None, :] * np.einsum("ilj,l->ij", c, vf)
 
-    mu_xy, mu_yx = mu(xf, yf), mu(yf, xf)
-    mu_xx, mu_yy = mu(xf, xf), mu(yf, yf)
-    s = mu_xy + mu_yx
+    s = mu(xf, yf) + mu(yf, xf)
     psi = 0.25 * np.einsum("ij,ik->ijk", s, s) \
-        - np.einsum("ij,ik->ijk", mu_xx, mu_yy)
+        - np.einsum("ij,ik->ijk", mu(xf, xf), mu(yf, yf))
     bxy = algebra.bracket_float(x, y)
     phi = (-0.75 * (fg @ bxy) ** 2
            - 0.5 * yf * (fg @ algebra.bracket_float(x, bxy))
@@ -294,9 +292,7 @@ def secdef_coefficients(algebra: NilpotentAlgebra, metric: Metric,
                        - lam[:, None, None]) * t)
         return float(np.sum(wpsi * psi) + np.sum(np.exp(lam * t) * phi))
 
-    return {"Psi": psi, "Phi": phi,
-            "mu_xy": mu_xy, "mu_yx": mu_yx, "mu_xx": mu_xx, "mu_yy": mu_yy,
-            "evaluate": evaluate}
+    return {"Psi": psi, "Phi": phi, "evaluate": evaluate}
 
 
 # ---------------------------------------------------------------------------

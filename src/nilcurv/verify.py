@@ -20,7 +20,6 @@ from . import sign_sets as ss
 from .catalog import build, list_catalog
 from .curvature import (
     Metric,
-    in_row_order,
     ricci_form_matrix,
     ricci_operator,
     sectional_K,
@@ -515,18 +514,12 @@ def coverage_grid_cases(seed: int = 0) -> dict[str, tuple[np.ndarray, list]]:
     ideal = alg.find_codim1_abelian_ideal()
     grid = sphere_grid(ideal, COVERAGE_RESOLUTION)
     c_vec = np.array(ideal.complement()[0], float)
-
-    def unit(v):
-        # row norms by the dot product np.linalg.norm takes of one vector,
-        # so each row equals, to the bit, the row normalized on its own
-        return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
-    u1 = unit(grid)
-    # where [c, [c, u1]] = 0, tilt u1 toward X
-    flat = np.linalg.norm(alg.bracket_float(
-        c_vec, alg.bracket_float(c_vec, u1)), axis=1) < 1e-8
-    u1 = np.where(flat[:, None], unit(u1 + 0.02 * np.eye(4)[1]), u1)
-    cand = in_row_order(lambda u: candidate_e1u2(
-        alg, *codim1_adapted_metric(alg, c_vec, u), u, c_vec), u1)
+    # unit rows by the dot product np.linalg.norm takes of one vector, so
+    # each equals, to the bit, the row normalized on its own; each has
+    # [c, [c, u1]] != 0, as the Lemma 5 construction asks of u1
+    u1 = grid / np.sqrt(grid[:, None, :] @ grid[:, :, None])[:, 0]
+    cand = candidate_e1u2(alg, *codim1_adapted_metric(alg, c_vec, u1), u1,
+                          c_vec)
     cases["filiform4"] = (grid, cand.T[~cand.is_zero])
     return cases
 
@@ -551,8 +544,7 @@ def check_coverage(seed: int = 0) -> dict:
         k = 2 if key == "L5_lemma7a" else 3
         a_rows = np.repeat(alphas, k + 1, axis=0)
         s_rows = np.tile(np.eye(k + 1, k, k=-1), (len(alphas), 1))
-        t_vecs = in_row_order(lambda r: normal_form_frame(
-            key, a_rows[r], s_rows[r]).candidate().T, np.arange(len(a_rows)))
+        t_vecs = normal_form_frame(key, a_rows, s_rows).candidate().T
         n = t_vecs.shape[1]
         # rank reads rows only until the span is full, so only those rows
         # are rationalized

@@ -108,6 +108,39 @@ def test_sect_bad_plane(h3_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["sect", "signsets"])
+@pytest.mark.parametrize("plane", ["1e400,0,0;0,1,0", "1e200,0,0;0,1e200,0"])
+def test_oversized_plane_entries_exit_2(h3_path, capsys, command, plane):
+    """An entry that overflows a float, or that would overflow K or the
+    frame's Gram matrix, is an input error, not a traceback or NaN."""
+    code, out, err = run(capsys, command, h3_path, "--plane", plane,
+                         "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --plane: ")
+
+
+@pytest.mark.parametrize("vector", ["1e400,0,0", "1e13,0,0"])
+def test_oversized_vector_entries_exit_2(h3_path, capsys, vector):
+    code, out, err = run(capsys, "signsets", h3_path, "--vector", vector)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --vector: ")
+
+
+def test_plane_entries_at_the_bound_work(h3_path, capsys):
+    code, out, _ = run(capsys, "sect", h3_path,
+                       "--plane", "1e12,0,0;0,1e12,0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["K"] == pytest.approx(-7.5e47, rel=1e-12)
+    assert data["kappa"] == pytest.approx(-0.75, rel=1e-12)
+    code, out, _ = run(capsys, "signsets", h3_path,
+                       "--plane", "1e12,0,0;0,1e12,0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["labels"] == []
+    assert data["witnesses"][0]["kind"] == "K_negative"
+
+
 def test_deform(tmp_path, capsys):
     alg = tmp_path / "h3p.json"
     alg.write_text(json.dumps(

@@ -175,10 +175,6 @@ def _filiform4_loop():
     cands = []
     for gdir in sphere_grid(ideal, COVERAGE_RESOLUTION):
         u1 = gdir / np.linalg.norm(gdir)
-        if abs(np.linalg.norm(alg.bracket_float(
-                c_vec, alg.bracket_float(c_vec, u1)))) < 1e-8:
-            u1 = u1 + 0.02 * np.eye(4)[:, 1]  # tilt toward X
-            u1 = u1 / np.linalg.norm(u1)
         metric, e = codim1_adapted_metric(alg, c_vec, u1)
         cand = candidate_e1u2(alg, metric, e, u1, c_vec)
         if not cand.is_zero:
@@ -186,9 +182,22 @@ def _filiform4_loop():
     return np.array(cands)
 
 
+def test_filiform4_grid_lines_have_nonzero_c_c_u1():
+    """[c, [c, u1]] is far from 0 on every unit u1 of the filiform4 grid
+    that coverage_grid_cases uses (its minimum is about 9e-4), so the
+    Lemma 5 construction takes each line as it is."""
+    alg = build("filiform4")
+    c_vec = np.array(alg.find_codim1_abelian_ideal().complement()[0], float)
+    grid, _ = coverage_grid_cases(0)["filiform4"]
+    u1 = grid / np.linalg.norm(grid, axis=1)[:, None]
+    cc = alg.bracket_float(c_vec, alg.bracket_float(c_vec, u1))
+    assert len(grid) == 799
+    assert np.linalg.norm(cc, axis=1).min() > 1e-8
+
+
 def test_filiform4_coverage_stack_matches_the_loop():
     """All 799 filiform4 candidates of the stacked pass equal the loop's
-    to 1e-12 of max|T|, tilted rows included."""
+    to 1e-12 of max|T|."""
     _, got = coverage_grid_cases(0)["filiform4"]
     want = _filiform4_loop()
     assert got.shape == want.shape == (799, 4)

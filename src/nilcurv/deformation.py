@@ -30,8 +30,6 @@ from .curvature import (
 OVERFLOW_LIMIT = 700.0
 # the t at which convergence_check compares directions
 T_GRID = tuple(float(2 ** k) for k in range(0, 11))
-# tilt of e toward [u1, u2] when lemma5a_deformation needs one
-LEMMA5A_TILT = 1e-5
 # inner products at or below this count as zero in the p = 2, q = 3 frame
 EU_PRECONDITION_TOL = 1e-10
 # g-orthonormality is tested to max(ORTHONORMAL_ABS, ORTHONORMAL_COND *
@@ -375,43 +373,18 @@ def lemma5a_deformation(algebra: NilpotentAlgebra, metric: Metric,
                         e, u1, u2
                         ) -> tuple[DeformationSpec, ExtremalCandidate]:
     """Deformation realizing the candidate of candidate_e1u2 as the maximal
-    Ricci eigendirection in the limit.
+    Ricci eigendirection in the limit: exponent +1 on e, -1 on u1, u2.
 
-    When <e, [u1, u2]> != 0 the exponent pattern (+1 on e, -1 on u1, u2)
-    works directly. When it vanishes, the maximal direction is reached by
-    continuity: e is tilted by LEMMA5A_TILT toward the component of
-    [u1, u2] orthogonal to span(e, u1, u2), which makes the top limit
-    eigenvalue simple while moving the limiting direction only
-    O(LEMMA5A_TILT) away from T.
-    The returned candidate always carries the unperturbed T.
+    Requires <e, [u1, u2]> != 0, which makes the top limit eigenvalue
+    simple; otherwise, or for a zero T, it raises CandidateError.
     """
-    e = np.asarray(e, float)
-    u1 = np.asarray(u1, float)
-    u2 = np.asarray(u2, float)
     cand = candidate_e1u2(algebra, metric, e, u1, u2)
     if cand.is_zero:
         raise CandidateError("candidate vector T is zero")
-    if cand.simple:
-        spec = spec_for_pattern(algebra, metric, [e], [u1, u2])
-        return spec, cand
-    u12 = algebra.bracket_float(u1, u2)
-    if metric.norm2(u12) < 1e-20:
-        raise CandidateError("[u1, u2] = 0: no deformation available")
-    w = u12.copy()
-    for v in (e, u1, u2):
-        w = w - metric.inner(w, v) * v
-    nw = np.sqrt(max(metric.norm2(w), 0.0))
-    if nw < 1e-12:
-        raise CandidateError("[u1, u2] lies in span(e, u1, u2)")
-    w = w / nw
-    e_tilt = e + LEMMA5A_TILT * w
-    e_tilt = e_tilt / np.sqrt(metric.norm2(e_tilt))
-    tilted = candidate_e1u2(algebra, metric, e_tilt, u1, u2)
-    if not tilted.simple:
-        raise CandidateError("tilt failed to make <e,[u1,u2]> nonzero")
-    spec = spec_for_pattern(algebra, metric, [e_tilt], [u1, u2])
-    return spec, ExtremalCandidate(T=cand.T, lambda_extreme=tilted.lambda_extreme,
-                                   construction="e1u2", simple=True)
+    if not cand.simple:
+        raise CandidateError("<e, [u1, u2]> = 0: the top limit eigenvalue "
+                             "is not simple")
+    return spec_for_pattern(algebra, metric, [e], [u1, u2]), cand
 
 
 def _eu_checks(algebra, g, e1, e2, u1, u2, u3):
@@ -678,9 +651,11 @@ def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int
 
     Two-step: a random metric and unit e in g' (`two_step_deformation`).
     With a codimension-one abelian ideal a and complement c: a random
-    unit u1 in a with [c, [c, u1]] != 0, in the metric of
-    `codim1_adapted_metric` (`lemma5a_deformation`). Otherwise no pairs,
-    and a note that there is no closed form."""
+    unit u1 in a with [c, u1] != 0, in the metric of
+    `codim1_adapted_metric`, and e = [c, u1], its third frame vector
+    (`lemma5a_deformation` with u2 = c). Then <e, [u1, c]> = -1, so the
+    top limit eigenvalue is simple and T lies in P(a). Otherwise no
+    pairs, and a note that there is no closed form."""
     rng = np.random.default_rng(seed)
     notes = []
     out = []
@@ -713,11 +688,11 @@ def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int
     for k in range(samples):
         u1 = rng.uniform(-1.0, 1.0, size=a_basis.shape[0]) @ a_basis
         u1 = u1 / np.linalg.norm(u1)
-        if np.linalg.norm(algebra.bracket_float(
-                c_vec, algebra.bracket_float(c_vec, u1))) < 1e-8:
+        e = algebra.bracket_float(c_vec, u1)
+        if np.linalg.norm(e) < 1e-8:
             continue
         try:
-            metric, e = codim1_adapted_metric(algebra, c_vec, u1)
+            metric, _ = codim1_adapted_metric(algebra, c_vec, u1)
             spec, cand = lemma5a_deformation(algebra, metric, e, u1, c_vec)
         except CandidateError as exc:
             notes.append(f"sample {k}: {exc}")

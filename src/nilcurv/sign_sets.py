@@ -432,8 +432,10 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x) -> SignWitness:
     """A deformed metric with Ric(x) < 0; requires x not central.
 
     The deformation blows up an outgoing bracket w = [x, y] of x, with y
-    the first basis vector e_i that brackets x nontrivially (one exists
-    because x is not central)."""
+    the unit vector along e_i minus its x-component, for the first basis
+    vector e_i that brackets x nontrivially (one exists because x is not
+    central). [x, y] = [x, e_i], and y stays orthogonal to x even when x
+    is nearly parallel to e_i."""
     xe = exact_vector(x)
     if algebra.center().contains(xe):
         raise PreconditionError("x is central: Ric(x) >= 0 for every metric")
@@ -443,7 +445,8 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x) -> SignWitness:
         w = algebra.bracket(xe, basis_vector(n, i))
         if any(w):
             break
-    yv = np.eye(n)[i]
+    yv = np.eye(n)[i] - xf[i] / (xf @ xf) * xf
+    yv = yv / np.linalg.norm(yv)
     wf = np.array([float(v) for v in w])
     # basis order: x, w-direction, middle..., y
     mid = complete_basis([xf, wf, yv])

@@ -7,6 +7,7 @@ the command line and the test suite can never disagree.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -176,11 +177,16 @@ def check_extremal_convergence(seed: int = 0) -> dict:
                   "converged": trace.converged,
                   "T_matches_2Z": bool(
                       np.abs(cand.T - 2.0 * e).max() < 1e-12)})
-    # filiform4: tilted construction at e = Z, u1 = W, u2 = X; T = -X
+    # filiform4: T = -X of e = Z, u1 = W, u2 = X, where <Z, [W, X]> = 0,
+    # against the deformation of e tilted by 1e-5 toward [W, X] = Y
     alg = build("filiform4")
     metric = Metric.identity(4)
-    w, x, _, z = (np.eye(4)[:, i] for i in range(4))
-    spec, cand = lemma5a_deformation(alg, metric, z, w, x)
+    w, x, y, z = (np.eye(4)[:, i] for i in range(4))
+    e = z + 1e-5 * y
+    spec, tilted = lemma5a_deformation(alg, metric,
+                                       e / np.sqrt(metric.norm2(e)), w, x)
+    cand = dataclasses.replace(
+        tilted, T=candidate_e1u2(alg, metric, z, w, x).T)
     trace = convergence_check(spec, alg, cand, target=target)
     cases.append({"case": "filiform4", "T": cand.T.tolist(),
                   "best_distance": trace.best_distance(),

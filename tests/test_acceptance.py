@@ -40,6 +40,16 @@ def test_check_passes_within_budget(name):
         f"{name} took {res['wall_s']:.1f}s (budget {BUDGETS_S[name]}s)")
 
 
+# the seeded checks that pass at every seed; deformation-limit still fails
+# at seeds 1, 3, 7 and 9 on its absolute eigenvalue bound (ROADMAP item 2)
+@pytest.mark.parametrize("seed", range(1, 10))
+@pytest.mark.parametrize("name", ["coverage", "extremal-convergence",
+                                  "ric-sign-witnesses"])
+def test_check_passes_at_other_seeds(name, seed):
+    res = verify.CHECKS[name](seed=seed)
+    assert res["passed"], res.get("details")
+
+
 def test_report_byte_deterministic():
     cmd = [sys.executable, "-m", "nilcurv.cli", "verify-paper",
            "--only", "spectra", "--json", "--seed", "0"]

@@ -228,6 +228,19 @@ def test_signsets_vector(h3_path, capsys):
     assert data["witnesses"][0]["value"] > RIC_POSITIVE_MIN
 
 
+@pytest.mark.parametrize("vector", ["1e8,1,0", "1e12,1,0"])
+def test_signsets_vector_nearly_parallel_to_a_basis_vector(h3_path, capsys,
+                                                           vector):
+    """x within 1e-8 rad of e_0, the basis vector that brackets it: the
+    witness basis pairs x with the part of e_0 orthogonal to x."""
+    code, out, _ = run(capsys, "signsets", h3_path, "--vector", vector,
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["labels"] == ["outside"]
+    assert data["witnesses"][0]["value"] < -1e-9
+
+
 def test_signsets_plane_negative_witness(h3_path, capsys):
     code, out, _ = run(capsys, "signsets", h3_path,
                        "--plane", "1,0,0;0,1,0", "--json")
@@ -344,6 +357,17 @@ def test_maxmin_two_step_keeps_ill_conditioned_samples(tmp_path, capsys):
         assert code == 0 and data["notes"] == [], (key, seed)
         assert len(data["candidates"]) == 10
         assert all(c["converged"] for c in data["candidates"])
+
+
+@pytest.mark.parametrize("seed", ["1", "105"])
+def test_maxmin_converges_on_the_catalog(tmp_path, capsys, seed):
+    """Every candidate of every catalog algebra converges to the maximal
+    direction of its own deformation."""
+    run(capsys, "catalog", "--emit-json", str(tmp_path))
+    for path in sorted(tmp_path.glob("*.json")):
+        code, out, _ = run(capsys, "maxmin", str(path), "--seed", seed,
+                           "--json")
+        assert code == 0, path.name
 
 
 def test_verify_paper_only_and_determinism(tmp_path, capsys):

@@ -185,13 +185,34 @@ def test_two_step_eigenvalue_is_the_scaled_limit_top():
 
 
 def test_lemma5a_filiform4():
+    """<Z, [W, X]> = 0 on filiform4: the top limit eigenvalue is not
+    simple, so there is no deformation to check T against."""
     alg = build("filiform4")
     metric = Metric.identity(4)
     w, x, _, z = (np.eye(4)[:, i] for i in range(4))
-    spec, cand = lemma5a_deformation(alg, metric, z, w, x)
-    assert np.abs(cand.T + x).max() < 1e-12   # T = -X
-    trace = convergence_check(spec, alg, cand)
-    assert trace.converged
+    with pytest.raises(CandidateError, match="not simple"):
+        lemma5a_deformation(alg, metric, z, w, x)
+
+
+def _model_filiform(n):
+    """m0(n): [X1, Xi] = X(i+1) for 2 <= i < n."""
+    return NilpotentAlgebra(n, {(0, i): {i + 1: Fraction(1)}
+                                for i in range(1, n - 1)}, name=f"m0({n})")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_lemma5_candidates_converge_on_model_filiform(n):
+    """With e = [c, u1] every codimension-one candidate lies in P(a) and
+    is the limit of the maximal direction of its own deformation."""
+    alg = _model_filiform(n)
+    ideal = alg.find_codim1_abelian_ideal()
+    for seed in range(4):
+        pairs, notes = lemma5_candidates(alg, seed, 10)
+        assert len(pairs) == 10 and notes == []
+        for cand, spec in pairs:
+            assert ideal.contains_float(cand.T)
+            assert convergence_check(spec, alg, cand).best_distance() \
+                <= 1e-8, (n, seed)
 
 
 @pytest.mark.parametrize("key, params, construction", [

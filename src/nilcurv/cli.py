@@ -258,9 +258,9 @@ def cmd_deform(args) -> int:
         raise InputError(f"no such file: {args.spec}")
     try:
         spec = DeformationSpec(base=Metric(gram), lambdas=lambdas)
-    except ValueError as exc:   # MetricError, or a check of DeformationSpec
+        limit = scaled_ricci_limit(spec, a)
+    except ValueError as exc:   # MetricError, DeformationSpec, or n < 2
         raise InputError(f"spec {args.spec}: {exc}")
-    limit = scaled_ricci_limit(spec, a)
     report = {"config": _config(args, algebra=args.algebra, spec=args.spec,
                                 t=args.t),
               "d": limit.d, "gap": limit.gap,
@@ -437,6 +437,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nilcurv",
@@ -505,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("maxmin", help="Ricci-extremal candidate report")
     sp.add_argument("algebra")
     sp.add_argument("--samples", type=_positive_int, default=10)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--tol", type=_positive_float, default=1e-3)
     common(sp)
     sp.set_defaults(func=cmd_maxmin)
 

@@ -38,14 +38,18 @@ class Metric:
         if not (g.size and (g == g.T).all()) and not np.allclose(
                 g, g.T, atol=1e-12 * (1 + np.abs(g).max())):
             raise MetricError("gram must be symmetric")
-        self.gram = 0.5 * (g + g.T)
+        gram = 0.5 * (g + g.T)
         try:
-            self._chol = np.linalg.cholesky(self.gram)
+            chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             raise MetricError("gram must be positive definite")
+        self._factored(gram, chol)
+
+    def _factored(self, gram: np.ndarray, chol: np.ndarray) -> "Metric":
         # columns are an orthonormal frame: F^T G F = I, so G^-1 = F F^T
-        self.frame = np.linalg.inv(self._chol).T
+        self.gram, self.frame = gram, np.linalg.inv(chol).T
         self._inv = self.frame @ self.frame.T
+        return self
 
     @property
     def n(self) -> int:
@@ -64,8 +68,10 @@ class Metric:
     @classmethod
     def orthonormalizing(cls, basis) -> "Metric":
         """The metric in which the columns of the square `basis` are
-        orthonormal (`orthonormalizing_grams` of one basis)."""
-        return cls(orthonormalizing_grams(basis))
+        orthonormal (`orthonormalizing_grams` of one basis), built from
+        the Cholesky factor of its positive-definiteness test."""
+        return cls.__new__(cls)._factored(
+            *orthonormalizing_grams(basis, _factor=True))
 
     def inner(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.gram @ np.asarray(y, float))
@@ -87,12 +93,13 @@ def raise_first_failure(error: type, checks) -> None:
     raise error(message.format(*(np.ravel(v)[row] for v in values)))
 
 
-def orthonormalizing_grams(bases) -> np.ndarray:
+def orthonormalizing_grams(bases, *, _factor: bool = False) -> np.ndarray:
     """G = (B B^T)^-1, so B^T G B = I, for each B of a (..., n, n) stack,
     symmetrized: on a well-conditioned basis whose columns differ much in
     length, the rounding of the inverse can exceed the symmetry bound of
     Metric. Failing rows raise MetricError with the message of one of
-    them (the inverse, Cholesky or the dependence bound)."""
+    them (the inverse, Cholesky or the dependence bound). `_factor`, for
+    Metric.orthonormalizing only, returns (G, its Cholesky factor)."""
     b = np.asarray(bases, dtype=float)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise MetricError("basis must be square")
@@ -102,7 +109,7 @@ def orthonormalizing_grams(bases) -> np.ndarray:
     try:
         s = np.linalg.inv(b @ np.swapaxes(b, -1, -2))
         g = 0.5 * (s + np.swapaxes(s, -1, -2))
-        np.linalg.cholesky(g)
+        chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise MetricError(dependent if s is None
                           else "gram must be positive definite")
@@ -111,7 +118,7 @@ def orthonormalizing_grams(bases) -> np.ndarray:
     near = np.abs(np.swapaxes(b, -1, -2) @ g @ b - np.eye(n)).max(
         axis=(-2, -1)) < 1 / n
     raise_first_failure(MetricError, [(~near, dependent)])
-    return g
+    return (g, chol) if _factor else g
 
 
 def frame_structure(algebra: NilpotentAlgebra, metric: Metric,
@@ -189,10 +196,11 @@ def ricci_frame(c: np.ndarray, weights: np.ndarray | None = None
 
     R[a,b] = (1/4) sum_ij w_ijb c_ija c_ijb - (1/2) sum_ik w_aik c_aik c_bik
     with c[i,j,k] = <e_k, [e_i, e_j]> (Milnor's formula for a nilpotent
-    algebra) and weights w symmetric in (i, j), all 1 by default. With
-    w_ijk = exp((l_k - l_i - l_j) t) it is the Ricci operator of the
-    deformed metric g_t in the coordinates of the undeformed frame; with
-    a 0/1 mask it keeps the leading terms of that expansion.
+    algebra) and weights w symmetric in (i, j), all 1 by default, read at
+    i > j only. With w = exp(x t) for `deformation.exponent_tensor` x it
+    is the Ricci operator of the deformed metric g_t in the coordinates of
+    the undeformed frame; with a 0/1 mask it keeps the leading terms of
+    that expansion.
 
     Both sums run over the pairs i > j of c_ijk = -c_jik only: the first
     is twice its half, the second splits into its terms with i > a and

@@ -116,20 +116,23 @@ def deformed_frame(spec: DeformationSpec, t: float) -> np.ndarray:
     return spec.frame @ np.diag(np.exp(-spec.lambdas * t / 2.0))
 
 
+def exponent_tensor(lambdas) -> np.ndarray:
+    """x[i, j, k] = lambda_k - lambda_i - lambda_j: the g_t-orthonormal
+    frame E_i = exp(-lambda_i t / 2) e_i has the structure constants
+    c_ijk exp(x[i, j, k] t / 2), and the Ricci form in the coordinates of
+    e has the weights exp(x[i, j, k] t)."""
+    lam = np.asarray(lambdas, float)
+    return lam[None, None, :] - lam[:, None, None] - lam[None, :, None]
+
+
 def deformed_ricci_frame(spec: DeformationSpec, algebra: NilpotentAlgebra,
                          t: float) -> np.ndarray:
-    """Matrix of ric_t in the coordinates of the (undeformed) frame.
-
+    """Matrix of ric_t in the coordinates of the (undeformed) frame:
     ricci_frame of the base frame structure constants with the weights
-    exp((lambda_k - lambda_i - lambda_j) t): the g_t-orthonormal frame
-    E_i = exp(-lambda_i t / 2) e_i scales c_ijk by half that exponent, and
-    the change of coordinates from E back to e supplies the other half.
-    """
+    exp(x t) of `exponent_tensor`."""
     _check_t(spec, t)
-    lam = spec.lambdas
     c = frame_structure(algebra, spec.base, spec.frame)
-    expo = lam[None, None, :] - lam[:, None, None] - lam[None, :, None]
-    return ricci_frame(c, np.exp(expo * t))
+    return ricci_frame(c, np.exp(exponent_tensor(spec.lambdas) * t))
 
 
 def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
@@ -137,16 +140,14 @@ def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
     """Ricci report of g_t, computed in the g_t-orthonormal frame.
 
     The frame structure constants of g_t are the base ones scaled by
-    exp((lambda_k - lambda_i - lambda_j) t / 2); a common exponent shift
+    exp(x t / 2) (`exponent_tensor`); a common exponent shift
     keeps the eigenproblem finite even when the raw entries overflow.
     For moderate t this agrees with ricci_operator on deformed_metric.
     Eigenvectors are returned with unit Euclidean norm.
     """
     _check_t(spec, t)
-    lam = spec.lambdas
     c = frame_structure(algebra, spec.base, spec.frame)
-    expo = 0.5 * t * (lam[None, None, :] - lam[:, None, None]
-                      - lam[None, :, None])
+    expo = 0.5 * t * exponent_tensor(spec.lambdas)
     # drop numerical-noise entries: their formal exponents would otherwise
     # dominate the shift and crush the genuine terms to zero
     cmax = np.abs(c).max()
@@ -171,6 +172,7 @@ class ScaledRicciLimit:
     Lambda: list[tuple[int, int, int]]      # (i, j, k), i > j, 0-based
     phi0: np.ndarray                        # frame coordinates
     gap: float                              # d minus second-largest exponent
+    c: np.ndarray                           # frame structure tensor
     p: int | None = None
     q: int | None = None
     J: list[np.ndarray] = field(default_factory=list)
@@ -189,68 +191,50 @@ class ScaledRicciLimit:
         return np.sort(np.linalg.eigvals(self.phi0).real)
 
 
-def _lambda_triples(lam: np.ndarray) -> tuple[float, list, float]:
-    """d, the maximizing set Lambda, and the gap to the runner-up.
+def _lambda_triples(lam: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """d, the (n, n, n) mask of the maximizing set Lambda and the gap to
+    the runner-up, off `exponent_tensor` at the triples (i, j, k) with
+    i > j (the others take -inf); n < 2 leaves none and raises ValueError.
 
     Ties are decided with the tolerance 1e-12 (max |lambda_i| + 1), since
     membership in Lambda changes the limit discontinuously. On integer
     exponents the float sums are exact, so ties are too.
     """
-    n = len(lam)
-    vals: dict[tuple[int, int, int], float] = {}
-    for i in range(n):
-        for j in range(i):
-            for k in range(n):
-                vals[(i, j, k)] = lam[k] - lam[i] - lam[j]
-    d = max(vals.values())
-    tol = 1e-12 * (np.abs(lam).max() + 1.0)
-    lam_set = [t for t, v in vals.items() if v >= d - tol]
-    rest = [v for t, v in vals.items() if t not in set(lam_set)]
-    gap = d - max(rest) if rest else np.inf
-    return d, sorted(lam_set), gap
+    expo = np.where(np.tri(len(lam), k=-1, dtype=bool)[:, :, None],
+                    exponent_tensor(lam), -np.inf)
+    d = expo.max()
+    if d == -np.inf:
+        raise ValueError("the scaled Ricci limit needs dimension >= 2")
+    mask = expo >= d - 1e-12 * (np.abs(lam).max() + 1.0)
+    return d, mask, d - expo[~mask].max()
 
 
 def _detect_pq(lam: np.ndarray) -> tuple[int, int] | None:
     """(p, q) if lambdas are (+1 x p, 0 x (n-p-q), -1 x q) in frame order."""
-    n = len(lam)
-    p = 0
-    while p < n and abs(lam[p] - 1.0) < 1e-12:
-        p += 1
-    q = 0
-    while q < n and abs(lam[n - 1 - q] + 1.0) < 1e-12:
-        q += 1
-    if p < 1 or q < 2 or p + q > n:
-        return None
-    if not np.all(np.abs(lam[p:n - q]) < 1e-12):
+    p = int(np.cumprod(np.abs(lam - 1.0) < 1e-12).sum())
+    q = int(np.cumprod(np.abs(lam[::-1] + 1.0) < 1e-12).sum())
+    if p < 1 or q < 2 or not np.all(np.abs(lam[p:len(lam) - q]) < 1e-12):
         return None
     return p, q
 
 
 def scaled_ricci_limit(spec: DeformationSpec,
                        algebra: NilpotentAlgebra) -> ScaledRicciLimit:
-    """Limit of 2 exp(-t d) ric_t as t -> infinity, in frame coordinates."""
-    lam = spec.lambdas
-    d, lam_set, gap = _lambda_triples(lam)
+    """Limit of 2 exp(-t d) ric_t as t -> infinity, in frame coordinates:
+    ricci_frame with the mask of Lambda as weights. With the (p, q)
+    pattern, J_k = c[-q:, -q:, k] and A_kl = (1/2) tr(J_k J_l^T)."""
+    d, mask, gap = _lambda_triples(spec.lambdas)
     c = frame_structure(algebra, spec.base, spec.frame)
-    n = spec.n
-    mask = np.zeros((n, n, n))
-    for (i, j, k) in lam_set:
-        mask[i, j, k] = mask[j, i, k] = 1.0
-    phi0 = 2.0 * ricci_frame(c, mask)
-    limit = ScaledRicciLimit(spec=spec, d=d, Lambda=lam_set, phi0=phi0,
-                             gap=gap)
-    pq = _detect_pq(lam)
+    limit = ScaledRicciLimit(
+        spec=spec, d=d, Lambda=[tuple(t) for t in np.argwhere(mask).tolist()],
+        phi0=2.0 * ricci_frame(c, mask), gap=gap, c=c)
+    pq = _detect_pq(spec.lambdas)
     if pq is not None:
         p, q = pq
-        limit.p, limit.q = p, q
-        js = []
-        for k in range(p):
-            jk = np.array([[c[n - q + r, n - q + s, k] for s in range(q)]
-                           for r in range(q)])
-            js.append(jk)
-        limit.J = js
-        limit.A = np.array([[0.5 * np.trace(js[k] @ js[l].T)
-                             for l in range(p)] for k in range(p)])
+        js = np.ascontiguousarray(np.moveaxis(c[-q:, -q:, :p], 2, 0))
+        limit.p, limit.q, limit.J = p, q, list(js)
+        limit.A = 0.5 * np.trace(js[:, None] @ js.swapaxes(1, 2),
+                                 axis1=2, axis2=3)
     return limit
 
 
@@ -270,71 +254,41 @@ class ExtremalCandidate:
 
 def extremal_T(limit: ScaledRicciLimit,
                algebra: NilpotentAlgebra) -> ExtremalCandidate:
-    """Closed-form top eigenvector of the scaled Ricci limit.
-
-    Requires the (p, q) block structure and a simple top eigenvalue of the
-    Gram block A. If the first frame vector is not aligned with A's top
-    eigenvector, the first p frame vectors are rotated onto A's eigenbasis
-    (the J_k transform contravariantly under that rotation).
+    """Closed-form top eigenvector T = Y + sum_r eta_r e_(n-q+r) of the
+    scaled Ricci limit, in the frame coordinates of its tensor c (the
+    algebra is not read again): Y = sum_rs (J_1)_rs c[n-q+r, n-q+s, :],
+    xi_r = sum_(k<p, s, m) (J_k)_rs Y_m c[n-q+s, m, k] and eta =
+    (lambda I - sum_k J_k^2)^-1 xi, for the top eigenvalue lambda of A,
+    which must be simple; phi0 t = lambda t is checked. If the first frame
+    vector is not A's top eigenvector a, assumption (II) rotates the first
+    p onto A's eigenbasis, which leaves xi and sum_k J_k^2 as they are and
+    turns J_1 into sum_l a_l J_l.
     """
     if not limit.has_block_structure:
         raise CandidateError("exponent pattern is not (+1 x p, 0, -1 x q)")
     p, q = limit.p, limit.q
-    a = limit.A
-    avals, avecs = np.linalg.eigh(a)
+    avals, avecs = np.linalg.eigh(limit.A)
     lam_max = avals[-1]
     if lam_max <= 1e-12:
         raise CandidateError("A has no positive top eigenvalue "
                              "(J_k all zero or degenerate)")
-    gap_tol = 1e-8 * (np.abs(avals).max() + 1.0)
-    simple = p < 2 or (avals[-1] - avals[-2]) > gap_tol
-    if not simple:
+    if p > 1 and avals[-1] - avals[-2] <= 1e-8 * (np.abs(avals).max() + 1.0):
         return ExtremalCandidate(T=np.zeros(limit.spec.n),
                                  lambda_extreme=lam_max,
                                  construction="generic_limit", simple=False)
-    n = limit.spec.n
-    frame = limit.spec.frame
-    js = limit.J
-    e_plus = [frame[:, k] for k in range(p)]
-    top = avecs[:, -1]
-    if p > 1 and abs(abs(top[0]) - 1.0) > 1e-12:
-        # realize assumption (II): rotate the first p frame vectors onto
-        # the eigenbasis of A (the J_k transform the same way, keeping
-        # J'_k attached to the rotated e'_k)
-        order = np.argsort(avals)[::-1]
-        o = avecs[:, order]
-        js = [sum(o[l, k] * limit.J[l] for l in range(p)) for k in range(p)]
-        e_plus = [frame[:, :p] @ o[:, k] for k in range(p)]
-    sum_j2 = sum(j @ j for j in js)
-    # Y = sum_{r,s} (J_1)_{rs} [e_{n-q+r}, e_{n-q+s}]
-    y = np.zeros(n)
-    low = [frame[:, n - q + r] for r in range(q)]
-    pair_brackets = [[algebra.bracket_float(low[r], low[s]) for s in range(q)]
-                     for r in range(q)]
-    for r in range(q):
-        for s in range(q):
-            y += js[0][r, s] * pair_brackets[r][s]
-    # xi_r = sum_s sum_k (J_k)_{rs} <e_k, [e_{n-q+s}, Y]>
-    g = limit.spec.base.gram
-    xi = np.zeros(q)
-    for r in range(q):
-        acc = 0.0
-        for s in range(q):
-            bsy = algebra.bracket_float(low[s], y)
-            for k in range(p):
-                acc += js[k][r, s] * float(e_plus[k] @ g @ bsy)
-        xi[r] = acc
-    resolvent = lam_max * np.eye(q) - sum_j2
-    eta = np.linalg.solve(resolvent, xi)
-    t_vec = y + sum(eta[r] * low[r] for r in range(q))
-    cand = ExtremalCandidate(T=t_vec, lambda_extreme=lam_max,
+    js, top = np.array(limit.J), avecs[:, -1]
+    j1 = js[0] if p == 1 or abs(abs(top[0]) - 1.0) <= 1e-12 \
+        else (top @ js.reshape(p, q * q)).reshape(q, q)
+    low = limit.c[-q:]                     # c[n-q+s, m, k], indexed [s, m, k]
+    y = np.tensordot(j1, low[:, -q:], 2)
+    xi = np.einsum("krs,sk->r", js, (y @ low)[:, :p])
+    eta = np.linalg.solve(lam_max * np.eye(q) - limit.sum_J_squared(), xi)
+    tf = y + np.pad(eta, (len(y) - q, 0))
+    cand = ExtremalCandidate(T=limit.spec.frame @ tf, lambda_extreme=lam_max,
                              construction="generic_limit", simple=True)
-    if not cand.is_zero:
-        # eigen-equation check in frame coordinates
-        tf = np.linalg.solve(frame, t_vec)
-        resid = np.abs(limit.phi0 @ tf - lam_max * tf).max()
-        if resid > 1e-6 * (np.abs(tf).max() + 1.0):
-            raise CandidateError(f"limit eigen-equation failed ({resid:.2e})")
+    resid = np.abs(limit.phi0 @ tf - lam_max * tf).max()
+    if not cand.is_zero and resid > 1e-6 * (np.abs(tf).max() + 1.0):
+        raise CandidateError(f"limit eigen-equation failed ({resid:.2e})")
     return cand
 
 
@@ -470,19 +424,13 @@ def two_step_deformation(algebra: NilpotentAlgebra, metric: Metric, e
         raise CandidateError("e must lie in the derived algebra")
     if abs(metric.norm2(e) - 1.0) > orthonormal_tol(metric):
         raise CandidateError("e must be a unit vector")
-    u = complement_frame(metric, np.array(gp.basis, float))
-    q = u.shape[1]
-    t = np.zeros(algebra.n)
-    lam = 0.0
-    for i in range(q):
-        for j in range(q):
-            uij = algebra.bracket_float(u[:, i], u[:, j])
-            coef = metric.inner(e, uij)
-            t += coef * uij
-            lam += coef * coef
-    cand = ExtremalCandidate(T=t, lambda_extreme=0.5 * lam,
+    u = complement_frame(metric, np.array(gp.basis, float)).T
+    uij = algebra.bracket_float(u[:, None], u[None, :])
+    coef = uij @ metric.gram @ e
+    cand = ExtremalCandidate(T=np.tensordot(coef, uij, 2),
+                             lambda_extreme=0.5 * np.sum(coef * coef),
                              construction="two_step", simple=True)
-    return spec_for_pattern(algebra, metric, [e], list(u.T)), cand
+    return spec_for_pattern(algebra, metric, [e], list(u)), cand
 
 
 def spec_for_pattern(algebra: NilpotentAlgebra, metric: Metric,

@@ -53,7 +53,12 @@ from .curvature import (
     ricci_frame,
     sectional_K,
 )
-from .deformation import DeformationSpec, complement_frame, complete_basis
+from .deformation import (
+    DeformationSpec,
+    complement_frame,
+    complete_basis,
+    exponent_tensor,
+)
 from .rational import in_row_space, nullspace, rank, solve
 
 # A witness value must clear these bounds; reports print the same values.
@@ -325,15 +330,13 @@ def _scaled_ric_ladder(algebra: NilpotentAlgebra, metric: Metric,
 
     Ric_t(e_idx, e_idx) is exp(lambda_idx t) times the [idx, idx] entry
     of deformed_ricci_frame, which only involves the triples touching idx.
-    Those get the weights exp((lambda_k - lambda_i - lambda_j + lambda_idx
-    - d) t) <= 1, the others (and numerical-noise constants) weight 0, so
-    the value stays finite for large t. The frame tensor, the exponents
-    and d do not depend on t and are computed once, here.
+    Those get the weights exp((x_ijk + lambda_idx - d) t) <= 1, with x
+    the `exponent_tensor`; the others (and numerical-noise constants)
+    weight 0, so the value stays finite for large t. The frame tensor,
+    the exponents and d do not depend on t and are computed once, here.
     """
     c = frame_structure(algebra, metric, frame)
-    lam = lambdas
-    expo = lam[None, None, :] - lam[:, None, None] - lam[None, :, None] \
-        + lam[idx]
+    expo = exponent_tensor(lambdas) + lambdas[idx]
     touch = np.zeros(c.shape, dtype=bool)
     touch[idx], touch[:, idx], touch[:, :, idx] = True, True, True
     live = touch & (np.abs(c) > 1e-12 * (np.abs(c).max() + 1.0))

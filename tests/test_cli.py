@@ -202,6 +202,19 @@ def test_deform_t_out_of_range_exits_2(tmp_path, capsys, t):
     assert err.startswith("error: --t: ") and err.count("\n") == 1, err
 
 
+def test_deform_one_dimensional_algebra_exits_2(tmp_path, capsys):
+    """A one-dimensional algebra has no pair i > j, so no scaled limit:
+    exit 2 with one `error:` line, never a traceback."""
+    alg = tmp_path / "line.json"
+    alg.write_text(json.dumps({"dim": 1, "brackets": []}))
+    spec = tmp_path / "def.json"
+    spec.write_text(json.dumps({"lambdas": [1.0]}))
+    code, out, err = run(capsys, "deform", str(alg), str(spec), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "dimension >= 2" in err
+
+
 def test_deform_phi0_eigenvalues(tmp_path, capsys):
     """phi0 is not symmetric: the report gives its eigenvalues, not those
     of its symmetric part."""
@@ -325,6 +338,17 @@ def test_samples_must_be_positive(h3_path, capsys, command, samples):
         assert "unrecognized arguments: --samples" in err
     else:
         assert "positive integer" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "x"])
+def test_maxmin_tol_must_be_positive_and_finite(h3_path, capsys, tol):
+    """A --tol that is not a positive finite number is refused before any
+    candidate is drawn: NaN would print as the non-JSON token NaN, and a
+    tolerance <= 0 would mark every candidate unconverged."""
+    with pytest.raises(SystemExit) as exc:
+        main(["maxmin", h3_path, f"--tol={tol}", "--json"])
+    assert exc.value.code == 2
+    assert "positive finite number" in capsys.readouterr().err
 
 
 def test_classify_takes_no_samples(h3_path, capsys):

@@ -121,9 +121,11 @@ def test_lambda_triples_match_exact_exponents(lam):
             for i in range(n) for j in range(i) for k in range(n)}
     d = max(vals.values())
     runner_up = max(v for v in vals.values() if v != d)
-    d_got, lam_set, gap = deformation._lambda_triples(
+    d_got, mask, gap = deformation._lambda_triples(
         np.array([float(x) for x in exact]))
-    assert lam_set == sorted(t for t, v in vals.items() if v == d)
+    assert mask.shape == (n, n, n)
+    assert [tuple(t) for t in np.argwhere(mask).tolist()] \
+        == sorted(t for t, v in vals.items() if v == d)
     assert abs(d_got - float(d)) <= 1e-15
     assert abs(gap - float(d - runner_up)) <= 1e-15
 

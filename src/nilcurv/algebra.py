@@ -242,12 +242,16 @@ class NilpotentAlgebra:
         return len(series) - 1
 
     def center(self) -> Subspace:
-        """Exact null space of the stacked ad-matrices of the basis."""
+        """Exact null space of the stacked ad-matrices of the basis: row
+        (i, k) holds the e_k-components of [e_i, e_j] over j."""
         if self._center is None:
-            stacked: Matrix = []
-            for i in range(self.n):
-                stacked.extend(self.ad(basis_vector(self.n, i)))
-            self._center = Subspace(nullspace(stacked, self.n), self.n)
+            n = self.n
+            stacked: Matrix = [[Fraction(0)] * n for _ in range(n * n)]
+            for (i, j), comps in self.brackets.items():
+                for k, c in comps.items():
+                    stacked[i * n + k][j] = c
+                    stacked[j * n + k][i] = -c
+            self._center = Subspace(nullspace(stacked, n), n)
         return self._center
 
     def word_basis(self) -> "NilpotentAlgebra":
@@ -279,14 +283,9 @@ class NilpotentAlgebra:
 
 
     def is_two_step(self) -> bool:
-        """True iff [g, [g, g]] = 0 (abelian counts as degenerate two-step)."""
-        for (i, j) in self.brackets:
-            w = self.basis_bracket(i, j)
-            for m in range(self.n):
-                t = self.bracket(basis_vector(self.n, m), w)
-                if any(x != 0 for x in t):
-                    return False
-        return True
+        """True iff g' lies in the center, that is [g, [g, g]] = 0
+        (abelian counts as degenerate two-step)."""
+        return self.center().contains_subspace(self.derived_algebra())
 
     def jacobi_failures(self) -> list[tuple[int, int, int]]:
         bad = []

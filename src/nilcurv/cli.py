@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -75,18 +76,19 @@ class InputError(ValueError):
 # serialization helpers
 
 
-def _jsonable(obj):
+def _jsonable(obj, strict: bool = False):
+    """obj in plain types; strict makes non-finite floats None (null)."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, strict) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):
-        return [_jsonable(v) for v in sorted(obj)] if isinstance(obj, set) \
-            else [_jsonable(v) for v in obj]
+        return [_jsonable(v, strict)
+                for v in (sorted(obj) if isinstance(obj, set) else obj)]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return _jsonable(obj.tolist(), strict)
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return None if strict and not math.isfinite(obj) else float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, Fraction):
@@ -95,7 +97,7 @@ def _jsonable(obj):
         return {"dim": obj.dim,
                 "basis": [[str(c) for c in row] for row in obj.basis]}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
+        return {f.name: _jsonable(getattr(obj, f.name), strict)
                 for f in dataclasses.fields(obj)}
     return obj
 
@@ -131,9 +133,9 @@ def _write(text: str, args) -> None:
 
 
 def _emit(report: dict, args) -> None:
-    report = _jsonable(report)
-    text = (json.dumps(report, sort_keys=True, indent=1) if args.json
-            else "\n".join(_human_lines(report)))
+    report = _jsonable(report, strict=args.json)
+    text = (json.dumps(report, sort_keys=True, indent=1, allow_nan=False)
+            if args.json else "\n".join(_human_lines(report)))
     _write(text + "\n", args)
 
 
@@ -282,7 +284,7 @@ def cmd_deform(args) -> int:
         if not limit.has_block_structure:
             raise InputError("--trace requires the (p, q) exponent pattern")
         try:
-            cand = extremal_T(limit, a)
+            cand = extremal_T(limit)
             trace = convergence_check(spec, a, cand)
         except CandidateError as exc:
             raise InputError(f"--trace: no closed-form candidate: {exc}")

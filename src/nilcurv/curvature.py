@@ -27,33 +27,45 @@ class DegeneratePlaneError(ValueError):
 
 
 class Metric:
-    """Inner product on the algebra, as an SPD Gram matrix on the basis."""
+    """Inner product on the algebra: an SPD Gram matrix on the basis, or a
+    (..., n, n) stack of them, validated and factored in one pass, whose
+    row `metric[i]` shares the stack's factor."""
 
     def __init__(self, gram: np.ndarray):
         g = np.asarray(gram, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
             raise MetricError("gram must be square")
+        gt = g.mT
         # an exactly symmetric gram, the usual case, passes the tolerance
         # test too, so skip it; an empty one still reaches it (and fails)
-        if not (g.size and (g == g.T).all()) and not np.allclose(
-                g, g.T, atol=1e-12 * (1 + np.abs(g).max())):
-            raise MetricError("gram must be symmetric")
-        gram = 0.5 * (g + g.T)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise MetricError("gram must be positive definite")
-        self._factored(gram, chol)
-
-    def _factored(self, gram: np.ndarray, chol: np.ndarray) -> "Metric":
+        symmetric = bool(g.size and (g == gt).all()) or np.isclose(
+            g, gt, atol=1e-12 * (1 + np.abs(g).max(axis=(-2, -1),
+                                                    keepdims=True))
+        ).all(axis=(-2, -1))
+        gram = 0.5 * (g + gt)
+        chol, definite = _cholesky(gram)
+        if symmetric is not True or chol is None:
+            # the checks of a row in the order a single gram meets them
+            raise_first_failure(MetricError, [
+                (~np.asarray(symmetric), "gram must be symmetric"),
+                (~definite, "gram must be positive definite")])
         # columns are an orthonormal frame: F^T G F = I, so G^-1 = F F^T
-        self.gram, self.frame = gram, np.linalg.inv(chol).T
-        self._inv = self.frame @ self.frame.T
-        return self
+        self.gram, self.frame = gram, np.linalg.inv(chol).mT
+        self._inv = self.frame @ self.frame.mT
+
+    def __getitem__(self, i) -> "Metric":
+        if self.gram.ndim == 2:
+            raise TypeError("a single Metric has no rows")
+        row = Metric.__new__(Metric)
+        vars(row).update((k, v[i]) for k, v in vars(self).items())
+        return row
+
+    def __len__(self) -> int:
+        return len(self[:].gram)    # a single metric raises TypeError
 
     @property
     def n(self) -> int:
-        return self.gram.shape[0]
+        return self.gram.shape[-1]
 
     @classmethod
     def identity(cls, n: int) -> "Metric":
@@ -66,18 +78,47 @@ class Metric:
         return cls(b.T @ b + 1e-6 * np.eye(n))
 
     @classmethod
-    def orthonormalizing(cls, basis) -> "Metric":
-        """The metric in which the columns of the square `basis` are
-        orthonormal (`orthonormalizing_grams` of one basis), built from
-        the Cholesky factor of its positive-definiteness test."""
-        return cls.__new__(cls)._factored(
-            *orthonormalizing_grams(basis, _factor=True))
+    def orthonormalizing(cls, bases) -> "Metric":
+        """The metric G = (B B^T)^-1, so B^T G B = I, of a square basis B
+        or of each basis of a (..., n, n) stack, symmetrized before it is
+        validated: on a well-conditioned basis whose columns differ much
+        in length, the rounding of the inverse can exceed the symmetry
+        bound of Metric. Failing rows raise MetricError with the message
+        of one of them (the inverse, Cholesky or the dependence bound)."""
+        b = np.asarray(bases, dtype=float)
+        if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+            raise MetricError("basis must be square")
+        n = b.shape[-1]
+        dependent = "basis vectors are linearly dependent"
+        try:
+            s = np.linalg.inv(b @ b.mT)
+        except np.linalg.LinAlgError:
+            raise MetricError(dependent)
+        metric = cls(0.5 * (s + s.mT))
+        # entries of B^T G B - I below 1/n bound its norm below 1, so
+        # B^T G B, and with it B, is invertible (a NaN entry fails the test)
+        near = np.abs(b.mT @ metric.gram @ b - np.eye(n)).max(
+            axis=(-2, -1)) < 1 / n
+        raise_first_failure(MetricError, [(~near, dependent)])
+        return metric
 
     def inner(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.gram @ np.asarray(y, float))
 
     def norm2(self, x) -> float:
         return self.inner(x, x)
+
+
+def _cholesky(gram: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(lower Cholesky factors, True) of a (..., n, n) stack of symmetric
+    matrices, or (None, mask of the rows that have one) if some has none."""
+    try:
+        return np.linalg.cholesky(gram), np.True_
+    except np.linalg.LinAlgError:
+        # a single matrix is its one failing row; a stack tries each row
+        rows = gram.reshape(-1, *gram.shape[-2:])
+        return None, np.reshape([gram.ndim > 2 and _cholesky(m)[1]
+                                 for m in rows], gram.shape[:-2])
 
 
 def raise_first_failure(error: type, checks) -> None:
@@ -91,34 +132,6 @@ def raise_first_failure(error: type, checks) -> None:
     row = int(np.argmax(bad.any(axis=0)))
     _, message, *values = checks[int(np.argmax(bad[:, row]))]
     raise error(message.format(*(np.ravel(v)[row] for v in values)))
-
-
-def orthonormalizing_grams(bases, *, _factor: bool = False) -> np.ndarray:
-    """G = (B B^T)^-1, so B^T G B = I, for each B of a (..., n, n) stack,
-    symmetrized: on a well-conditioned basis whose columns differ much in
-    length, the rounding of the inverse can exceed the symmetry bound of
-    Metric. Failing rows raise MetricError with the message of one of
-    them (the inverse, Cholesky or the dependence bound). `_factor`, for
-    Metric.orthonormalizing only, returns (G, its Cholesky factor)."""
-    b = np.asarray(bases, dtype=float)
-    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
-        raise MetricError("basis must be square")
-    n = b.shape[-1]
-    dependent = "basis vectors are linearly dependent"
-    s = None
-    try:
-        s = np.linalg.inv(b @ np.swapaxes(b, -1, -2))
-        g = 0.5 * (s + np.swapaxes(s, -1, -2))
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise MetricError(dependent if s is None
-                          else "gram must be positive definite")
-    # entries of B^T G B - I below 1/n bound its norm below 1, so
-    # B^T G B, and with it B, is invertible (a NaN entry fails the test)
-    near = np.abs(np.swapaxes(b, -1, -2) @ g @ b - np.eye(n)).max(
-        axis=(-2, -1)) < 1 / n
-    raise_first_failure(MetricError, [(~near, dependent)])
-    return (g, chol) if _factor else g
 
 
 def frame_structure(algebra: NilpotentAlgebra, metric: Metric,

@@ -6,9 +6,8 @@ products: g_t(U, V) = <exp(D t) U, V> with D diagonal in a chosen
 orthonormal frame. After scaling by 2 exp(-t d), the deformed Ricci
 operator converges to a limit operator whose extremal eigenvectors have
 closed forms when the exponent pattern is (+1 x p, 0, -1 x q). The
-candidate constructions also take a (..., n, n) stack of Gram matrices in
-place of the metric, with vectors (..., n): the scalar call is the N=1
-case of the stacked one.
+candidate constructions also take a stacked Metric, one per row of
+vectors (..., n): the scalar call is the N=1 case of the stacked one.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .curvature import (
     Metric,
     RicciReport,
     frame_structure,
-    orthonormalizing_grams,
     raise_first_failure,
     ricci_frame,
 )
@@ -41,20 +39,15 @@ ORTHONORMAL_ABS = 1e-10
 ORTHONORMAL_COND = 16.0
 
 
-def _gram(metric) -> np.ndarray:
-    return metric.gram if isinstance(metric, Metric) \
-        else np.asarray(metric, float)
-
-
 def _inner(g, x, y):
     return np.einsum("...i,...ij,...j->...", x, g, y)
 
 
-def orthonormal_tol(metric) -> float:
+def orthonormal_tol(metric: Metric) -> float | np.ndarray:
     """Bound on |<u, v> - delta_uv| for a g-orthonormal system, one per
-    Gram matrix of a stack; cond(G) is the ratio of the extreme
+    row of a stacked metric; cond(G) is the ratio of the extreme
     eigenvalues of the SPD Gram matrix."""
-    w = np.linalg.eigvalsh(_gram(metric))
+    w = np.linalg.eigvalsh(metric.gram)
     return np.maximum(ORTHONORMAL_ABS, ORTHONORMAL_COND
                       * np.finfo(float).eps * (w[..., -1] / w[..., 0]))
 
@@ -252,17 +245,16 @@ class ExtremalCandidate:
         return np.linalg.norm(self.T, axis=-1) < 1e-12
 
 
-def extremal_T(limit: ScaledRicciLimit,
-               algebra: NilpotentAlgebra) -> ExtremalCandidate:
+def extremal_T(limit: ScaledRicciLimit) -> ExtremalCandidate:
     """Closed-form top eigenvector T = Y + sum_r eta_r e_(n-q+r) of the
-    scaled Ricci limit, in the frame coordinates of its tensor c (the
-    algebra is not read again): Y = sum_rs (J_1)_rs c[n-q+r, n-q+s, :],
-    xi_r = sum_(k<p, s, m) (J_k)_rs Y_m c[n-q+s, m, k] and eta =
-    (lambda I - sum_k J_k^2)^-1 xi, for the top eigenvalue lambda of A,
-    which must be simple; phi0 t = lambda t is checked. If the first frame
-    vector is not A's top eigenvector a, assumption (II) rotates the first
-    p onto A's eigenbasis, which leaves xi and sum_k J_k^2 as they are and
-    turns J_1 into sum_l a_l J_l.
+    scaled Ricci limit, in the frame coordinates of its tensor c:
+    Y = sum_rs (J_1)_rs c[n-q+r, n-q+s, :], xi_r = sum_(k<p, s, m)
+    (J_k)_rs Y_m c[n-q+s, m, k] and eta = (lambda I - sum_k J_k^2)^-1 xi,
+    for the top eigenvalue lambda of A, which must be simple; phi0 t =
+    lambda t is checked. If the first frame vector is not A's top
+    eigenvector a, assumption (II) rotates the first p onto A's
+    eigenbasis, which leaves xi and sum_k J_k^2 as they are and turns J_1
+    into sum_l a_l J_l.
     """
     if not limit.has_block_structure:
         raise CandidateError("exponent pattern is not (+1 x p, 0, -1 x q)")
@@ -292,26 +284,26 @@ def extremal_T(limit: ScaledRicciLimit,
     return cand
 
 
-def _orthonormal_checks(g, vectors, names) -> list:
+def _orthonormal_checks(metric: Metric, vectors, names) -> list:
     """`raise_first_failure` checks that the vectors are g-orthonormal:
     each a unit vector, then orthogonal to the earlier ones."""
     v = np.stack(np.broadcast_arrays(*vectors), axis=-1)
-    bad = np.abs(np.swapaxes(v, -1, -2) @ g @ v - np.eye(len(names))) \
-        > orthonormal_tol(g)[..., None, None]
+    bad = np.abs(v.mT @ metric.gram @ v - np.eye(len(names))) \
+        > orthonormal_tol(metric)[..., None, None]
     return [(bad[..., i, j], f"{nm} is not a unit vector" if i == j
              else f"{names[j]} and {nm} are not orthogonal")
             for i, nm in enumerate(names) for j in [i, *range(i)]
             ] if bad.any() else []
 
 
-def candidate_e1u2(algebra: NilpotentAlgebra, metric, e, u1, u2
+def candidate_e1u2(algebra: NilpotentAlgebra, metric: Metric, e, u1, u2
                    ) -> ExtremalCandidate:
     """T = 2<u12,e> u12 + <u212,e> u1 - <u112,e> u2 for orthonormal e,u1,u2
     (stacked, for each row; the first row not orthonormal raises)."""
     e, u1, u2 = (np.asarray(v, float) for v in (e, u1, u2))
-    g = _gram(metric)
     raise_first_failure(CandidateError, _orthonormal_checks(
-        g, [e, u1, u2], ["e", "u1", "u2"]))
+        metric, [e, u1, u2], ["e", "u1", "u2"]))
+    g = metric.gram
     u12 = algebra.bracket_float(u1, u2)
     u112 = algebra.bracket_float(u1, u12)
     u212 = algebra.bracket_float(u2, u12)
@@ -341,13 +333,14 @@ def lemma5a_deformation(algebra: NilpotentAlgebra, metric: Metric,
     return spec_for_pattern(algebra, metric, [e], [u1, u2]), cand
 
 
-def _eu_checks(algebra, g, e1, e2, u1, u2, u3):
+def _eu_checks(algebra, metric, e1, e2, u1, u2, u3):
     """[u1, u2], a = <e1, u12>, b = <e2, u13> and the preconditions of the
     p = 2, q = 3 frame, as `raise_first_failure` checks."""
+    g = metric.gram
     u12 = algebra.bracket_float(u1, u2)
     u13 = algebra.bracket_float(u1, u3)
     u23 = algebra.bracket_float(u2, u3)
-    checks = _orthonormal_checks(g, [e1, e2, u1, u2, u3],
+    checks = _orthonormal_checks(metric, [e1, e2, u1, u2, u3],
                                  ["e1", "e2", "u1", "u2", "u3"])
     for name, x, y in (("<e1,u13>", e1, u13), ("<e1,u23>", e1, u23),
                        ("<e2,u12>", e2, u12), ("<e2,u23>", e2, u23)):
@@ -362,8 +355,8 @@ def _eu_checks(algebra, g, e1, e2, u1, u2, u3):
     return u12, a, b, checks
 
 
-def candidate_T1_T2(algebra: NilpotentAlgebra, metric, e1, e2, u1, u2, u3
-                    ) -> tuple[ExtremalCandidate, ExtremalCandidate]:
+def candidate_T1_T2(algebra: NilpotentAlgebra, metric: Metric, e1, e2, u1,
+                    u2, u3) -> tuple[ExtremalCandidate, ExtremalCandidate]:
     """The two Ricci-maximal candidates of the p=2, q=3 construction.
 
     Requires |a| > |b| on top of the orthogonality preconditions. Stacked
@@ -371,8 +364,8 @@ def candidate_T1_T2(algebra: NilpotentAlgebra, metric, e1, e2, u1, u2, u3
     N=1 case; the first row that fails raises.
     """
     e1, e2, u1, u2, u3 = (np.asarray(v, float) for v in (e1, e2, u1, u2, u3))
-    g = _gram(metric)
-    u12, a, b, checks = _eu_checks(algebra, g, e1, e2, u1, u2, u3)
+    g = metric.gram
+    u12, a, b, checks = _eu_checks(algebra, metric, e1, e2, u1, u2, u3)
     raise_first_failure(CandidateError, checks + [(
         np.abs(a) <= np.abs(b),
         "requires |a| > |b|, got |a|={:.3e}, |b|={:.3e}", np.abs(a),
@@ -444,7 +437,7 @@ def spec_for_pattern(algebra: NilpotentAlgebra, metric: Metric,
     p, q = len(plus), len(minus)
     chosen = [np.asarray(v, float) for v in plus + minus]
     raise_first_failure(CandidateError, _orthonormal_checks(
-        metric.gram, chosen, [f"v{i}" for i in range(len(chosen))]))
+        metric, chosen, [f"v{i}" for i in range(len(chosen))]))
     middle = complement_frame(metric, chosen)
     frame = np.column_stack(chosen[:p] + [middle] + chosen[p:])
     lam = np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
@@ -573,7 +566,7 @@ def complete_basis(vectors) -> list[np.ndarray]:
 
 
 def codim1_adapted_metric(algebra: NilpotentAlgebra, c, u1
-                          ) -> tuple[Metric | np.ndarray, np.ndarray]:
+                          ) -> tuple[Metric, np.ndarray]:
     """(metric, e): the metric in which c, u1, [c, u1] and their
     completion by standard vectors (`complete_basis`) are orthonormal,
     with e the first completion vector; rows of u1 give stacks of both.
@@ -586,8 +579,7 @@ def codim1_adapted_metric(algebra: NilpotentAlgebra, c, u1
         len(have) + len(comp) != algebra.n or ~comp[-1].any(axis=-1),
         "frame completion failed")])
     basis = np.stack(np.broadcast_arrays(*have, *comp), axis=-1)
-    return (Metric.orthonormalizing(basis) if basis.ndim == 2
-            else orthonormalizing_grams(basis)), comp[0]
+    return Metric.orthonormalizing(basis), comp[0]
 
 
 def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int

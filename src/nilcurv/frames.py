@@ -17,11 +17,7 @@ import numpy as np
 
 from .algebra import NilpotentAlgebra
 from .catalog import build
-from .curvature import (
-    Metric,
-    orthonormalizing_grams,
-    raise_first_failure,
-)
+from .curvature import Metric, raise_first_failure
 from .deformation import (
     CandidateError,
     DeformationSpec,
@@ -44,7 +40,7 @@ def _frame_algebra(key: str) -> NilpotentAlgebra:
 class NormalFormFrame:
     key: str
     algebra: NilpotentAlgebra
-    metric: Metric | np.ndarray     # a Gram stack for a stack of frames
+    metric: Metric                  # stacked for a stack of frames
     e_vectors: list[np.ndarray]     # e1, e2
     u_vectors: list[np.ndarray]     # u1, u2, u3
     expected_T: np.ndarray          # basis coordinates of the display value
@@ -105,7 +101,7 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
         which = "T2"
         expected = (a1 * c + a2 * x + a3 * y
                     + (b1 - 0.5 * a2 * a3 / a1) * a + b2 * z)
-        grams = orthonormalizing_grams(np.stack([e1, e2, u1, u2, u3], -1))
+        metric = Metric.orthonormalizing(np.stack([e1, e2, u1, u2, u3], -1))
     else:
         # six-dimensional forms: basis c, X, Y, Z, A1, A2
         c, x, y, z, aa1, aa2 = np.eye(n)
@@ -131,11 +127,10 @@ def normal_form_frame(key: str, alphas, shift=None) -> NormalFormFrame:
         u23 = algebra.bracket_float(u2, u3)
         # the automorphism c -> c + U sends T to T + (c-coefficient of T) U
         expected = base_t + c_coef * u_shift
-        grams = orthonormalizing_grams(
-            np.stack([u1, u2, u3, e1, e2, u23], -1))
+        metric = Metric.orthonormalizing(np.stack([u1, u2, u3, e1, e2, u23],
+                                                  -1))
     vecs = [e1, e2, u1, u2, u3]
     if np.ndim(alphas) == 1:
-        vecs, expected, grams = [v[0] for v in vecs], expected[0], \
-            Metric(grams[0])
-    return NormalFormFrame(key, algebra, grams, vecs[:2], vecs[2:],
+        vecs, expected, metric = [v[0] for v in vecs], expected[0], metric[0]
+    return NormalFormFrame(key, algebra, metric, vecs[:2], vecs[2:],
                            expected, which)

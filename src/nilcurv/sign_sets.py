@@ -48,7 +48,6 @@ from .curvature import (
     Metric,
     ad_images,
     frame_structure,
-    orthonormalizing_grams,
     ricci_form_matrix,
     ricci_frame,
     sectional_K,
@@ -472,10 +471,10 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x) -> SignWitness:
     raise WitnessSearchError("negative Ricci deformation failed")
 
 
-def adapted_metric_family(algebra: NilpotentAlgebra, x, y) -> list[Metric]:
-    """Plane-adapted diagonal metrics: an adapted basis (x, y, [x, y],
-    completion) with one direction scaled by 10^(+-k) at a time, k in
-    ADAPTED_DECADES.
+def adapted_metric_family(algebra: NilpotentAlgebra, x, y) -> Metric:
+    """Plane-adapted diagonal metrics, as one stacked Metric: an adapted
+    basis (x, y, [x, y], completion) with one direction scaled by
+    10^(+-k) at a time, k in ADAPTED_DECADES.
 
     Negative sectional curvature on a plane outside the nonnegative-sign
     set is typically reached by shrinking or stretching a single adapted
@@ -492,8 +491,7 @@ def adapted_metric_family(algebra: NilpotentAlgebra, x, y) -> list[Metric]:
         for pos in range(n):
             d[i, pos, :, pos] = 10.0 ** (-k), 10.0 ** k
     # one stacked pass over the bases, in the order k, pos, sign
-    return [Metric(g) for g in orthonormalizing_grams(
-        b * np.sqrt(d.reshape(-1, 1, n)))]
+    return Metric.orthonormalizing(b * np.sqrt(d.reshape(-1, 1, n)))
 
 
 def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,
@@ -588,7 +586,7 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y) -> SignWitness:
     for metric in adapted_metric_family(algebra, xf, yf):
         val = sectional_K(algebra, metric, xf, yf)
         if val < K_NEGATIVE_MAX:
-            return SignWitness(kind="K_negative", gram=metric.gram,
+            return SignWitness(kind="K_negative", gram=metric.gram.copy(),
                                value=val,
                                target=[list(map(float, xf)),
                                        list(map(float, yf))])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nilcurv import NilpotentAlgebra, Subspace, build, list_catalog
 from nilcurv.algebra import basis_vector
-from nilcurv.rational import in_row_space, rank, solve
+from nilcurv.rational import in_row_space, nullspace, rank, solve
 
 
 def h3():
@@ -232,6 +232,42 @@ def test_codim1_abelian_ideal_is_basis_independent(seed):
         if not a.is_two_step():
             # unique: the same ideal, written in the new basis
             assert hb == Subspace([solve(p, v) for v in h.basis], b.n)
+
+
+def two_step_by_brackets(a: NilpotentAlgebra) -> bool:
+    """Reference: [g, [g, g]] = 0 decided bracket by bracket, each
+    [e_m, [e_i, e_j]] in turn."""
+    for (i, j) in a.brackets:
+        w = a.basis_bracket(i, j)
+        for m in range(a.n):
+            if any(x != 0 for x in a.bracket(basis_vector(a.n, m), w)):
+                return False
+    return True
+
+
+def center_by_ad(a: NilpotentAlgebra) -> Subspace:
+    """Reference: the null space of the stacked ad-matrices of the basis,
+    each built from exact brackets."""
+    stacked = []
+    for i in range(a.n):
+        stacked.extend(a.ad(basis_vector(a.n, i)))
+    return Subspace(nullspace(stacked, a.n), a.n)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_two_step_and_center_match_their_references(seed):
+    """On the catalog, also in a unimodular change of basis: the center
+    read off the structure constants is the ad-matrix null space, and
+    g' in z(g) decides two-step as the bracket loop does."""
+    verdicts = set()
+    for e in list_catalog():
+        a = e.build()
+        if seed is not None:
+            a = in_basis(a, unimodular(a.n, seed))
+        assert a.center() == center_by_ad(a), e.label
+        assert a.is_two_step() == two_step_by_brackets(a), e.label
+        verdicts.add(a.is_two_step())
+    assert verdicts == {True, False}
 
 
 def test_codim1_abelian_ideal_catalog_verdicts():

@@ -231,6 +231,43 @@ def test_deform_phi0_eigenvalues(tmp_path, capsys):
                                atol=0.05)
 
 
+def strict_json(text: str):
+    """Parse JSON, rejecting the NaN and Infinity tokens that json.dumps
+    writes by default and that JSON does not have."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_output_is_strict(h3_path, tmp_path, capsys):
+    """--json output of every subcommand parses as strict JSON. A limit
+    whose every pair i > j is in Lambda has an infinite gap, and the Ricci
+    spectrum at a large t overflows: --json writes both as null, the
+    table as inf."""
+    spec = tmp_path / "def.json"
+    spec.write_text(json.dumps({"lambdas": [1, -1, -1]}))
+    for argv in (["catalog"], ["check", h3_path], ["ric", h3_path],
+                 ["sect", h3_path, "--plane", "1,0,0;0,1,0"],
+                 ["deform", h3_path, str(spec), "--t", "2"],
+                 ["signsets", h3_path, "--vector", "0,0,1"],
+                 ["signsets", h3_path, "--plane", "1,0,0;0,1,0"],
+                 ["classify", h3_path], ["maxmin", h3_path],
+                 ["verify-paper", "--only", "spectra"]):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        strict_json(out)
+    spec.write_text(json.dumps({"lambdas": [0, 0, 0]}))
+    code, out, _ = run(capsys, "deform", h3_path, str(spec), "--json")
+    assert code == 0 and strict_json(out)["gap"] is None
+    spec.write_text(json.dumps({"lambdas": [-1, -1, 1]}))
+    code, out, _ = run(capsys, "deform", h3_path, str(spec), "--t", "600",
+                       "--json")
+    assert code == 0
+    assert strict_json(out)["ricci_t"]["eigenvalues"] == [None] * 3
+    code, out, _ = run(capsys, "deform", h3_path, str(spec), "--t", "600")
+    assert code == 0 and "-inf  -inf  inf" in out
+
+
 def test_signsets_vector(h3_path, capsys):
     code, out, _ = run(capsys, "signsets", h3_path,
                        "--vector", "0,0,1", "--json")

@@ -17,7 +17,6 @@ from nilcurv.curvature import (
     DegeneratePlaneError,
     RicciReport,
     frame_structure,
-    orthonormalizing_grams,
     ricci_form_matrix,
 )
 
@@ -129,7 +128,7 @@ def test_orthonormalizing_accepts_unequal_column_lengths():
 
 
 def _orthonormalizing_reference(b):
-    """The scalar construction that orthonormalizing_grams stacks: the
+    """The scalar construction that Metric.orthonormalizing stacks: the
     symmetrized (B B^T)^-1 as a Metric, and the 1/n dependence bound."""
     try:
         s = np.linalg.inv(b @ b.T)
@@ -155,7 +154,7 @@ def test_one_row_stack_is_the_scalar_metric():
     for n in (3, 5, 6, 7):
         for b in _bases(rng, n, 30):
             want = _orthonormalizing_reference(b)
-            for got in (orthonormalizing_grams(b[None])[0],
+            for got in (Metric.orthonormalizing(b[None])[0].gram,
                         Metric.orthonormalizing(b).gram):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -182,19 +181,100 @@ def test_stack_fails_like_the_loop():
                 Metric.orthonormalizing(row)
         good = b[13].copy()
         b[13, 2] = 0.0
-        assert _raised(orthonormalizing_grams, b) == _raised(loop) \
+        assert _raised(Metric.orthonormalizing, b) == _raised(loop) \
             == (MetricError, "basis vectors are linearly dependent")
-        assert _raised(orthonormalizing_grams, b.reshape(4, 5, 5, 5)) \
+        assert _raised(Metric.orthonormalizing, b.reshape(4, 5, 5, 5)) \
             == _raised(loop)
         r = 7 + trial % 5
         b[r, :, -1] = b[r, :, :-1] @ rng.normal(size=4)
-        assert _raised(orthonormalizing_grams, b)[0] is MetricError
+        assert _raised(Metric.orthonormalizing, b)[0] is MetricError
         b[13] = good
         want = _raised(loop)
         assert want[0] is MetricError
-        assert _raised(orthonormalizing_grams, b) == want
+        assert _raised(Metric.orthonormalizing, b) == want
         seen.add(want[1])
     assert len(seen) == 2     # both messages occur
+
+
+def _metric_reference(g):
+    """The construction of a single Metric, step by step: symmetrize,
+    lower Cholesky factor L, frame L^-T and inverse F F^T."""
+    gram = 0.5 * (g + g.T)
+    frame = np.linalg.inv(np.linalg.cholesky(gram)).T
+    return gram, frame, frame @ frame.T
+
+
+def _same_metric(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("gram", "frame", "_inv"))
+
+
+def test_single_metric_is_the_reference_construction():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 4, 6, 7):
+        for _ in range(10):
+            g = Metric.random(n, rng).gram
+            g[0, -1] += 1e-14 * np.abs(g).max()   # symmetric to tolerance
+            m = Metric(g)
+            assert all(np.array_equal(got, want) for got, want in zip(
+                (m.gram, m.frame, m._inv), _metric_reference(g)))
+
+
+def test_stack_rows_are_the_single_metrics():
+    """Row i of a stacked Metric, or of Metric.orthonormalizing of a stack,
+    is bitwise the Metric of the i-th Gram matrix or basis alone, and
+    shares the stack's arrays."""
+    rng = np.random.default_rng(24)
+    for n in (1, 3, 5, 6, 7):
+        grams = np.array([Metric.random(n, rng).gram for _ in range(12)])
+        bases = _bases(rng, n, 12)
+        for stack, single in ((Metric(grams), Metric),
+                              (Metric.orthonormalizing(bases),
+                               Metric.orthonormalizing)):
+            rows = grams if single is Metric else bases
+            assert len(stack) == 12 and stack.n == n
+            for i, row in enumerate(stack):
+                assert _same_metric(row, single(rows[i]))
+                assert np.shares_memory(row.frame, stack.frame)
+            assert i == 11
+    nested = Metric(grams.reshape(3, 4, n, n))
+    assert len(nested) == 3 and len(nested[2]) == 4
+    assert _same_metric(nested[2][1], Metric(grams[9]))
+
+
+def test_single_metric_has_no_rows():
+    """Indexing, iterating over or taking len() of a single metric raises
+    TypeError rather than yielding nothing."""
+    m = Metric.identity(3)
+    for probe in (lambda: m[0], lambda: len(m), lambda: list(m)):
+        with pytest.raises(TypeError):
+            probe()
+
+
+@pytest.mark.parametrize("bad", ["symmetric", "positive definite"])
+def test_metric_stack_fails_like_the_loop(bad):
+    """A non-symmetric or non-positive-definite Gram matrix in a stack
+    raises what the loop of single metrics raises at it, also when a later
+    row fails the other test, whose message shows once the first is
+    mended."""
+    rng = np.random.default_rng(25)
+    grams = np.array([Metric.random(4, rng).gram for _ in range(20)])
+    if bad == "symmetric":
+        grams[6, 0, 1] += 1e-3
+        grams[13, 2, 2] = -1.0
+    else:
+        grams[6, 2, 2] = -1.0
+        grams[13, 0, 1] += 1e-3
+
+    def loop():
+        for g in grams:
+            Metric(g)
+    want = _raised(loop)
+    assert want == (MetricError, f"gram must be {bad}")
+    assert _raised(Metric, grams) == want
+    assert _raised(Metric, grams.reshape(4, 5, 4, 4)) == want
+    grams[6] = grams[0]
+    assert _raised(Metric, grams)[1] != want[1]
 
 
 def u_operator(algebra, metric, v, w):

@@ -136,7 +136,7 @@ def test_extremal_T_satisfies_limit_eigen_equation():
     spec = DeformationSpec(base=Metric.random(5, rng),
                            lambdas=np.array([1.0, 1.0, -1.0, -1.0, -1.0]))
     limit = scaled_ricci_limit(spec, alg)
-    cand = extremal_T(limit, alg)
+    cand = extremal_T(limit)
     tf = np.linalg.solve(spec.frame, cand.T)
     resid = np.abs(limit.phi0 @ tf - cand.lambda_extreme * tf).max()
     assert resid < 1e-8 * (np.abs(tf).max() + 1.0)
@@ -181,7 +181,7 @@ def test_two_step_eigenvalue_is_the_scaled_limit_top():
             e = rng.uniform(-1.0, 1.0, gp.shape[0]) @ gp
             spec, cand = two_step_deformation(
                 alg, metric, e / np.sqrt(metric.norm2(e)))
-            top = extremal_T(scaled_ricci_limit(spec, alg), alg)
+            top = extremal_T(scaled_ricci_limit(spec, alg))
             assert abs(cand.lambda_extreme - top.lambda_extreme) \
                 <= 1e-9 * top.lambda_extreme, entry.key
 
@@ -255,7 +255,7 @@ def candidate_min_u1(algebra, metric, e1, e2, u1, u2, u3):
     """The paper's Ricci-minimal candidate u1; its min eigenvalue
     -a^2 - b^2 is always simple since it lies strictly below both -a^2
     and -b^2."""
-    _, a, b, checks = _eu_checks(algebra, metric.gram, e1, e2, u1, u2, u3)
+    _, a, b, checks = _eu_checks(algebra, metric, e1, e2, u1, u2, u3)
     raise_first_failure(CandidateError, checks)
     return ExtremalCandidate(T=u1, lambda_extreme=-(a * a + b * b),
                              construction="eumin", simple=True, kind="min")
@@ -545,18 +545,18 @@ def test_candidate_T1_T2_stack_fails_like_the_loop(key):
             candidate_T1_T2(alg, Metric(grams[r]), *(v[r] for v in stack))
     want = _raised(loop)
     assert want == (CandidateError, "e1 and e2 are not orthogonal")
-    assert _raised(candidate_T1_T2, alg, grams, *stack) == want
+    assert _raised(candidate_T1_T2, alg, Metric(grams), *stack) == want
     e2[11] = vecs[1][11]
     want = _raised(loop)
     assert want == (CandidateError, "e2 is not a unit vector")
-    assert _raised(candidate_T1_T2, alg, grams, *stack) == want
+    assert _raised(candidate_T1_T2, alg, Metric(grams), *stack) == want
 
 
 @pytest.mark.parametrize("key", ["L5_lemma7a", "L6_1"])
 def test_candidate_T1_T2_stack_matches_scalar_calls(key):
     rows = list(itertools.product((-2.0, -1.0, 1.0, 2.0, 3.0), repeat=3))
     alg, grams, vecs = _frame_stack(key, rows)
-    t1, t2 = candidate_T1_T2(alg, grams, *vecs)
+    t1, t2 = candidate_T1_T2(alg, Metric(grams), *vecs)
     for r in range(len(rows)):
         s1, s2 = candidate_T1_T2(alg, Metric(grams[r]),
                                  *(v[r] for v in vecs))
@@ -578,10 +578,13 @@ def test_codim1_adapted_metric_stack_matches_scalar_calls():
     rng = np.random.default_rng(5)
     u1 = rng.normal(size=(12, len(ideal.basis))) \
         @ np.array(ideal.basis, float)
-    grams, es = codim1_adapted_metric(alg, c, u1)
+    metrics, es = codim1_adapted_metric(alg, c, u1)
+    assert len(metrics) == len(u1)
     for r in range(len(u1)):
         metric, e = codim1_adapted_metric(alg, c, u1[r])
-        assert np.array_equal(grams[r], metric.gram)
+        for name in ("gram", "frame", "_inv"):
+            assert np.array_equal(getattr(metrics[r], name),
+                                  getattr(metric, name))
         assert np.array_equal(es[r], e)
     u1[7] = c
     with pytest.raises(CandidateError) as scalar:

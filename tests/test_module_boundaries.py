@@ -245,8 +245,8 @@ def test_no_new_rounding_sites():
 
 
 # (module file, function): the one place a metric is made from a basis it
-# orthonormalizes, G = (B B^T)^-1, for a stack of bases
-ORTHONORMALIZING_SITES = {("curvature.py", "orthonormalizing_grams")}
+# orthonormalizes, G = (B B^T)^-1, for one basis or a stack of them
+ORTHONORMALIZING_SITES = {("curvature.py", "orthonormalizing")}
 
 # B^T of a matrix or a stack of them: attributes of B, methods of B, and
 # numpy functions taking B first

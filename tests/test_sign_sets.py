@@ -26,8 +26,10 @@ from nilcurv.curvature import frame_structure, ricci_form_matrix, ricci_frame
 from nilcurv.deformation import deformed_metric
 from nilcurv.rational import nullspace, rank, solve
 from nilcurv.sign_sets import (
+    K_NEGATIVE_MAX,
     PreconditionError,
     _scaled_ric_ladder,
+    adapted_metric_family,
     plane_labels,
 )
 from nilcurv.verify import _grid_planes
@@ -435,6 +437,61 @@ def test_pencil_witness_deforms_along_first_exact_e(key):
         unit = e / np.linalg.norm(e)
         assert np.linalg.norm(col - (col @ unit) * unit) \
             <= 1e-12 * np.linalg.norm(col)
+
+
+def _negative_K_witness_loop(algebra, x, y):
+    """Reference: find_negative_K_witness with a Metric made anew from
+    each Gram matrix of the adapted family."""
+    for g in adapted_metric_family(algebra, x, y).gram:
+        val = sectional_K(algebra, Metric(g), x, y)
+        if val < K_NEGATIVE_MAX:
+            return sign_sets.SignWitness(
+                kind="K_negative", gram=g, value=val,
+                target=[list(map(float, x)), list(map(float, y))])
+    return sign_sets._pencil_failure_witness(algebra, x, y)
+
+
+def _pencil_planes(key):
+    """The abelian {-1,0,1} planes outside G_geq."""
+    a = build(key)
+    grid = np.array(_grid_planes(a.n))
+    xs, ys = grid[:, 0], grid[:, 1]
+    labels = plane_labels(a, xs, ys)
+    return a, [(xs[i].astype(float), ys[i].astype(float)) for i in
+               np.nonzero(labels["abelian"] & ~labels["G_geq"])[0]]
+
+
+@pytest.mark.parametrize("key", ["filiform4", "L5_lemma7a"])
+def test_adapted_family_is_one_stack_factored_once(key, monkeypatch):
+    """adapted_metric_family is one stacked Metric of 8n rows, each the
+    Metric of its own Gram matrix, from a single Cholesky pass over the
+    stack; find_negative_K_witness finds the witness of the loop over
+    single metrics, and keeps a copy of its row."""
+    a, planes = _pencil_planes(key)
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(m):
+        factored.append(m.shape[:-2])
+        return cholesky(m)
+    for x, y in planes:
+        factored.clear()
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        family = adapted_metric_family(a, x, y)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert factored == [(8 * a.n,)] and len(family) == 8 * a.n
+        for row in family:
+            single = Metric(row.gram)
+            assert all(np.array_equal(getattr(row, k), getattr(single, k))
+                       for k in ("gram", "frame", "_inv"))
+        got, want = find_negative_K_witness(a, x, y), \
+            _negative_K_witness_loop(a, x, y)
+        assert got.gram.base is None
+        assert np.array_equal(got.gram, want.gram)
+        for k in ("kind", "value", "target", "t"):
+            assert getattr(got, k) == getattr(want, k)
+        for k in ("lambdas", "frame"):
+            assert np.array_equal(getattr(got, k), getattr(want, k))
 
 
 def test_witnesses_need_no_random_stage(monkeypatch):

@@ -73,9 +73,16 @@ class Metric:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Metric":
-        """Gram = B^T B + 1e-6 I with B entries uniform on [-1, 1]."""
-        b = rng.uniform(-1.0, 1.0, size=(n, n))
-        return cls(b.T @ b + 1e-6 * np.eye(n))
+        """Metric.from_factor of a B with entries uniform on [-1, 1]."""
+        return cls.from_factor(rng.uniform(-1.0, 1.0, size=(n, n)))
+
+    @classmethod
+    def from_factor(cls, b) -> "Metric":
+        """Gram = B^T B + 1e-6 I of a square B, or of each B of a
+        (..., n, n) stack: positive definite even where B is singular.
+        Each row equals the single metric of its B to the bit."""
+        b = np.asarray(b, dtype=float)
+        return cls(b.mT @ b + 1e-6 * np.eye(b.shape[-1]))
 
     @classmethod
     def orthonormalizing(cls, bases) -> "Metric":
@@ -136,12 +143,17 @@ def raise_first_failure(error: type, checks) -> None:
 
 def frame_structure(algebra: NilpotentAlgebra, metric: Metric,
                     frame: np.ndarray | None = None) -> np.ndarray:
-    """c[i,j,k] = <F_k, [F_i, F_j]> for an orthonormal frame F (columns)."""
+    """c[i,j,k] = <F_k, [F_i, F_j]> for an orthonormal frame F (columns),
+    as a (..., n, n, n) stack for a stacked metric or frame; each row is
+    its single call to the bit. The result is C-ordered, as a single
+    call's always is, since the einsums of ricci_frame sum in an order
+    set by the memory layout."""
     f = metric.frame if frame is None else np.asarray(frame, float)
     c0 = algebra.structure_tensor()
     # brackets of frame vectors, in basis coordinates
-    b = np.einsum("ia,jb,ijk->abk", f, f, c0)
-    return np.einsum("abk,kl,lc->abc", b, metric.gram, f)
+    b = np.einsum("...ia,...jb,ijk->...abk", f, f, c0)
+    return np.ascontiguousarray(
+        np.einsum("...abk,...kl,...lc->...abc", b, metric.gram, f))
 
 
 # planes per block in the batched sectional curvature; bounds its
@@ -213,25 +225,29 @@ def ricci_frame(c: np.ndarray, weights: np.ndarray | None = None
     i > j only. With w = exp(x t) for `deformation.exponent_tensor` x it
     is the Ricci operator of the deformed metric g_t in the coordinates of
     the undeformed frame; with a 0/1 mask it keeps the leading terms of
-    that expansion.
+    that expansion. A (..., n, n, n) stack of tensors, with weights of
+    shape (n, n, n) or of the stack's, gives the (..., n, n) stack of
+    forms.
 
     Both sums run over the pairs i > j of c_ijk = -c_jik only: the first
     is twice its half, the second splits into its terms with i > a and
     with i < a (c_aak = 0). This order of summation sets the rounding of
     the limit operators, whose eigenvalues check_deformation_limit
-    compares to 1e-9 absolute.
+    compares to 1e-9 absolute. The batch axes `...` leave it as it is:
+    each row of a stack is its single call to the bit (a test pins it).
     """
     wc = (c if weights is None else weights * c) \
-        * np.tri(c.shape[0], k=-1)[:, :, None]       # pairs i > j
-    return 0.5 * (np.einsum("ija,ijb->ab", c, wc)
-                  - np.einsum("iak,ibk->ab", wc, c)
-                  + np.einsum("aik,ibk->ab", wc, c))
+        * np.tri(c.shape[-1], k=-1)[:, :, None]      # pairs i > j
+    return 0.5 * (np.einsum("...ija,...ijb->...ab", c, wc)
+                  - np.einsum("...iak,...ibk->...ab", wc, c)
+                  + np.einsum("...aik,...ibk->...ab", wc, c))
 
 
 def ricci_form_matrix(algebra: NilpotentAlgebra, metric: Metric) -> np.ndarray:
-    """Matrix R with Ric(X, Y) = X^T R Y in the original basis."""
+    """Matrix R with Ric(X, Y) = X^T R Y in the original basis, one per
+    row of a stacked metric."""
     finv = np.linalg.inv(metric.frame)
-    return finv.T @ ricci_frame(frame_structure(algebra, metric)) @ finv
+    return finv.mT @ ricci_frame(frame_structure(algebra, metric)) @ finv
 
 
 @dataclass

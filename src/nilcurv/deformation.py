@@ -62,6 +62,10 @@ class CandidateError(ValueError):
 
 @dataclass
 class DeformationSpec:
+    """One exponent pattern `lambdas`, of shape (n,), on a metric `base`
+    and a g-orthonormal `frame` (columns), or on each row of a stacked
+    base with its (..., n, n) stack of frames. The frame of a row that
+    is not orthonormal raises the ValueError of that row's single spec."""
     base: Metric
     lambdas: np.ndarray
     frame: np.ndarray | None = None  # columns; defaults to base.frame
@@ -76,10 +80,11 @@ class DeformationSpec:
             raise ValueError("lambdas must have length n")
         if not np.all(np.isfinite(self.lambdas)):
             raise ValueError("lambdas must be finite")
-        gram_err = np.abs(self.frame.T @ self.base.gram @ self.frame
-                          - np.eye(n)).max()
-        if gram_err > orthonormal_tol(self.base):
-            raise ValueError(f"frame not orthonormal for base ({gram_err:.2e})")
+        gram_err = np.abs(self.frame.mT @ self.base.gram @ self.frame
+                          - np.eye(n)).max(axis=(-2, -1))
+        raise_first_failure(ValueError, [
+            (gram_err > orthonormal_tol(self.base),
+             "frame not orthonormal for base ({:.2e})", gram_err)])
 
     @property
     def n(self) -> int:
@@ -99,8 +104,8 @@ def deformed_metric(spec: DeformationSpec, t: float) -> Metric:
     benchmark check (perfbench/workloads.py)."""
     _check_t(spec, t)
     finv = np.linalg.inv(spec.frame)
-    gram = finv.T @ np.diag(np.exp(spec.lambdas * t)) @ finv
-    return Metric(0.5 * (gram + gram.T))
+    gram = finv.mT @ np.diag(np.exp(spec.lambdas * t)) @ finv
+    return Metric(0.5 * (gram + gram.mT))
 
 
 def deformed_frame(spec: DeformationSpec, t: float) -> np.ndarray:
@@ -122,7 +127,8 @@ def deformed_ricci_frame(spec: DeformationSpec, algebra: NilpotentAlgebra,
                          t: float) -> np.ndarray:
     """Matrix of ric_t in the coordinates of the (undeformed) frame:
     ricci_frame of the base frame structure constants with the weights
-    exp(x t) of `exponent_tensor`."""
+    exp(x t) of `exponent_tensor`; a (..., n, n) stack for a stacked
+    spec."""
     _check_t(spec, t)
     c = frame_structure(algebra, spec.base, spec.frame)
     return ricci_frame(c, np.exp(exponent_tensor(spec.lambdas) * t))
@@ -160,6 +166,9 @@ def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
 
 @dataclass
 class ScaledRicciLimit:
+    """The limit of one spec. d, Lambda, gap, p and q belong to the
+    exponent pattern, so they are shared by the rows of a stacked spec;
+    phi0, c, A and each J_k have the spec's leading batch axes."""
     spec: DeformationSpec
     d: float
     Lambda: list[tuple[int, int, int]]      # (i, j, k), i > j, 0-based
@@ -168,7 +177,7 @@ class ScaledRicciLimit:
     c: np.ndarray                           # frame structure tensor
     p: int | None = None
     q: int | None = None
-    J: list[np.ndarray] = field(default_factory=list)
+    J: list[np.ndarray] = field(default_factory=list)   # J_k, k < p
     A: np.ndarray | None = None
 
     @property
@@ -180,7 +189,7 @@ class ScaledRicciLimit:
 
     def phi0_eigenvalues(self) -> np.ndarray:
         """Sorted real parts of the eigenvalues of phi0, which is not
-        symmetric."""
+        symmetric; one row of them per row of a stacked phi0."""
         return np.sort(np.linalg.eigvals(self.phi0).real)
 
 
@@ -215,7 +224,11 @@ def scaled_ricci_limit(spec: DeformationSpec,
                        algebra: NilpotentAlgebra) -> ScaledRicciLimit:
     """Limit of 2 exp(-t d) ric_t as t -> infinity, in frame coordinates:
     ricci_frame with the mask of Lambda as weights. With the (p, q)
-    pattern, J_k = c[-q:, -q:, k] and A_kl = (1/2) tr(J_k J_l^T)."""
+    pattern, J_k = c[-q:, -q:, k] and A_kl = (1/2) tr(J_k J_l^T).
+
+    A stacked spec gives one limit whose phi0, c, A and J_k are stacks,
+    each row its single spec's to the bit; d, Lambda, gap, p and q depend
+    on the lambdas only."""
     d, mask, gap = _lambda_triples(spec.lambdas)
     c = frame_structure(algebra, spec.base, spec.frame)
     limit = ScaledRicciLimit(
@@ -224,10 +237,13 @@ def scaled_ricci_limit(spec: DeformationSpec,
     pq = _detect_pq(spec.lambdas)
     if pq is not None:
         p, q = pq
-        js = np.ascontiguousarray(np.moveaxis(c[-q:, -q:, :p], 2, 0))
-        limit.p, limit.q, limit.J = p, q, list(js)
-        limit.A = 0.5 * np.trace(js[:, None] @ js.swapaxes(1, 2),
-                                 axis1=2, axis2=3)
+        # [..., k, r, s] = J_k[r, s]
+        js = np.ascontiguousarray(np.moveaxis(c[..., -q:, -q:, :p], -1, -3))
+        limit.p, limit.q = p, q
+        limit.J = [js[..., k, :, :] for k in range(p)]
+        limit.A = 0.5 * np.trace(js[..., :, None, :, :]
+                                 @ js[..., None, :, :, :].mT,
+                                 axis1=-2, axis2=-1)
     return limit
 
 

@@ -18,6 +18,7 @@ from nilcurv.curvature import (
     RicciReport,
     frame_structure,
     ricci_form_matrix,
+    ricci_frame,
 )
 
 
@@ -275,6 +276,40 @@ def test_metric_stack_fails_like_the_loop(bad):
     assert _raised(Metric, grams.reshape(4, 5, 4, 4)) == want
     grams[6] = grams[0]
     assert _raised(Metric, grams)[1] != want[1]
+
+
+SMALL = [e for e in list_catalog() if e.build().n <= 7]
+
+
+@pytest.mark.parametrize("entry", SMALL, ids=lambda e: e.label)
+def test_stacked_kernels_match_scalar_calls(entry):
+    """Metric.from_factor of one uniform draw of shape (N, n, n) has the
+    rows of N Metric.random calls on the same stream, and each row of
+    frame_structure (with the metric's frame and with a stacked frame),
+    ricci_frame (unweighted, with one weight tensor and with a stack of
+    them) and ricci_form_matrix on the stack equals its scalar call."""
+    alg = entry.build()
+    n, count = alg.n, 5
+    seed = sum(map(ord, entry.label))
+    rng = np.random.default_rng(seed)
+    singles = [Metric.random(n, rng) for _ in range(count)]
+    stack = Metric.from_factor(np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(count, n, n)))
+    frames = stack.frame[:, :, rng.permutation(n)]
+    w = rng.uniform(size=(count, n, n, n))
+    w = w + w.swapaxes(-3, -2)
+    c, cf = frame_structure(alg, stack), frame_structure(alg, stack, frames)
+    r, r1, rw = ricci_frame(c), ricci_frame(c, w[0]), ricci_frame(c, w)
+    form = ricci_form_matrix(alg, stack)
+    for i, single in enumerate(singles):
+        assert _same_metric(stack[i], single)
+        ci = frame_structure(alg, single)
+        assert np.array_equal(c[i], ci)
+        assert np.array_equal(cf[i], frame_structure(alg, single, frames[i]))
+        assert np.array_equal(r[i], ricci_frame(ci))
+        assert np.array_equal(r1[i], ricci_frame(ci, w[0]))
+        assert np.array_equal(rw[i], ricci_frame(ci, w[i]))
+        assert np.array_equal(form[i], ricci_form_matrix(alg, single))
 
 
 def u_operator(algebra, metric, v, w):

@@ -592,3 +592,76 @@ def test_codim1_adapted_metric_stack_matches_scalar_calls():
     assert _raised(codim1_adapted_metric, alg, c, u1) \
         == (CandidateError, str(scalar.value)) \
         == (CandidateError, "frame completion failed")
+
+
+def _patterns(n):
+    """Every (p, q) of a (+1 x p, 0, -1 x q) pattern in dimension n."""
+    return [(p, q) for p in range(1, n - 1) for q in range(2, n - p + 1)]
+
+
+def _pattern(n, p, q):
+    return np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in list_catalog() if e.build().n <= 7],
+    ids=lambda e: e.label)
+def test_stacked_limit_matches_scalar_specs(entry):
+    """For every (p, q), a spec on a stack of random metrics, with their
+    Cholesky frames or with permuted ones, gives the pattern's d, gap,
+    Lambda, p and q, and rows of phi0, c, A, each J_k, sum_k J_k^2, the
+    phi0 eigenvalues and deformed_ricci_frame equal to the scalar specs'."""
+    alg = entry.build()
+    n = alg.n
+    rng = np.random.default_rng(sum(map(ord, entry.label)))
+    metrics = Metric.from_factor(rng.uniform(-1.0, 1.0, size=(4, n, n)))
+    for frames in (metrics.frame, metrics.frame[:, :, rng.permutation(n)]):
+        for p, q in _patterns(n):
+            lam = _pattern(n, p, q)
+            spec = DeformationSpec(base=metrics, lambdas=lam, frame=frames)
+            limit = scaled_ricci_limit(spec, alg)
+            t = 40.0 / limit.gap if np.isfinite(limit.gap) else 5.0
+            deformed = deformed_ricci_frame(spec, alg, t)
+            sum_j2, ev = limit.sum_J_squared(), limit.phi0_eigenvalues()
+            assert len(limit.J) == p
+            for i in range(len(metrics)):
+                one = scaled_ricci_limit(DeformationSpec(
+                    base=metrics[i], lambdas=lam, frame=frames[i]), alg)
+                assert (limit.d, limit.gap, limit.Lambda, limit.p, limit.q) \
+                    == (one.d, one.gap, one.Lambda, one.p, one.q)
+                for name in ("phi0", "c", "A"):
+                    assert np.array_equal(getattr(limit, name)[i],
+                                          getattr(one, name)), name
+                assert all(np.array_equal(j[i], k)
+                           for j, k in zip(limit.J, one.J))
+                assert np.array_equal(sum_j2[i], one.sum_J_squared())
+                assert np.array_equal(ev[i], one.phi0_eigenvalues())
+                assert np.array_equal(
+                    deformed[i], deformed_ricci_frame(one.spec, alg, t))
+
+
+def test_stacked_spec_fails_like_the_scalar_specs():
+    """A stacked spec raises the ValueError and message of its first row
+    whose frame is not orthonormal, and of any row for lambdas of the
+    wrong shape."""
+    rng = np.random.default_rng(26)
+    n = 5
+    metrics = Metric.from_factor(rng.uniform(-1.0, 1.0, size=(8, n, n)))
+    lam = _pattern(n, 2, 2)
+    frames = metrics.frame.copy()
+    frames[3, :, 1] *= 1.001
+    frames[6, :, 4] *= 1.1
+
+    def loop():
+        for i in range(len(metrics)):
+            DeformationSpec(base=metrics[i], lambdas=lam, frame=frames[i])
+    want = _raised(loop)
+    assert want[0] is ValueError
+    assert want[1].startswith("frame not orthonormal for base (")
+    assert _raised(DeformationSpec, metrics, lam, frames) == want
+    frames[3] = metrics.frame[3]
+    assert _raised(DeformationSpec, metrics, lam, frames)[1] != want[1]
+    for bad in (np.ones(n - 1), np.ones((len(metrics), n)), np.ones(n + 1)):
+        assert _raised(DeformationSpec, metrics, bad) \
+            == _raised(DeformationSpec, metrics[0], bad) \
+            == (ValueError, "lambdas must have length n")

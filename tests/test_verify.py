@@ -1,24 +1,33 @@
-"""Bulk kernels behind the sectional-sign-planes and coverage checks: the
-plane grid, the exact plane labels, the batched sectional curvature and
-the stacked coverage candidates, each against the exact, brute-force or
-scalar construction it replaces."""
+"""Bulk kernels behind the sectional-sign-planes, coverage and
+deformation-limit checks: the plane grid, the exact plane labels, the
+batched sectional curvature, the stacked coverage candidates and the
+stacked scaled limits, each against the exact, brute-force or scalar
+construction it replaces."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nilcurv import (
+    DeformationSpec,
     Metric,
     build,
     candidate_e1u2,
     classify_plane,
     curvature,
     list_catalog,
+    scaled_ricci_limit,
     sectional_K,
+    verify,
 )
-from nilcurv.deformation import codim1_adapted_metric, sphere_grid
+from nilcurv.deformation import (
+    codim1_adapted_metric,
+    deformed_ricci_frame,
+    sphere_grid,
+)
 from nilcurv.rational import rank, rref
 from nilcurv.sign_sets import plane_labels
 from nilcurv.verify import (
@@ -202,3 +211,74 @@ def test_filiform4_coverage_stack_matches_the_loop():
     want = _filiform4_loop()
     assert got.shape == want.shape == (799, 4)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _deformation_limit_loop(seed):
+    """Reference: the deformation-limit report, without its runtime, one
+    (metric, pattern) draw at a time through scalar specs."""
+    mat_tol, eig_tol = 1e-6, 1e-9
+    rng = np.random.default_rng(seed)
+    failures = []
+    worst_mat = worst_eig = 0.0
+    for entry in list_catalog():
+        alg = entry.build()
+        n = alg.n
+        if n > 7:
+            continue
+        for _ in range(10):
+            metric = Metric.random(n, rng)
+            p = int(rng.integers(1, max(2, n - 2)))
+            q = int(rng.integers(2, max(3, n - p + 1)))
+            if p + q > n:
+                p, q = 1, 2
+            lam = np.concatenate([np.ones(p), np.zeros(n - p - q),
+                                  -np.ones(q)])
+            spec = DeformationSpec(base=metric, lambdas=lam)
+            limit = scaled_ricci_limit(spec, alg)
+            t = 40.0 / limit.gap if np.isfinite(limit.gap) else 5.0
+            diff = np.abs(2.0 * np.exp(-limit.d * t)
+                          * deformed_ricci_frame(spec, alg, t)
+                          - limit.phi0).max()
+            worst_mat = max(worst_mat, float(diff))
+            ev = limit.phi0_eigenvalues()
+            block_ev = np.sort(np.concatenate(
+                [np.linalg.eigvalsh(limit.A), np.zeros(n - p - q),
+                 np.linalg.eigvalsh(limit.sum_J_squared())]))
+            eig_diff = float(np.abs(ev - block_ev).max())
+            worst_eig = max(worst_eig, eig_diff)
+            if diff > mat_tol or eig_diff > eig_tol:
+                failures.append({"algebra": alg.name, "p": p, "q": q,
+                                 "matrix_diff": float(diff),
+                                 "eig_diff": eig_diff})
+    return {"name": "deformation-limit", "passed": not failures,
+            "details": {"failures": failures, "worst_matrix_diff": worst_mat,
+                        "worst_eig_diff": worst_eig},
+            "tolerances": {"matrix_sup": mat_tol, "eigenvalue_abs": eig_tol}}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_deformation_limit_report_is_the_loop_report(seed):
+    """The grouped check's report, without its runtime, is the per-draw
+    loop's byte for byte: the verdict rests on rounding at the 1e-9
+    level, so agreement to a tolerance would not do."""
+    got = verify.check_deformation_limit(seed)
+    del got["runtime_s"]
+    assert json.dumps(got) == json.dumps(_deformation_limit_loop(seed))
+
+
+def test_deformation_limit_takes_one_limit_per_pattern(monkeypatch):
+    """check_deformation_limit calls scaled_ricci_limit once per
+    (algebra, p, q) group of its draws, on a stack of that group's rows,
+    not once per draw."""
+    calls = []
+
+    def counted(spec, alg):
+        calls.append(((alg.name, *spec.lambdas.tolist()), len(spec.base)))
+        return scaled_ricci_limit(spec, alg)
+    monkeypatch.setattr(verify, "scaled_ricci_limit", counted)
+    verify.check_deformation_limit(seed=0)
+    draws = 10 * sum(e.build().n <= 7 for e in list_catalog())
+    groups = [key for key, _ in calls]
+    assert len(set(groups)) == len(groups)
+    assert sum(rows for _, rows in calls) == draws
+    assert len(calls) < draws / 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -450,7 +451,10 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, and building it costs far more than a parse."""
     p = argparse.ArgumentParser(
         prog="nilcurv",
         description="Curvature of left-invariant metrics on nilpotent "
@@ -531,8 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, FormatError) as exc:

@@ -129,8 +129,14 @@ def deformed_ricci_frame(spec: DeformationSpec, algebra: NilpotentAlgebra,
     ricci_frame of the base frame structure constants with the weights
     exp(x t) of `exponent_tensor`; a (..., n, n) stack for a stacked
     spec."""
+    return _ricci_frame_at(spec, frame_structure(algebra, spec.base,
+                                                 spec.frame), t)
+
+
+def _ricci_frame_at(spec: DeformationSpec, c: np.ndarray, t: float
+                    ) -> np.ndarray:
+    """deformed_ricci_frame of spec at t from its frame tensor c."""
     _check_t(spec, t)
-    c = frame_structure(algebra, spec.base, spec.frame)
     return ricci_frame(c, np.exp(exponent_tensor(spec.lambdas) * t))
 
 
@@ -186,6 +192,11 @@ class ScaledRicciLimit:
 
     def sum_J_squared(self) -> np.ndarray:
         return sum(j @ j for j in self.J)
+
+    def deformed_ricci_frame(self, t: float) -> np.ndarray:
+        """deformed_ricci_frame(spec, algebra, t), from the frame tensor c
+        that the limit holds."""
+        return _ricci_frame_at(self.spec, self.c, t)
 
     def phi0_eigenvalues(self) -> np.ndarray:
         """Sorted real parts of the eigenvalues of phi0, which is not

@@ -27,6 +27,8 @@ forces the desired sign in the limit (for planes, first the single
 scaled adapted directions of adapted_metric_family). Nothing is random,
 so a witness depends only on the algebra and the target; a construction
 that fails on valid input is a defect, reported as WitnessSearchError.
+The two Ricci searches also take (N, n) rows of targets, searched as one
+stack with one witness or error per row.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -46,6 +49,7 @@ from .algebra import (
 )
 from .curvature import (
     Metric,
+    MetricError,
     ad_images,
     frame_structure,
     ricci_form_matrix,
@@ -58,7 +62,7 @@ from .deformation import (
     complete_basis,
     exponent_tensor,
 )
-from .rational import in_row_space, nullspace, rank, solve
+from .rational import nullspace, rank
 
 # A witness value must clear these bounds; reports print the same values.
 RIC_POSITIVE_MIN = 1e-9
@@ -324,151 +328,289 @@ class SignWitness:
 
 def _scaled_ric_ladder(algebra: NilpotentAlgebra, metric: Metric,
                        frame: np.ndarray, lambdas: np.ndarray, idx: int
-                       ) -> Callable[[float], tuple[float, float]]:
-    """t -> (exp(-d t) Ric_t(e_idx, e_idx), d) with d the dominant exponent.
+                       ) -> Callable:
+    """(t, rows) -> (exp(-d t) Ric_t(e_idx, e_idx), d) with d the dominant
+    exponent, for a metric and frame or for the rows of a stacked metric
+    and its (N, n, n) frames (rows indexes them; all by default).
 
     Ric_t(e_idx, e_idx) is exp(lambda_idx t) times the [idx, idx] entry
     of deformed_ricci_frame, which only involves the triples touching idx.
     Those get the weights exp((x_ijk + lambda_idx - d) t) <= 1, with x
     the `exponent_tensor`; the others (and numerical-noise constants)
-    weight 0, so the value stays finite for large t. The frame tensor,
-    the exponents and d do not depend on t and are computed once, here.
+    weight 0, so the value stays finite for large t, and it is 0 at d = 0
+    where no triple is left. The frame tensor, the exponents and d do not
+    depend on t and are computed once, here; each row is its single
+    ladder's to the bit.
     """
     c = frame_structure(algebra, metric, frame)
     expo = exponent_tensor(lambdas) + lambdas[idx]
-    touch = np.zeros(c.shape, dtype=bool)
+    touch = np.zeros(expo.shape, dtype=bool)
     touch[idx], touch[:, idx], touch[:, :, idx] = True, True, True
-    live = touch & (np.abs(c) > 1e-12 * (np.abs(c).max() + 1.0))
-    if not live.any():
-        return lambda t: (0.0, 0.0)
-    d = float(expo[live].max())
-    shifted = np.where(live, expo - d, -np.inf)
-    return lambda t: (float(ricci_frame(c, np.exp(shifted * t))[idx, idx]),
-                      d)
+    axes = (-3, -2, -1)
+    live = touch & (np.abs(c) > 1e-12 * (np.abs(c).max(axis=axes,
+                                                         keepdims=True) + 1.0))
+    d = np.where(live, expo, -np.inf).max(axis=axes)
+    d = np.where(live.any(axis=axes), d, 0.0)
+    shifted = np.where(live, expo - d[..., None, None, None], -np.inf)
+
+    def at(t: float, rows=Ellipsis) -> tuple:
+        return (ricci_frame(c[rows], np.exp(shifted[rows] * t))[..., idx, idx],
+                d[rows])
+    return at
 
 
-def _independent_pair_for(algebra: NilpotentAlgebra, zv) -> tuple:
-    """X, Y with rank(X, Y, Z) = 3 and [X, Y] not a multiple of Z.
+def _independent_pair_for(algebra: NilpotentAlgebra, z: list) -> tuple:
+    """X, Y with rank(X, Y, Z) = 3 and [X, Y] not a multiple of Z, for an
+    exact nonzero Z, decided on the structure constants.
 
     The first pair of basis vectors (e_i, e_j), in combinations order,
-    whose bracket is not a multiple of Z; when Z lies in span(e_i, e_j),
-    both are moved along their bracket. Some [e_i, e_j] is not a multiple
-    of Z unless g' = RZ, and then Z is central and derived, which the
-    caller handles first."""
+    whose bracket b is not a multiple of Z (some 2x2 minor of (b, Z) is
+    nonzero; the minors with Z's first nonzero entry decide it). rank(e_i,
+    e_j, Z) = 3 iff Z has a nonzero entry outside {i, j}. Otherwise Z =
+    z_i e_i + z_j e_j, and both are moved along b, to X = e_i + z_i b and
+    Y = e_j + z_j b, which need no test: rank(X, Y, Z) = 3 since b is not
+    in span(e_i, e_j) (a nonzero bracket in the span of its arguments
+    would make ad_e_i or ad_e_j not nilpotent), and [X, Y] = (1 + ad_v) b
+    with v = z_j e_i - z_i e_j is no multiple lam Z: ad_v Z = s b with
+    s = z_i^2 + z_j^2, so (lam s - ad_v - ad_v^2) b would vanish, and that
+    operator is invertible (ad_v is nilpotent). Some [e_i, e_j] is not a
+    multiple of Z unless g' = RZ, and then Z is central and derived, which
+    the caller handles first."""
     n = algebra.n
-    zf = exact_vector(zv)
+    p = next(k for k, v in enumerate(z) if v != 0)
+
+    def parallel(b):        # z's support, and the minors with z_p vanish
+        return all((bk != 0) == (zk != 0)
+                   and (bk == 0 or bk * z[p] == b[p] * zk)
+                   for bk, zk in zip(b, z))
+
     for i, j in itertools.combinations(range(n), 2):
+        b = algebra.basis_bracket(i, j)
+        if not any(b) or parallel(b):
+            continue
         x, y = basis_vector(n, i), basis_vector(n, j)
-        b = algebra.bracket(x, y)
-        if all(v == 0 for v in b):
-            continue
-        if in_row_space([zf], b):
-            continue
-        if rank([x, y, zf]) != 3:
-            # Z in span(X, Y): perturb along the bracket
-            a_c, b_c = solve([[x[k], y[k]] for k in range(n)], zf)
-            x = [xi + a_c * bi for xi, bi in zip(x, b)]
-            y = [yi + b_c * bi for yi, bi in zip(y, b)]
+        if not any(z[k] for k in range(n) if k != i and k != j):
+            x = [xi + z[i] * bi for xi, bi in zip(x, b)]
+            y = [yi + z[j] * bi for yi, bi in zip(y, b)]
             b = algebra.bracket(x, y)
-            if all(v == 0 for v in b) or in_row_space([zf], b) \
-                    or rank([x, y, zf]) != 3:
-                continue
         return x, y, b
     raise WitnessSearchError("no independent bracket pair found")
 
 
-def find_positive_ric_witness(algebra: NilpotentAlgebra, z) -> SignWitness:
-    """A metric (possibly deformed to finite t) with Ric(z) > 0."""
-    zv = np.asarray(z, float)
-    if np.linalg.norm(zv) == 0.0:
-        raise PreconditionError("z must be nonzero")
-    if algebra.is_abelian():
-        raise PreconditionError("algebra is abelian: Ricci vanishes "
-                                "identically")
+def _binary_shift(v: np.ndarray) -> np.ndarray:
+    """The k of each row of v for which 2^k max |v_i| lies in [1, 2) (1
+    for a zero row). Scaling by 2^k rounds nothing, so a witness search
+    does not depend on the scale of its target, and rows already in range
+    keep their bits."""
+    return 1 - np.frexp(np.abs(v).max(axis=-1, initial=0.0))[1]
+
+
+def _scaled_targets(z) -> tuple[np.ndarray, list]:
+    """The (N, n) rows of targets z, of shape (n,) or (N, n), each times
+    its 2^k of _binary_shift, and their exact vectors: exact_vector of the
+    target itself times 2^k, so the exact tests agree with
+    classify_ric_vector on the target."""
+    v = np.atleast_2d(np.asarray(z, float))
+    shift = _binary_shift(v)
+    exact = [exact_vector(row) if k == 0 else
+             [c * Fraction(2) ** k for c in exact_vector(row)]
+             for row, k in zip(v, shift.tolist())]
+    return np.ldexp(v, shift[:, None]), exact
+
+
+def _adapted_bases(head: list, tail: list) -> np.ndarray:
+    """The (N, n, n) bases with columns head, complete_basis, tail, of the
+    (N, n) rows of the vectors in head and tail; WitnessSearchError if a
+    row is too close to dependent for complete_basis to complete it."""
+    mid = complete_basis(head + tail)
+    if not all(m.any(axis=-1).all() for m in mid):
+        raise WitnessSearchError("adapted basis is numerically dependent")
+    return np.stack(head + mid + tail, axis=-1)
+
+
+def _by_rows(stage: Callable, *rows: np.ndarray) -> list:
+    """stage(*rows), its list of one result per row; if the stage raises,
+    each row is redone alone, so every row gets its own result, or the
+    error its single stage raises as a WitnessSearchError."""
+    try:
+        return stage(*rows)
+    except (WitnessSearchError, MetricError, np.linalg.LinAlgError) as exc:
+        if len(rows[0]) > 1:
+            return [r for i in range(len(rows[0]))
+                    for r in _by_rows(stage, *(v[i:i + 1] for v in rows))]
+        if not isinstance(exc, WitnessSearchError):
+            exc = WitnessSearchError(f"adapted basis: {exc}")
+        return [exc]
+
+
+def _climb(ladder: Callable, n_rows: int, ts: list, accept: Callable
+           ) -> dict:
+    """{row: (t, scaled value, value)} at the first t of ts where the
+    row of the ladder passes accept(rows, scaled values, values), with
+    value = scaled value * exp(d t); the ladder runs at each t only on the
+    rows not yet resolved, and rows that never pass are left out."""
+    hits = {}
+    pending = np.arange(n_rows)
+    for t in ts:
+        vals, d = ladder(t, pending)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = vals * np.exp(d * t)
+        ok = accept(pending, vals, full)
+        hits.update((r, (t, v, f)) for r, v, f in
+                    zip(pending[ok].tolist(), vals[ok], full[ok]))
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    return hits
+
+
+def _one_or_rows(results: list, stacked: bool):
+    """The results of a stacked search; for one target its witness, or
+    the error it got, raised."""
+    if stacked:
+        return results
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def find_positive_ric_witness(algebra: NilpotentAlgebra, z):
+    """A metric (possibly deformed to finite t) with Ric(z) > 0.
+
+    z is first scaled by a power of two to max |z_i| in [1, 2)
+    (`_scaled_targets`), and the witness is for that target. Rows z of
+    shape (N, n) are searched as one stack and give a list with, per row,
+    its SignWitness or the PreconditionError or WitnessSearchError that
+    its single call raises. The exact tests run per row; the adapted
+    bases, their metrics and the deformation ladder run once per stack,
+    the ladder at each t only on the rows not yet resolved."""
+    rows, exact = _scaled_targets(z)
     n = algebra.n
-    ze = exact_vector(z)
-    gp = algebra.derived_algebra()
-    zc = algebra.center()
-    if gp.contains(ze) and zc.contains(ze):
+    out: list = [None] * len(rows)
+    central, deform, pairs = [], [], []
+    for r, (zv, ze) in enumerate(zip(rows, exact)):
+        if not zv.any():
+            out[r] = PreconditionError("z must be nonzero")
+        elif algebra.is_abelian():
+            out[r] = PreconditionError("algebra is abelian: Ricci vanishes "
+                                       "identically")
+        elif algebra.derived_algebra().contains(ze) \
+                and algebra.center().contains(ze):
+            central.append(r)
+        else:
+            try:
+                pairs.append(_independent_pair_for(algebra, ze))
+                deform.append(r)
+            except WitnessSearchError as exc:
+                out[r] = exc
+    if central:
         # central derived vector: any metric seeing a bracket works
         metric = Metric.identity(n)
-        r = ricci_form_matrix(algebra, metric)
-        val = float(zv @ r @ zv)
-        return SignWitness(kind="ric_positive", gram=metric.gram,
-                           value=val, target=list(map(float, zv)))
-    x, y, b = _independent_pair_for(algebra, z)
-    xf = np.array([float(v) for v in x])
-    yf = np.array([float(v) for v in y])
-    # basis order: Z, middle..., X, Y
-    mid = complete_basis([zv, xf, yf])
-    basis = np.column_stack([zv] + mid + [xf, yf])
-    # ensure the Z-coefficient of [X, Y] in this basis is nonzero
-    bf = np.array([float(v) for v in b])
-    coeffs = np.linalg.solve(basis, bf)
-    if abs(coeffs[0]) < 1e-12:
-        tilt = next(i for i in range(1, n) if abs(coeffs[i]) > 1e-9)
-        basis[:, tilt] = basis[:, tilt] + zv
-        coeffs = np.linalg.solve(basis, bf)
-    alpha = float(coeffs[0])
+        ric = ricci_form_matrix(algebra, metric)
+        for r in central:
+            out[r] = SignWitness(kind="ric_positive", gram=metric.gram.copy(),
+                                 value=float(rows[r] @ ric @ rows[r]),
+                                 target=list(map(float, rows[r])))
+    if deform:
+        xs, ys, bs = (np.array(v, dtype=float) for v in zip(*pairs))
+        for r, w in zip(deform, _by_rows(
+                lambda *v: _positive_deformation(algebra, *v),
+                rows[deform], xs, ys, bs)):
+            out[r] = w
+    return _one_or_rows(out, np.ndim(z) == 2)
+
+
+def _positive_deformation(algebra: NilpotentAlgebra, zv: np.ndarray,
+                          xf: np.ndarray, yf: np.ndarray, bf: np.ndarray
+                          ) -> list:
+    """The deformation stage of find_positive_ric_witness on (N, n) rows
+    of targets Z and their pairs X, Y with [X, Y] = b: the basis (Z,
+    middle..., X, Y) with the pattern (n, n-2, ..., 2, 1, 0) blows up the
+    Z-component alpha of b, and exp(-d t) Ric_t(Z) tends to alpha^2 / 2."""
+    n = algebra.n
+    basis = _adapted_bases([zv], [xf, yf])
+    # the Z-coefficient of [X, Y] in the basis must be nonzero
+    coeffs = np.linalg.solve(basis, bf[..., None])[..., 0]
+    for r in np.nonzero(np.abs(coeffs[:, 0]) < 1e-12)[0]:
+        tilt = next(i for i in range(1, n) if abs(coeffs[r, i]) > 1e-9)
+        basis[r, :, tilt] = basis[r, :, tilt] + zv[r]
+        coeffs[r] = np.linalg.solve(basis[r], bf[r])
     metric = Metric.orthonormalizing(basis)
     lam = np.concatenate([[float(n)],
                           np.arange(n - 2, 1, -1, dtype=float),
                           [1.0, 0.0]])
-    assert lam.shape == (n,)
-    target = 0.5 * alpha * alpha
-    scaled_ric = _scaled_ric_ladder(algebra, metric, basis, lam, 0)
-    for t in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]:
-        val, d = scaled_ric(t)
-        if val > RIC_POSITIVE_MIN and abs(val - target) <= 0.05 * target:
-            with np.errstate(over="ignore"):
-                full = val * np.exp(d * t)
-            return SignWitness(kind="ric_positive", gram=metric.gram,
-                               value=float(full),
-                               target=list(map(float, zv)),
-                               lambdas=lam, frame=basis, t=t,
-                               scaled_value=val, scaled_target=target)
-    raise WitnessSearchError("deformation did not reach the scaled limit")
+    target = 0.5 * coeffs[:, 0] * coeffs[:, 0]
+    hits = _climb(_scaled_ric_ladder(algebra, metric, basis, lam, 0),
+                  len(zv), [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+                  lambda r, val, full: (val > RIC_POSITIVE_MIN)
+                  & (np.abs(val - target[r]) <= 0.05 * target[r]))
+    return [SignWitness(kind="ric_positive", gram=metric.gram[r].copy(),
+                        value=float(hits[r][2]),
+                        target=list(map(float, zv[r])), lambdas=lam.copy(),
+                        frame=basis[r].copy(), t=hits[r][0],
+                        scaled_value=float(hits[r][1]),
+                        scaled_target=float(target[r])) if r in hits
+            else WitnessSearchError("deformation did not reach the scaled "
+                                    "limit")
+            for r in range(len(zv))]
 
 
-def find_negative_ric_witness(algebra: NilpotentAlgebra, x) -> SignWitness:
+def find_negative_ric_witness(algebra: NilpotentAlgebra, x):
     """A deformed metric with Ric(x) < 0; requires x not central.
 
     The deformation blows up an outgoing bracket w = [x, y] of x, with y
     the unit vector along e_i minus its x-component, for the first basis
     vector e_i that brackets x nontrivially (one exists because x is not
     central). [x, y] = [x, e_i], and y stays orthogonal to x even when x
-    is nearly parallel to e_i."""
-    xe = exact_vector(x)
-    if algebra.center().contains(xe):
-        raise PreconditionError("x is central: Ric(x) >= 0 for every metric")
-    xf = np.asarray(x, float)
+    is nearly parallel to e_i. x is first scaled by a power of two to
+    max |x_i| in [1, 2), and rows x of shape (N, n) give a list, as in
+    find_positive_ric_witness."""
+    rows, exact = _scaled_targets(x)
     n = algebra.n
-    for i in range(n):
-        w = algebra.bracket(xe, basis_vector(n, i))
-        if any(w):
-            break
-    yv = np.eye(n)[i] - xf[i] / (xf @ xf) * xf
-    yv = yv / np.linalg.norm(yv)
-    wf = np.array([float(v) for v in w])
-    # basis order: x, w-direction, middle..., y
-    mid = complete_basis([xf, wf, yv])
-    basis = np.column_stack([xf, wf] + mid + [yv])
+    out: list = [None] * len(rows)
+    deform, ws, ys = [], [], []
+    for r, (xf, xe) in enumerate(zip(rows, exact)):
+        for i in range(n):
+            w = algebra.bracket(xe, basis_vector(n, i))
+            if any(w):
+                break
+        else:
+            out[r] = PreconditionError("x is central: Ric(x) >= 0 for every "
+                                       "metric")
+            continue
+        yv = np.eye(n)[i] - xf[i] / (xf @ xf) * xf
+        deform.append(r)
+        ws.append(w)
+        ys.append(yv / np.linalg.norm(yv))
+    if deform:
+        for r, w in zip(deform, _by_rows(
+                lambda *v: _negative_deformation(algebra, *v),
+                rows[deform], np.array(ws, dtype=float), np.array(ys))):
+            out[r] = w
+    return _one_or_rows(out, np.ndim(x) == 2)
+
+
+def _negative_deformation(algebra: NilpotentAlgebra, xf: np.ndarray,
+                          wf: np.ndarray, yv: np.ndarray) -> list:
+    """The deformation stage of find_negative_ric_witness on (N, n) rows
+    of x, w = [x, y] and y: the basis (x, w, middle..., y) with the
+    pattern (0, 1, 0, ..., 0, -1)."""
+    n = algebra.n
+    basis = _adapted_bases([xf, wf], [yv])
     metric = Metric.orthonormalizing(basis)
     lam = np.zeros(n)
     lam[1] = 1.0
     lam[-1] = -1.0
-    scaled_ric = _scaled_ric_ladder(algebra, metric, basis, lam, 0)
-    for t in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
-        val, d = scaled_ric(t)
-        if val < 0:
-            with np.errstate(over="ignore"):
-                full = val * np.exp(d * t)
-            if full < RIC_NEGATIVE_MAX:
-                return SignWitness(kind="ric_negative", gram=metric.gram,
-                                   value=float(full),
-                                   target=list(map(float, xf)),
-                                   lambdas=lam, frame=basis, t=t)
-    raise WitnessSearchError("negative Ricci deformation failed")
+    hits = _climb(_scaled_ric_ladder(algebra, metric, basis, lam, 0),
+                  len(xf), [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+                  lambda r, val, full: full < RIC_NEGATIVE_MAX)
+    return [SignWitness(kind="ric_negative", gram=metric.gram[r].copy(),
+                        value=float(hits[r][2]),
+                        target=list(map(float, xf[r])), lambdas=lam.copy(),
+                        frame=basis[r].copy(), t=hits[r][0]) if r in hits
+            else WitnessSearchError("negative Ricci deformation failed")
+            for r in range(len(xf))]
 
 
 def adapted_metric_family(algebra: NilpotentAlgebra, x, y) -> Metric:
@@ -580,9 +722,11 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y) -> SignWitness:
 
     The plane-adapted metrics of adapted_metric_family first; on an
     abelian plane that none of them witnesses, the deformation of
-    _pencil_failure_witness."""
-    xf = np.asarray(x, float)
-    yf = np.asarray(y, float)
+    _pencil_failure_witness. x and y are first scaled by powers of two
+    to max |x_i|, max |y_i| in [1, 2) (`_binary_shift`), and the witness
+    is for that pair."""
+    xf, yf = (np.ldexp(v, _binary_shift(v))
+              for v in (np.asarray(x, float), np.asarray(y, float)))
     for metric in adapted_metric_family(algebra, xf, yf):
         val = sectional_K(algebra, metric, xf, yf)
         if val < K_NEGATIVE_MAX:

@@ -30,7 +30,6 @@ from .deformation import (
     candidate_e1u2,
     codim1_adapted_metric,
     convergence_check,
-    deformed_ricci_frame,
     lemma5_candidates,
     lemma5a_deformation,
     projective_distance,
@@ -148,7 +147,7 @@ def check_deformation_limit(seed: int = 0) -> dict:
             limit = scaled_ricci_limit(spec, alg)
             t = 40.0 / limit.gap if np.isfinite(limit.gap) else 5.0
             diffs[rows] = np.abs(2.0 * np.exp(-limit.d * t)
-                                 * deformed_ricci_frame(spec, alg, t)
+                                 * limit.deformed_ricci_frame(t)
                                  - limit.phi0).max(axis=(-2, -1))
             block_ev = np.sort(np.concatenate(
                 [np.linalg.eigvalsh(limit.A),
@@ -239,6 +238,23 @@ def _random_central_derived(inter, rng):
         return v
 
 
+def _ric_witness_error(w) -> str | None:
+    """Why one row of a Ricci witness search fails ric-sign-witnesses, or
+    None: the error the row got, a value of the wrong sign, or a scaled
+    limit more than 5% off its target."""
+    if isinstance(w, Exception):
+        return str(w)
+    if w.kind == "ric_negative":
+        return "value not negative" if w.value >= -1e-9 else None
+    if w.value <= 0:
+        return "value not positive"
+    if w.t is not None:
+        rel = abs(w.scaled_value - w.scaled_target) / abs(w.scaled_target)
+        if rel > 0.05:
+            return f"scaled limit off by {rel:.3f}"
+    return None
+
+
 def check_ric_witnesses(seed: int = 0) -> dict:
     t0 = time.perf_counter()
     pos_tol, metrics_per_x = 1e-12, 50
@@ -261,20 +277,20 @@ def check_ric_witnesses(seed: int = 0) -> dict:
             failures.append({"algebra": alg.name, "part": "i",
                              "x": xs[k].tolist(),
                              "value": float(values[m, k])})
-        # (ii) non-central vectors: negative witness exists
+        # (ii) non-central vectors: negative witness exists. All 20 are
+        # drawn first; the search draws nothing, so they are the same.
+        xs = []
         for _ in range(20):
             while True:
                 x = [Fraction(int(v)) for v in rng.integers(-3, 4, size=n)]
                 if any(v != 0 for v in x) and not z.contains(x):
+                    xs.append(x)
                     break
-            try:
-                w = ss.find_negative_ric_witness(alg, [float(v) for v in x])
-                if w.value >= -1e-9:
-                    raise ss.WitnessSearchError("value not negative")
-            except ss.WitnessSearchError as exc:
+        for x, w in zip(xs, ss.find_negative_ric_witness(
+                alg, np.array(xs, dtype=float))):
+            if (error := _ric_witness_error(w)) is not None:
                 failures.append({"algebra": alg.name, "part": "ii",
-                                 "x": [str(v) for v in x],
-                                 "error": str(exc)})
+                                 "x": [str(v) for v in x], "error": error})
         # (iii) arbitrary nonzero targets: positive witness with matched
         # scaled limit on the deformation path
         targets = []
@@ -295,20 +311,11 @@ def check_ric_witnesses(seed: int = 0) -> dict:
                     if np.any(v):
                         targets.append(v.astype(float))
                         break
-        for zv in targets:
-            try:
-                w = ss.find_positive_ric_witness(alg, zv)
-                if w.value <= 0:
-                    raise ss.WitnessSearchError("value not positive")
-                if w.t is not None:
-                    rel = abs(w.scaled_value - w.scaled_target) \
-                        / abs(w.scaled_target)
-                    if rel > 0.05:
-                        raise ss.WitnessSearchError(
-                            f"scaled limit off by {rel:.3f}")
-            except (ss.WitnessSearchError, ss.PreconditionError) as exc:
+        for zv, w in zip(targets, ss.find_positive_ric_witness(
+                alg, np.array(targets))):
+            if (error := _ric_witness_error(w)) is not None:
                 failures.append({"algebra": alg.name, "part": "iii",
-                                 "z": zv.tolist(), "error": str(exc)})
+                                 "z": zv.tolist(), "error": error})
     return _result("ric-sign-witnesses", not failures, t0,
                    {"failures": failures[:20],
                     "failure_count": len(failures)},

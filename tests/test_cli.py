@@ -1,11 +1,15 @@
 """CLI contract: subcommands, exit codes, JSON shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nilcurv import Metric, build, save_algebra
+from nilcurv import Metric, build, cli, save_algebra
 from nilcurv.cli import main
 from nilcurv.sign_sets import K_NEGATIVE_MAX, RIC_POSITIVE_MIN
 
@@ -291,6 +295,27 @@ def test_signsets_vector_nearly_parallel_to_a_basis_vector(h3_path, capsys,
     assert data["witnesses"][0]["value"] < -1e-9
 
 
+@pytest.mark.parametrize("key, params, flag, value, kind", [
+    ("filiform4", {}, "--vector", "1e-10,0,0,0", "ric_negative"),
+    ("filiform4", {}, "--vector", "1e-12,0,0,0", "ric_negative"),
+    ("L58", {}, "--vector", "1e-10,0,0,0,0", "ric_negative"),
+    ("heisenberg", {"m": 1}, "--vector", "1e-11,1e-11,0", "ric_negative"),
+    ("filiform4", {}, "--plane", "1e-10,0,0,0;0,1e-10,0,0", "K_negative"),
+])
+def test_signsets_short_vectors(tmp_path, capsys, key, params, flag, value,
+                                kind):
+    """Targets far below unit length get their witness: the searches
+    scale them by a power of two first."""
+    path = tmp_path / "alg.json"
+    save_algebra(build(key, **params), path)
+    code, out, err = run(capsys, "signsets", str(path), f"{flag}={value}",
+                         "--json")
+    assert (code, err) == (0, "")
+    witness = json.loads(out)["witnesses"][0]
+    assert witness["kind"] == kind
+    assert witness["value"] < -1e-9
+
+
 def test_signsets_plane_negative_witness(h3_path, capsys):
     code, out, _ = run(capsys, "signsets", h3_path,
                        "--plane", "1,0,0;0,1,0", "--json")
@@ -449,3 +474,34 @@ def test_out_flag_writes_file(h3_path, tmp_path, capsys):
                        "--out", str(out_path))
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["eigenvalues"]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version and argparse errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_requests_in_one_process_match_fresh_processes(h3_path, capsys):
+    """The parser is built once per process, and back-to-back requests of
+    different subcommands, --version and an argparse error (exit 2) print
+    what each prints in a fresh process."""
+    requests = [["signsets", h3_path, "--vector", "1,0,0", "--json"],
+                ["check", h3_path],
+                ["--version"],
+                ["ric", h3_path, "--seed", "x"],
+                ["sect", h3_path, "--plane", "1,0,0;0,0,1", "--json"]]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    fresh = []
+    for argv in requests:
+        p = subprocess.run([sys.executable, "-m", "nilcurv.cli", *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=60)
+        fresh.append((p.returncode, p.stdout, p.stderr))
+    for i in [*range(len(requests)), *reversed(range(len(requests)))]:
+        assert _in_process(capsys, requests[i]) == fresh[i], requests[i]
+    assert cli._parser() is cli._parser()

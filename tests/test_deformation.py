@@ -640,6 +640,23 @@ def test_stacked_limit_matches_scalar_specs(entry):
                     deformed[i], deformed_ricci_frame(one.spec, alg, t))
 
 
+def test_limit_deformed_operator_is_the_spec_one():
+    """ScaledRicciLimit.deformed_ricci_frame(t), from the tensor the limit
+    holds, is deformed_ricci_frame(spec, algebra, t) to the bit, on a
+    stacked and a single spec, and raises its OverflowGuardError."""
+    alg = build("filiform_standard", n=6)
+    rng = np.random.default_rng(27)
+    metrics = Metric.from_factor(rng.uniform(-1.0, 1.0, size=(5, 6, 6)))
+    for base in (metrics, metrics[2]):
+        spec = DeformationSpec(base=base, lambdas=_pattern(6, 2, 3))
+        limit = scaled_ricci_limit(spec, alg)
+        for t in (0.5, 3.0, 40.0):
+            assert limit.deformed_ricci_frame(t).tobytes() \
+                == deformed_ricci_frame(spec, alg, t).tobytes()
+        with pytest.raises(OverflowGuardError):
+            limit.deformed_ricci_frame(1e6)
+
+
 def test_stacked_spec_fails_like_the_scalar_specs():
     """A stacked spec raises the ValueError and message of its first row
     whose frame is not orthonormal, and of any row for lambdas of the

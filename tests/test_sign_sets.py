@@ -1,6 +1,7 @@
 """Metric-independent curvature-sign sets: vector/plane labels, the
 deformation expansion of sectional curvature, and witness searches."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,13 +22,20 @@ from nilcurv import (
     secdef_coefficients,
     sectional_K,
 )
-from nilcurv import sign_sets
-from nilcurv.curvature import frame_structure, ricci_form_matrix, ricci_frame
+from nilcurv import rational, sign_sets
+from nilcurv.algebra import basis_vector, exact_vector
+from nilcurv.curvature import (
+    MetricError,
+    frame_structure,
+    ricci_form_matrix,
+    ricci_frame,
+)
 from nilcurv.deformation import deformed_metric
 from nilcurv.rational import nullspace, rank, solve
 from nilcurv.sign_sets import (
     K_NEGATIVE_MAX,
     PreconditionError,
+    WitnessSearchError,
     _scaled_ric_ladder,
     adapted_metric_family,
     plane_labels,
@@ -376,6 +384,141 @@ def test_negative_ric_witness():
     w = find_negative_ric_witness(a, x)
     assert w.kind == "ric_negative" and w.value < -1e-12
     assert x @ ricci_form_matrix(a, Metric(w.gram)) @ x < -1e-12
+
+
+def _witness_bits(w):
+    """Every field of a witness, each float array or number as its
+    bytes, so equal bits are equal witnesses."""
+    return [(f.name, v if v is None or isinstance(v, str)
+             else np.asarray(v, float).tobytes())
+            for f, v in ((f, getattr(w, f.name))
+                         for f in dataclasses.fields(w))]
+
+
+def _ric_targets(algebra, rng):
+    """Targets that reach every branch of both Ricci witness searches: the
+    zero vector, the basis vectors, the center's basis, integer vectors
+    in {-3..3}^n, a short vector, and two rows whose entries span nine
+    decades, whose adapted bases are too close to dependent on most
+    algebras."""
+    n = algebra.n
+    rows = [np.zeros(n), *np.eye(n),
+            *np.array(algebra.center().basis, dtype=float).reshape(-1, n),
+            *rng.integers(-3, 4, size=(6, n)).astype(float),
+            1e-10 * np.eye(n)[0],
+            np.array([2.0 ** -30, 1e-9] + [1.0] * (n - 2)),
+            np.array([1.0] + [1e-9] * (n - 1))]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("search", [find_positive_ric_witness,
+                                    find_negative_ric_witness])
+def test_stacked_ric_witness_rows_are_their_single_calls(search):
+    """On every catalog algebra, each row of one stacked search is bit for
+    bit the witness of its single call, or the exception class and
+    message that the single call raises."""
+    rng = np.random.default_rng(25)
+    seen = set()
+    for entry in list_catalog():
+        a = entry.build()
+        targets = _ric_targets(a, rng)
+        results = search(a, targets)
+        assert len(results) == len(targets)
+        for z, got in zip(targets, results):
+            seen.add(type(got).__name__)
+            if isinstance(got, Exception):
+                with pytest.raises(type(got)) as raised:
+                    search(a, z)
+                assert type(raised.value) is type(got)
+                assert str(raised.value) == str(got), (a.name, z)
+            else:
+                assert _witness_bits(search(a, z)) == _witness_bits(got), \
+                    (a.name, z)
+    assert seen == {"SignWitness", "PreconditionError", "WitnessSearchError"}
+
+
+def test_stacked_rows_keep_their_own_errors():
+    """A stage that raises on one row of a stack is redone row by row:
+    the other rows keep their results, and the failing row gets its
+    error as a WitnessSearchError."""
+    def stage(v):
+        if (v < 0).any():
+            raise MetricError("gram must be positive definite")
+        return list(v[:, 0])
+    out = sign_sets._by_rows(stage, np.array([[1.0], [-1.0], [2.0]]))
+    assert out[0] == 1.0 and out[2] == 2.0
+    assert type(out[1]) is WitnessSearchError
+    assert str(out[1]) == "adapted basis: gram must be positive definite"
+
+
+def test_witness_searches_do_not_depend_on_the_scale_of_the_target():
+    """A target and its multiples by powers of two get the same witness,
+    the one of the multiple with max |entry| in [1, 2), while exact_vector
+    reads the multiples exactly (denominators up to 2^32)."""
+    a = build("filiform_standard", n=5)
+    x = np.array([1.0, 0.5, 0.0, -1.5, 0.25])
+    y = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+    for k in (-30, -1, 1, 30):
+        assert _witness_bits(find_negative_ric_witness(a, np.ldexp(x, k))) \
+            == _witness_bits(find_negative_ric_witness(a, x))
+        assert _witness_bits(find_positive_ric_witness(a, np.ldexp(x, k))) \
+            == _witness_bits(find_positive_ric_witness(a, x))
+        assert _witness_bits(find_negative_K_witness(
+            a, np.ldexp(x, k), np.ldexp(y, -k))) \
+            == _witness_bits(find_negative_K_witness(a, x, y))
+
+
+def _independent_pair_reference(algebra, z):
+    """The bracket pair of the positive witness, decided by exact RREF
+    ranks and a linear solve."""
+    n = algebra.n
+    for i, j in itertools.combinations(range(n), 2):
+        x, y = basis_vector(n, i), basis_vector(n, j)
+        b = algebra.bracket(x, y)
+        if not any(b) or rank([z, b]) < 2:
+            continue
+        if rank([x, y, z]) != 3:
+            a_c, b_c = solve([[x[k], y[k]] for k in range(n)], z)
+            x = [xi + a_c * bi for xi, bi in zip(x, b)]
+            y = [yi + b_c * bi for yi, bi in zip(y, b)]
+            b = algebra.bracket(x, y)
+            if not any(b) or rank([z, b]) < 2 or rank([x, y, z]) != 3:
+                continue
+        return x, y, b
+    return None
+
+
+def test_independent_pair_is_the_rank_construction(monkeypatch):
+    """On every non-abelian catalog algebra, in the catalog basis and in
+    a dense unimodular one, for every {-1,0,1} target with at most two
+    nonzero entries (Z in span(e_i, e_j) is the case that moves the pair)
+    and 30 integer ones, the pair read off the structure constants is the
+    pair of the RREF construction, which tests the moved pair too, and no
+    RREF runs."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for entry in list_catalog():
+        a = entry.build()
+        if a.is_abelian():
+            continue
+        n = a.n
+        targets = [v for v in itertools.product((-1, 0, 1), repeat=n)
+                   if 0 < np.count_nonzero(v) <= 2]
+        targets += [v for v in rng.integers(-3, 4, size=(30, n)) if any(v)]
+        for b in (a, in_basis(a, unimodular(n, 1))):
+            for v in targets:
+                z = exact_vector([int(t) for t in v])
+                cases.append((b, z, _independent_pair_reference(b, z)))
+
+    def no_rref(*args):
+        raise AssertionError("rref called")
+    monkeypatch.setattr(rational, "rref", no_rref)
+    for a, z, want in cases:
+        try:
+            got = sign_sets._independent_pair_for(a, z)
+        except WitnessSearchError:
+            got = None
+        assert got == want, (a.name, z)
 
 
 def test_negative_K_witness_nonabelian_plane():

@@ -1,8 +1,9 @@
-"""Bulk kernels behind the sectional-sign-planes, coverage and
-deformation-limit checks: the plane grid, the exact plane labels, the
-batched sectional curvature, the stacked coverage candidates and the
-stacked scaled limits, each against the exact, brute-force or scalar
-construction it replaces."""
+"""Bulk kernels behind the sectional-sign-planes, coverage,
+deformation-limit and ric-sign-witnesses checks: the plane grid, the
+exact plane labels, the batched sectional curvature, the stacked coverage
+candidates, the stacked scaled limits and the stacked witness searches,
+each against the exact, brute-force or scalar construction it
+replaces."""
 
 import itertools
 import json
@@ -29,6 +30,8 @@ from nilcurv.deformation import (
     sphere_grid,
 )
 from nilcurv.rational import rank, rref
+from nilcurv import deformation
+from nilcurv import sign_sets as ss
 from nilcurv.sign_sets import plane_labels
 from nilcurv.verify import (
     COVERAGE_RESOLUTION,
@@ -282,3 +285,124 @@ def test_deformation_limit_takes_one_limit_per_pattern(monkeypatch):
     assert len(set(groups)) == len(groups)
     assert sum(rows for _, rows in calls) == draws
     assert len(calls) < draws / 2
+
+
+def test_deformation_limit_builds_each_frame_tensor_once(monkeypatch):
+    """check_deformation_limit computes one frame tensor per (algebra, p,
+    q) group: the deformed operator reuses the limit's."""
+    limits, tensors = [], []
+
+    def counted(calls, fn):
+        def run(*args):
+            calls.append(1)
+            return fn(*args)
+        return run
+    monkeypatch.setattr(verify, "scaled_ricci_limit",
+                        counted(limits, scaled_ricci_limit))
+    monkeypatch.setattr(deformation, "frame_structure",
+                        counted(tensors, curvature.frame_structure))
+    verify.check_deformation_limit(seed=0)
+    assert len(tensors) == len(limits) > 0
+
+
+def _ric_witnesses_loop(seed):
+    """Reference: the ric-sign-witnesses report, without its runtime, with
+    one witness search per target, drawn and searched in turn."""
+    pos_tol, metrics_per_x = 1e-12, 50
+    rng = np.random.default_rng(seed)
+    failures = []
+    for entry in list_catalog():
+        alg = entry.build()
+        if alg.is_abelian():
+            continue
+        n = alg.n
+        z = alg.center()
+        gp = alg.derived_algebra()
+        central_derived = gp.intersection(z)
+        xs = np.array([verify._random_central_derived(central_derived, rng)
+                       for _ in range(20)])
+        r = curvature.ricci_form_matrix(alg, Metric.from_factor(
+            rng.uniform(-1.0, 1.0, size=(metrics_per_x, n, n))))
+        values = np.einsum("xi,mij,xj->mx", xs, r, xs)
+        for m, k in np.argwhere(values <= pos_tol):
+            failures.append({"algebra": alg.name, "part": "i",
+                             "x": xs[k].tolist(),
+                             "value": float(values[m, k])})
+        for _ in range(20):
+            while True:
+                x = [Fraction(int(v)) for v in rng.integers(-3, 4, size=n)]
+                if any(v != 0 for v in x) and not z.contains(x):
+                    break
+            try:
+                w = ss.find_negative_ric_witness(alg, [float(v) for v in x])
+                if w.value >= -1e-9:
+                    raise ss.WitnessSearchError("value not negative")
+            except ss.WitnessSearchError as exc:
+                failures.append({"algebra": alg.name, "part": "ii",
+                                 "x": [str(v) for v in x],
+                                 "error": str(exc)})
+        targets = []
+        for k in range(20):
+            if k % 5 == 0 and z.dim > central_derived.dim:
+                while True:
+                    cz = rng.integers(-3, 4, size=z.dim)
+                    v = [sum(Fraction(int(c)) * row[i]
+                             for c, row in zip(cz, z.basis))
+                         for i in range(n)]
+                    if any(t != 0 for t in v) and not gp.contains(v):
+                        targets.append(np.array([float(t) for t in v]))
+                        break
+            else:
+                while True:
+                    v = rng.integers(-3, 4, size=n)
+                    if np.any(v):
+                        targets.append(v.astype(float))
+                        break
+        for zv in targets:
+            try:
+                w = ss.find_positive_ric_witness(alg, zv)
+                if w.value <= 0:
+                    raise ss.WitnessSearchError("value not positive")
+                if w.t is not None:
+                    rel = abs(w.scaled_value - w.scaled_target) \
+                        / abs(w.scaled_target)
+                    if rel > 0.05:
+                        raise ss.WitnessSearchError(
+                            f"scaled limit off by {rel:.3f}")
+            except (ss.WitnessSearchError, ss.PreconditionError) as exc:
+                failures.append({"algebra": alg.name, "part": "iii",
+                                 "z": zv.tolist(), "error": str(exc)})
+    return {"name": "ric-sign-witnesses", "passed": not failures,
+            "details": {"failures": failures[:20],
+                        "failure_count": len(failures)},
+            "tolerances": {"positive_floor": pos_tol, "negative_floor": -1e-9,
+                           "scaled_limit_rel": 0.05}}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ric_witnesses_report_is_the_loop_report(seed):
+    """The stacked searches give the per-target loop's report byte for
+    byte."""
+    got = verify.check_ric_witnesses(seed)
+    del got["runtime_s"]
+    assert json.dumps(got) == json.dumps(_ric_witnesses_loop(seed))
+
+
+def test_ric_witnesses_search_once_per_algebra_and_part(monkeypatch):
+    """check_ric_witnesses runs part (ii) as one stacked negative search
+    and part (iii) as one stacked positive search per non-abelian
+    algebra, each on the part's 20 targets."""
+    calls = []
+
+    def counted(search):
+        def run(alg, targets):
+            calls.append((search.__name__, alg.name, np.shape(targets)))
+            return search(alg, targets)
+        return run
+    for name in ("find_negative_ric_witness", "find_positive_ric_witness"):
+        monkeypatch.setattr(ss, name, counted(getattr(ss, name)))
+    verify.check_ric_witnesses(seed=0)
+    names = [e.build() for e in list_catalog() if not e.build().is_abelian()]
+    assert calls == [(search, a.name, (20, a.n)) for a in names
+                     for search in ("find_negative_ric_witness",
+                                    "find_positive_ric_witness")]

@@ -45,6 +45,7 @@ from .deformation import (
     lemma5_candidates,
     scaled_ricci_limit,
     sphere_grid,
+    stack_pairs,
     worst_gap,
 )
 from .io import (
@@ -375,17 +376,18 @@ def cmd_maxmin(args) -> int:
                           "(M-bar = m-bar = P(g)).")
         _emit(report, args)
         return 0
-    cands, notes = lemma5_candidates(a, args.seed, args.samples)
+    pairs, notes = lemma5_candidates(a, args.seed, args.samples)
     runs = []
-    for cand, spec in cands:
-        try:
-            trace = convergence_check(spec, a, cand, target=args.tol)
-            runs.append({"T": cand.T.tolist(),
-                         "construction": cand.construction,
+    if pairs:   # one stacked ladder for all candidates
+        cand, spec = stack_pairs(pairs)
+        for T, trace in zip(cand.T, convergence_check(spec, a, cand,
+                                                      target=args.tol)):
+            if isinstance(trace, CandidateError):
+                notes.append(f"convergence skipped: {trace}")
+                continue
+            runs.append({"T": T.tolist(), "construction": cand.construction,
                          "best_distance": trace.best_distance(),
                          "converged": trace.converged})
-        except CandidateError as exc:
-            notes.append(f"convergence skipped: {exc}")
     report["candidates"] = runs
     report["notes"] = notes
     if runs:

@@ -141,6 +141,16 @@ def raise_first_failure(error: type, checks) -> None:
     raise error(message.format(*(np.ravel(v)[row] for v in values)))
 
 
+def one_or_rows(results: list, stacked: bool):
+    """Rows' results if stacked; else the one result, raised if an error."""
+    if stacked:
+        return results
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def frame_structure(algebra: NilpotentAlgebra, metric: Metric,
                     frame: np.ndarray | None = None) -> np.ndarray:
     """c[i,j,k] = <F_k, [F_i, F_j]> for an orthonormal frame F (columns),
@@ -252,43 +262,42 @@ def ricci_form_matrix(algebra: NilpotentAlgebra, metric: Metric) -> np.ndarray:
 
 @dataclass
 class RicciReport:
-    operator: np.ndarray          # matrix of ric in the original basis
-    eigenvalues: np.ndarray       # ascending
+    eigenvalues: np.ndarray       # ascending; [..., -1] the maximal one
     eigenvectors: np.ndarray      # columns, basis coordinates, g-orthonormal
     min_simple: bool
     max_simple: bool
+    frame: np.ndarray             # orthonormal frame (columns)
+    form: np.ndarray              # ric in frame coordinates (NaN: overflow)
 
     @property
-    def max_eigenvector(self) -> np.ndarray:
-        return self.eigenvectors[:, -1]
-
-    @property
-    def min_eigenvector(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
+    def operator(self) -> np.ndarray:
+        """Matrix of ric in the original basis, made when it is read."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.frame @ self.form @ np.linalg.inv(self.frame)
 
     @classmethod
     def from_frame_matrix(cls, r_frame: np.ndarray, frame: np.ndarray,
                           scale: float = 1.0) -> "RicciReport":
         """Report of the operator scale * r_frame, given in the coordinates
         of the orthonormal frame (columns). Simplicity of the extreme
-        eigenvalues is decided on r_frame, relative to EIG_CLUSTER_REL."""
-        r_frame = 0.5 * (r_frame + r_frame.T)
+        eigenvalues is decided on r_frame, relative to EIG_CLUSTER_REL.
+        Stacks (..., n, n) and scales (...) give a report of stacks."""
+        r_frame = 0.5 * (r_frame + r_frame.mT)
         vals, vecs_frame = np.linalg.eigh(r_frame)
-        gap_tol = EIG_CLUSTER_REL * (np.abs(vals).max() + 1.0)
-        n = len(vals)
-        min_simple = n < 2 or (vals[1] - vals[0]) > gap_tol
-        max_simple = n < 2 or (vals[-1] - vals[-2]) > gap_tol
-        if np.isfinite(scale):
-            with np.errstate(over="ignore"):
-                op = frame @ (r_frame * scale) @ np.linalg.inv(frame)
-                vals = vals * scale
-        else:
-            # scale overflowed to inf: an exact-zero eigenvalue stays 0
-            op = np.full((n, n), np.nan)
-            vals = np.where(vals == 0, 0.0, np.copysign(np.inf, vals))
-        return cls(operator=op, eigenvalues=vals,
-                   eigenvectors=frame @ vecs_frame,
-                   min_simple=min_simple, max_simple=max_simple)
+        gap_tol = EIG_CLUSTER_REL * (np.abs(vals).max(axis=-1) + 1.0)
+        n = vals.shape[-1]
+        min_simple = n < 2 or (vals[..., 1] - vals[..., 0]) > gap_tol
+        max_simple = n < 2 or (vals[..., -1] - vals[..., -2]) > gap_tol
+        scale = np.asarray(scale, float)[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            form, vals = r_frame * scale[..., None], vals * scale
+        if np.isinf(scale).any():
+            # inf scale: no operator; a 0 eigenvalue (NaN product) stays 0
+            form[np.isinf(scale[..., 0])] = np.nan
+            vals[np.isnan(vals)] = 0.0
+        return cls(eigenvalues=vals, eigenvectors=frame @ vecs_frame,
+                   min_simple=min_simple, max_simple=max_simple,
+                   frame=frame, form=form)
 
 
 def ricci_operator(algebra: NilpotentAlgebra, metric: Metric) -> RicciReport:

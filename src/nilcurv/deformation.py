@@ -12,7 +12,7 @@ vectors (..., n): the scalar call is the N=1 case of the stacked one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .curvature import (
     Metric,
     RicciReport,
     frame_structure,
+    one_or_rows,
     raise_first_failure,
     ricci_frame,
 )
@@ -91,10 +92,11 @@ class DeformationSpec:
         return self.base.n
 
 
-def _check_t(spec: DeformationSpec, t: float) -> None:
-    if not np.isfinite(t):
+def _check_t(spec: DeformationSpec, t) -> None:
+    top = np.abs(t).max(initial=0.0)    # NaN or inf if a t is not finite
+    if not np.isfinite(top):
         raise OverflowGuardError("t must be finite")
-    if np.abs(spec.lambdas * t).max(initial=0.0) > OVERFLOW_LIMIT:
+    if np.abs(spec.lambdas).max(initial=0.0) * top > OVERFLOW_LIMIT:
         raise OverflowGuardError(f"|lambda_i * t| exceeds {OVERFLOW_LIMIT}")
 
 
@@ -106,12 +108,6 @@ def deformed_metric(spec: DeformationSpec, t: float) -> Metric:
     finv = np.linalg.inv(spec.frame)
     gram = finv.mT @ np.diag(np.exp(spec.lambdas * t)) @ finv
     return Metric(0.5 * (gram + gram.mT))
-
-
-def deformed_frame(spec: DeformationSpec, t: float) -> np.ndarray:
-    """Columns E_i = exp(-lambda_i t / 2) e_i, orthonormal for g_t."""
-    _check_t(spec, t)
-    return spec.frame @ np.diag(np.exp(-spec.lambdas * t / 2.0))
 
 
 def exponent_tensor(lambdas) -> np.ndarray:
@@ -141,30 +137,34 @@ def _ricci_frame_at(spec: DeformationSpec, c: np.ndarray, t: float
 
 
 def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
-                   t: float) -> RicciReport:
-    """Ricci report of g_t, computed in the g_t-orthonormal frame.
+                   t) -> RicciReport:
+    """Ricci report of g_t, computed in the g_t-orthonormal frame
+    E_i = exp(-lambda_i t / 2) e_i; t that broadcasts with the spec's
+    batch shape gives a stacked report, each row its single call's.
 
     The frame structure constants of g_t are the base ones scaled by
-    exp(x t / 2) (`exponent_tensor`); a common exponent shift
-    keeps the eigenproblem finite even when the raw entries overflow.
+    exp(x t / 2) (`exponent_tensor`); a common exponent shift per row and
+    t keeps the eigenproblem finite even when the raw entries overflow.
     For moderate t this agrees with ricci_operator on deformed_metric.
     Eigenvectors are returned with unit Euclidean norm.
     """
     _check_t(spec, t)
     c = frame_structure(algebra, spec.base, spec.frame)
+    t = np.asarray(t, float)[..., None, None, None]
     expo = 0.5 * t * exponent_tensor(spec.lambdas)
     # drop numerical-noise entries: their formal exponents would otherwise
     # dominate the shift and crush the genuine terms to zero
-    cmax = np.abs(c).max()
-    nz = np.abs(c) > 1e-12 * (cmax + 1.0)
-    c = np.where(nz, c, 0.0)
-    shift = float(expo[nz].max()) if nz.any() else 0.0
-    ct = c * np.exp(expo - shift)
+    size = np.abs(c)
+    nz = size > 1e-12 * (size.max(axis=(-3, -2, -1), keepdims=True) + 1.0)
+    shift = np.where(nz, expo, -np.inf).max(axis=(-3, -2, -1), keepdims=True)
+    shift[shift == -np.inf] = 0.0
+    ct = np.where(nz, c, 0.0) * np.exp(expo - shift)
     with np.errstate(over="ignore"):
-        scale = np.exp(2.0 * shift)
-    report = RicciReport.from_frame_matrix(ricci_frame(ct),
-                                           deformed_frame(spec, t), scale)
-    norms = np.linalg.norm(report.eigenvectors, axis=0)
+        scale = np.exp(2.0 * shift[..., 0, 0, 0])
+    shrink = np.exp(-spec.lambdas * t[..., 0, 0] / 2.0)[..., None, :]
+    report = RicciReport.from_frame_matrix(
+        ricci_frame(ct), spec.frame @ (shrink * np.eye(spec.n)), scale)
+    norms = np.linalg.norm(report.eigenvectors, axis=-2, keepdims=True)
     norms[norms == 0.0] = 1.0
     report.eigenvectors = report.eigenvectors / norms
     return report
@@ -471,17 +471,19 @@ def spec_for_pattern(algebra: NilpotentAlgebra, metric: Metric,
     return DeformationSpec(base=metric, lambdas=lam, frame=frame)
 
 
-def projective_distance(u, v) -> float:
+def projective_distance(u, v) -> float | np.ndarray:
     """Sine of the principal angle between the lines R u and R v: the norm
     of the rejection of u^ from v^, which unlike sqrt(1 - cos^2) keeps
-    its relative precision for nearly parallel lines."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    its relative precision for nearly parallel lines. Rows (..., n) give
+    each pair's, bitwise (np.vecdot sums contiguous rows as np.dot)."""
+    u, v = np.ascontiguousarray(u, float), np.ascontiguousarray(v, float)
+    nu, nv = (np.sqrt(np.vecdot(w, w))[..., None] for w in (u, v))
+    if not (nu.all() and nv.all()):
         raise ValueError("projective distance undefined for the zero vector")
     u, v = u / nu, v / nv
-    return float(min(1.0, np.linalg.norm(u - np.dot(u, v) * v)))
+    rejection = u - np.vecdot(u, v)[..., None] * v
+    dist = np.fmin(1.0, np.sqrt(np.vecdot(rejection, rejection)))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 # grid rows per block in worst_gap's screen; bounds its temporary arrays
@@ -500,7 +502,7 @@ def worst_gap(grid, cands) -> float:
     scalar formula's argmax row lies among the rows whose screened minimum
     is within 2 _GAP_SCREEN of the largest, and each row's argmin among
     the candidates within 2 _GAP_SCREEN of its screened minimum; only
-    those pairs are evaluated with projective_distance. The bound holds
+    those pairs go to one projective_distance call. The bound holds
     while squared row norms neither overflow nor underflow. A zero row, or
     no row at all, raises ValueError."""
     g = np.asarray(grid, float)
@@ -519,11 +521,12 @@ def worst_gap(grid, cands) -> float:
     mins = np.concatenate([screen(gn[s:s + _GAP_ROWS]).min(axis=1)
                            for s in range(0, len(gn), _GAP_ROWS)])
     window = 2.0 * _GAP_SCREEN
-    row_mins = []
-    for i in np.flatnonzero(mins >= mins.max() - window):
-        near = np.flatnonzero(screen(gn[i:i + 1])[0] <= mins[i] + window)
-        row_mins.append(min(projective_distance(g[i], c[j]) for j in near))
-    return max(row_mins)
+    rows = np.flatnonzero(mins >= mins.max() - window)
+    near = [np.flatnonzero(screen(gn[i:i + 1])[0] <= mins[i] + window)
+            for i in rows]
+    counts = [len(j) for j in near]
+    dist = projective_distance(g[rows.repeat(counts)], c[np.concatenate(near)])
+    return float(np.minimum.reduceat(dist, np.cumsum(counts) - counts).max())
 
 
 def sphere_grid(subspace: Subspace, resolution: float) -> np.ndarray:
@@ -621,8 +624,10 @@ def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int
     unit u1 in a with [c, u1] != 0, in the metric of
     `codim1_adapted_metric`, and e = [c, u1], its third frame vector
     (`lemma5a_deformation` with u2 = c). Then <e, [u1, c]> = -1, so the
-    top limit eigenvalue is simple and T lies in P(a). Otherwise no
-    pairs, and a note that there is no closed form."""
+    top limit eigenvalue is simple and T lies in P(a). Otherwise, and on
+    an abelian algebra, no pairs and a note why."""
+    if algebra.is_abelian():
+        return [], ["abelian: Ricci vanishes for every metric"]
     rng = np.random.default_rng(seed)
     notes = []
     out = []
@@ -678,31 +683,46 @@ class ConvergenceTrace:
 
 
 def convergence_check(spec: DeformationSpec, algebra: NilpotentAlgebra,
-                      candidate: ExtremalCandidate,
-                      target: float = 1e-4) -> ConvergenceTrace:
+                      candidate: ExtremalCandidate, target: float = 1e-4):
     """Projective distance between the candidate line and the extremal
-    eigendirection of ric_t along T_GRID.
+    eigendirection of ric_t at each t of T_GRID with |lambda_i t| <=
+    OVERFLOW_LIMIT, from one `deformed_ricci` call over all of them.
 
     `converged` uses the best distance over the grid: once the eigenvector
     components across exponent blocks differ by more than the float
     precision (roughly exp(-spread * t) < machine epsilon), the recovered
     direction degrades again, which is not divergence.
+
+    A stacked spec and candidate, T of shape (N, n) and one exponent
+    pattern, give per row its trace or its single call's CandidateError.
     """
-    if not candidate.simple:
-        raise CandidateError("candidate eigenvalue is not certified simple")
-    if candidate.is_zero:
-        raise CandidateError("candidate vector is zero")
-    rows = []
-    for t in T_GRID:
-        try:
-            report = deformed_ricci(spec, algebra, t)
-        except OverflowGuardError:
-            break
-        if candidate.kind == "max":
-            vec, lam = report.max_eigenvector, report.eigenvalues[-1]
-        else:
-            vec, lam = report.min_eigenvector, report.eigenvalues[0]
-        rows.append((float(t), float(lam),
-                     projective_distance(vec, candidate.T)))
-    converged = bool(rows) and min(r[2] for r in rows) < target
-    return ConvergenceTrace(rows=rows, converged=converged)
+    ts = [t for t in T_GRID
+          if np.abs(spec.lambdas * t).max(initial=0.0) <= OVERFLOW_LIMIT]
+    report = deformed_ricci(spec, algebra, np.reshape(
+        ts, (-1,) + (1,) * (spec.frame.ndim - 2)))
+    k = -1 if candidate.kind == "max" else 0
+    zero = np.reshape(candidate.is_zero, -1)
+    rows = (len(ts), len(zero), spec.n)
+    dists = projective_distance(
+        report.eigenvectors[..., k].reshape(rows).swapaxes(0, 1),
+        np.where(zero[:, None], 1.0, candidate.T).reshape(-1, 1, spec.n))
+    lams = report.eigenvalues[..., k].reshape(rows[:2]).T
+    return one_or_rows([
+        CandidateError("candidate eigenvalue is not certified simple")
+        if not simple else CandidateError("candidate vector is zero") if z
+        else ConvergenceTrace(rows=list(zip(ts, lam, dist)),
+                              converged=bool(dist) and min(dist) < target)
+        for simple, z, lam, dist in zip(
+            np.broadcast_to(candidate.simple, zero.shape), zero,
+            lams.tolist(), dists.tolist())], np.ndim(candidate.T) == 2)
+
+
+def stack_pairs(pairs) -> tuple[ExtremalCandidate, DeformationSpec]:
+    """The (candidate, spec) pairs of `lemma5_candidates`, stacked into
+    one candidate and one spec (one construction and exponent pattern)."""
+    cands, specs = zip(*pairs)
+    rows = {k: np.array([getattr(c, k) for c in cands])
+            for k in ("T", "lambda_extreme", "simple")}
+    return replace(cands[0], **rows), DeformationSpec(
+        base=Metric(np.array([s.base.gram for s in specs])),
+        lambdas=specs[0].lambdas, frame=np.array([s.frame for s in specs]))

@@ -52,6 +52,7 @@ from .curvature import (
     MetricError,
     ad_images,
     frame_structure,
+    one_or_rows,
     ricci_form_matrix,
     ricci_frame,
     sectional_K,
@@ -464,17 +465,6 @@ def _climb(ladder: Callable, n_rows: int, ts: list, accept: Callable
     return hits
 
 
-def _one_or_rows(results: list, stacked: bool):
-    """The results of a stacked search; for one target its witness, or
-    the error it got, raised."""
-    if stacked:
-        return results
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def find_positive_ric_witness(algebra: NilpotentAlgebra, z):
     """A metric (possibly deformed to finite t) with Ric(z) > 0.
 
@@ -518,7 +508,7 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z):
                 lambda *v: _positive_deformation(algebra, *v),
                 rows[deform], xs, ys, bs)):
             out[r] = w
-    return _one_or_rows(out, np.ndim(z) == 2)
+    return one_or_rows(out, np.ndim(z) == 2)
 
 
 def _positive_deformation(algebra: NilpotentAlgebra, zv: np.ndarray,
@@ -588,7 +578,7 @@ def find_negative_ric_witness(algebra: NilpotentAlgebra, x):
                 lambda *v: _negative_deformation(algebra, *v),
                 rows[deform], np.array(ws, dtype=float), np.array(ys))):
             out[r] = w
-    return _one_or_rows(out, np.ndim(x) == 2)
+    return one_or_rows(out, np.ndim(x) == 2)
 
 
 def _negative_deformation(algebra: NilpotentAlgebra, xf: np.ndarray,
@@ -620,20 +610,24 @@ def adapted_metric_family(algebra: NilpotentAlgebra, x, y) -> Metric:
 
     Negative sectional curvature on a plane outside the nonnegative-sign
     set is typically reached by shrinking or stretching a single adapted
-    direction, which a generic random Gram matrix rarely does.
+    direction, which a generic random Gram matrix rarely does. A plane
+    whose adapted basis is numerically dependent raises WitnessSearchError.
     """
     n = algebra.n
     xf = np.asarray(x, float)
     yf = np.asarray(y, float)
     w = algebra.bracket_float(xf, yf)
     cols = [xf, yf] + ([w] if np.linalg.norm(w) > 1e-9 else [])
-    b = np.column_stack(cols + complete_basis(cols))
+    b = _adapted_bases([v[None] for v in cols], [])[0]
     d = np.ones((len(ADAPTED_DECADES), n, 2, n))
     for i, k in enumerate(ADAPTED_DECADES):
         for pos in range(n):
             d[i, pos, :, pos] = 10.0 ** (-k), 10.0 ** k
     # one stacked pass over the bases, in the order k, pos, sign
-    return Metric.orthonormalizing(b * np.sqrt(d.reshape(-1, 1, n)))
+    try:
+        return Metric.orthonormalizing(b * np.sqrt(d.reshape(-1, 1, n)))
+    except MetricError as exc:
+        raise WitnessSearchError(f"adapted basis: {exc}") from None
 
 
 def _pencil_failure_witness(algebra: NilpotentAlgebra, bx: np.ndarray,

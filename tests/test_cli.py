@@ -505,3 +505,15 @@ def test_requests_in_one_process_match_fresh_processes(h3_path, capsys):
     for i in [*range(len(requests)), *reversed(range(len(requests)))]:
         assert _in_process(capsys, requests[i]) == fresh[i], requests[i]
     assert cli._parser() is cli._parser()
+
+
+def test_signsets_plane_of_many_decades_reports_witness_error(tmp_path,
+                                                              capsys):
+    """A plane whose adapted basis complete_basis cannot complete is a
+    witness_error with exit 1, not a traceback."""
+    path = tmp_path / "L52.json"
+    save_algebra(build("L52"), path)
+    code, out, err = run(capsys, "signsets", str(path), "--plane",
+                         "0,-1e-08,10,0,-1;-1000,0,0,0,1000", "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["witness_error"].startswith("adapted basis")

@@ -496,3 +496,29 @@ def test_zero_eigenvalue_under_infinite_scale():
         rep = RicciReport.from_frame_matrix(np.diag([0.0, -1.0, 1.0]),
                                             np.eye(3), scale=np.inf)
     np.testing.assert_array_equal(rep.eigenvalues, [-np.inf, 0.0, np.inf])
+
+
+def test_stacked_report_rows_are_their_single_reports():
+    """A stack of frame matrices, frames and scales, one scale overflowed
+    to inf, gives one report whose rows are the single reports to the
+    bit; the operator, made when read, is NaN on the overflowed row."""
+    rng = np.random.default_rng(4)
+    r = rng.standard_normal((3, 4, 4))
+    r[2, 0] = r[2, :, 0] = 0.0              # an exact-zero eigenvalue
+    frames = rng.standard_normal((3, 4, 4))
+    scales = np.array([1.0, 1e300, np.inf])
+    with np.errstate(all="raise"):
+        stacked = RicciReport.from_frame_matrix(r, frames, scales)
+        ops = stacked.operator
+    for i in range(3):
+        with np.errstate(all="raise"):
+            one = RicciReport.from_frame_matrix(r[i], frames[i], scales[i])
+            op = one.operator
+        for got, want in ((stacked.eigenvalues[i], one.eigenvalues),
+                          (stacked.eigenvectors[i], one.eigenvectors),
+                          (ops[i], op)):
+            assert got.tobytes() == want.tobytes()
+        assert stacked.min_simple[i] == one.min_simple
+        assert stacked.max_simple[i] == one.max_simple
+    assert np.isnan(ops[2]).all() and np.isfinite(ops[0]).all()
+    assert 0.0 in stacked.eigenvalues[2]

@@ -1,6 +1,7 @@
 """Metric deformations, scaled Ricci limits, and closed-form extremal
 candidates, each cross-checked against an independent direct computation."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from nilcurv import (
     CandidateError,
+    ConvergenceTrace,
     DeformationSpec,
     Metric,
     NilpotentAlgebra,
@@ -28,13 +30,14 @@ from nilcurv import (
     lemma5a_deformation,
     projective_distance,
     ricci_operator,
+    save_algebra,
     scaled_ricci_limit,
     spec_for_pattern,
     theorem2_expected_M,
     two_step_deformation,
     worst_gap,
 )
-from nilcurv import deformation
+from nilcurv import cli, curvature, deformation
 from nilcurv.deformation import (
     BASIS_RANK_TOL,
     ExtremalCandidate,
@@ -44,6 +47,7 @@ from nilcurv.deformation import (
     deformed_ricci_frame,
     orthonormal_tol,
     sphere_grid,
+    stack_pairs,
 )
 from nilcurv.curvature import raise_first_failure
 from nilcurv.verify import coverage_grid_cases
@@ -302,6 +306,26 @@ def test_projective_distance_of_nearly_parallel_lines():
         assert abs(d - 1e-12) < 1e-15
 
 
+def test_projective_distance_rows_are_their_single_calls():
+    """Rows of u and v, strided or broadcast, give each pair's distance
+    bitwise as its single call, the float that call returns."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        u = rng.standard_normal((40, n)) * 10.0 ** rng.integers(-6, 6, (40, n))
+        v = np.where(rng.random((40, 1)) < 0.5, u + 1e-9 * rng.standard_normal(
+            (40, n)), rng.standard_normal((40, n)))
+        strided = np.asfortranarray(u)
+        rows = projective_distance(strided, v)
+        assert rows.shape == (40,)
+        for i in range(40):
+            one = projective_distance(u[i], v[i])
+            assert isinstance(one, float) and rows[i] == one
+        assert np.array_equal(projective_distance(u, v[0]),
+                              [projective_distance(x, v[0]) for x in u])
+    with pytest.raises(ValueError):
+        projective_distance(np.ones((2, 3)), np.zeros(3))
+
+
 def test_convergence_rejects_non_simple():
     alg = build("filiform4")
     metric = Metric.identity(4)
@@ -311,6 +335,73 @@ def test_convergence_rejects_non_simple():
     spec = spec_for_pattern(alg, metric, [z], [w, x])
     with pytest.raises(CandidateError):
         convergence_check(spec, alg, cand)
+
+
+def _ladder_result(spec, alg, cand):
+    """convergence_check of one row: its (rows, converged), or the class
+    and message of the error it raises."""
+    try:
+        trace = convergence_check(spec, alg, cand)
+    except CandidateError as exc:
+        return type(exc), str(exc)
+    return trace.rows, trace.converged
+
+
+def test_stacked_ladder_rows_are_their_single_calls():
+    """A non-simple and a zero candidate in the middle of a stack get the
+    CandidateError class and message of their single calls; the other
+    rows keep their single calls' traces, as they have without them."""
+    alg = build("heisenberg", m=2)
+    pairs, _ = lemma5_candidates(alg, 0, 5)
+    (c2, s2), (c3, s3) = pairs[2], pairs[3]
+    pairs[2] = (dataclasses.replace(c2, simple=False), s2)
+    pairs[3] = (dataclasses.replace(c3, T=np.zeros(alg.n)), s3)
+    cand, spec = stack_pairs(pairs)
+    results = convergence_check(spec, alg, cand)
+    assert [type(r) for r in results] == [
+        ConvergenceTrace, ConvergenceTrace, CandidateError, CandidateError,
+        ConvergenceTrace]
+    for (one, one_spec), got in zip(pairs, results):
+        want = _ladder_result(one_spec, alg, one)
+        if isinstance(got, CandidateError):
+            assert (type(got), str(got)) == want
+        else:
+            assert (got.rows, got.converged) == want
+    clean = stack_pairs(pairs[:2] + pairs[4:])
+    assert [r.rows for r in convergence_check(clean[1], alg, clean[0])] \
+        == [r.rows for i, r in enumerate(results) if i not in (2, 3)]
+
+
+def test_maxmin_runs_one_ladder_per_request(tmp_path, monkeypatch):
+    """maxmin on an algebra with candidates builds one frame tensor and
+    runs one convergence_check, however many candidates it checks."""
+    calls = {"frame_structure": 0, "convergence_check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (curvature, deformation, cli):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    counted(name, getattr(mod, name)))
+    path = tmp_path / "h5.json"
+    save_algebra(build("heisenberg", m=2), path)
+    for seed in (0, 105):
+        calls.update(frame_structure=0, convergence_check=0)
+        assert cli.main(["maxmin", str(path), "--seed", str(seed),
+                         "--json", "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == {"frame_structure": 1, "convergence_check": 1}
+
+
+def test_lemma5_candidates_on_an_abelian_algebra():
+    """An abelian algebra gets no pairs and a note, as an algebra with no
+    closed-form construction does."""
+    pairs, notes = lemma5_candidates(build("abelian", n=3), 0, 3)
+    assert pairs == [] and len(notes) == 1 and "abelian" in notes[0]
 
 
 def test_spec_for_pattern_exponents():

@@ -1,7 +1,10 @@
 """The scaled Ricci limit and its closed-form top eigenvector against the
 loop formulas they replaced: the exponent triples enumerated one by one,
 the Lambda mask, J_k and A filled entry by entry, and T built from
-brackets of frame vectors in basis coordinates."""
+brackets of frame vectors in basis coordinates. The stacked t-ladder of
+convergence_check against the per-t loop of deformed_ricci calls."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,12 +14,23 @@ from nilcurv import (
     DeformationSpec,
     ExtremalCandidate,
     Metric,
+    OverflowGuardError,
     ScaledRicciLimit,
+    build,
+    candidate_e1u2,
+    convergence_check,
+    deformed_ricci,
     extremal_T,
+    lemma5_candidates,
+    lemma5a_deformation,
     list_catalog,
+    normal_form_frame,
+    projective_distance,
     scaled_ricci_limit,
+    two_step_deformation,
 )
 from nilcurv.curvature import frame_structure, ricci_frame
+from nilcurv.deformation import T_GRID, stack_pairs
 
 SPECS_PER_ALGEBRA = 30
 PERMUTED_SPECS = 10
@@ -154,3 +168,96 @@ def test_limit_and_T_match_the_loops(entry):
             assert cand.lambda_extreme == ref.lambda_extreme
             assert np.abs(cand.T - ref.T).max() \
                 <= 1e-9 * np.abs(ref.T).max()
+
+
+def convergence_rows_loop(spec, algebra, cand):
+    """The (t, lambda, distance) rows of the per-t ladder that
+    convergence_check replaced: deformed_ricci at each t of T_GRID up to
+    the first that raises OverflowGuardError."""
+    rows = []
+    for t in T_GRID:
+        try:
+            report = deformed_ricci(spec, algebra, t)
+        except OverflowGuardError:
+            break
+        k = -1 if cand.kind == "max" else 0
+        rows.append((float(t), float(report.eigenvalues[k]),
+                     projective_distance(report.eigenvectors[:, k], cand.T)))
+    return rows
+
+
+def _bits(rows):
+    return np.array(rows, float).tobytes()
+
+
+def _extremal_convergence_cases():
+    """The (spec, algebra, candidate) of the three extremal-convergence
+    cases of verify-paper, and the Ricci-minimal u1 of the last frame."""
+    h3 = build("heisenberg", m=1)
+    spec, cand = two_step_deformation(h3, Metric.identity(3), np.eye(3)[2])
+    yield spec, h3, cand
+    f4, metric = build("filiform4"), Metric.identity(4)
+    w, x, y, z = np.eye(4)
+    e = z + 1e-5 * y
+    spec, tilted = lemma5a_deformation(f4, metric,
+                                       e / np.sqrt(metric.norm2(e)), w, x)
+    yield spec, f4, dataclasses.replace(
+        tilted, T=candidate_e1u2(f4, metric, z, w, x).T)
+    frame = normal_form_frame("L5_lemma7a", (1.0, 1.0, 1.0))
+    yield frame.spec(), frame.algebra, frame.candidate()
+    yield frame.spec(), frame.algebra, ExtremalCandidate(
+        T=frame.u_vectors[0], lambda_extreme=-1.0, construction="eumin",
+        simple=True, kind="min")
+
+
+@pytest.mark.parametrize("entry", NONABELIAN, ids=lambda e: e.label)
+def test_stacked_ladder_matches_the_per_t_loop(entry):
+    """Every Lemma 5 pair at seeds 0 and 105, checked in one stacked
+    ladder, gets the (t, lambda, distance) rows of the per-t loop to the
+    bit; so does each pair checked alone."""
+    alg = entry.build()
+    for seed in (0, 105):
+        pairs, _ = lemma5_candidates(alg, seed, 10)
+        if not pairs:
+            continue
+        cand, spec = stack_pairs(pairs)
+        traces = convergence_check(spec, alg, cand)
+        assert len(traces) == len(pairs)
+        for (one, one_spec), trace in zip(pairs, traces):
+            want = convergence_rows_loop(one_spec, alg, one)
+            assert _bits(trace.rows) == _bits(want), (entry.label, seed)
+            single = convergence_check(one_spec, alg, one)
+            assert _bits(single.rows) == _bits(want)
+            assert trace.converged == single.converged == (
+                min(r[2] for r in want) < 1e-4)
+
+
+def test_ladder_matches_the_loop_on_the_extremal_convergence_cases():
+    """The three extremal-convergence cases and a Ricci-minimal candidate,
+    each a one-row ladder, are the per-t loop to the bit, including the
+    rows whose scale exp(2 shift) overflows, where lambda is +-inf."""
+    infinite = 0
+    for spec, alg, cand in _extremal_convergence_cases():
+        trace = convergence_check(spec, alg, cand)
+        want = convergence_rows_loop(spec, alg, cand)
+        assert len(want) == 10 and _bits(trace.rows) == _bits(want)
+        infinite += sum(np.isinf(lam) for _, lam, _ in trace.rows)
+    assert infinite > 0
+
+
+def test_stacked_ladder_keeps_its_overflowed_rows():
+    """The T2 candidates of the L5_lemma7a frame at several alphas, one
+    exponent pattern for all, in one stacked ladder: rows with lambda =
+    +-inf and finite ones, each the per-t loop's to the bit."""
+    frames = [normal_form_frame("L5_lemma7a", alphas) for alphas in
+              [(1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (0.3, 1.0, 3.0)]]
+    pairs = [(f.candidate(), f.spec()) for f in frames]
+    alg = frames[0].algebra
+    cand, spec = stack_pairs(pairs)
+    lams = []
+    for (one, one_spec), trace in zip(pairs, convergence_check(spec, alg,
+                                                               cand)):
+        assert _bits(trace.rows) == _bits(
+            convergence_rows_loop(one_spec, alg, one))
+        lams += [lam for _, lam, _ in trace.rows]
+    assert np.isinf(lams).any() and np.isfinite(lams).any()

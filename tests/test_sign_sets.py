@@ -677,3 +677,21 @@ def test_witnesses_need_no_random_stage(monkeypatch):
             assert find_positive_ric_witness(a, v).value > 1e-9
         for x, y in planes:
             assert find_negative_K_witness(a, x, y).value < -1e-9
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([1e-08, 1e-06, -1000.0, 0.0, 1e-08], [-1.0, 1e-08, -1e-08, -1000.0, 1.0],
+     "adapted basis is numerically dependent"),
+    ([1e-06, 1e-06, 1e-06, 1e-06, 10.0], [1e-06, -1.0, 10.0, -1000.0, -1.0],
+     "adapted basis: gram must be positive definite"),
+    ([3.0, 2.0 ** -30, 1e-06, 3.0, 3.0],
+     [1000.0, 2.0 ** -30, 1.0, 1e-09, -1.0],
+     "adapted basis: basis vectors are linearly dependent"),
+])
+def test_adapted_family_of_a_nearly_dependent_plane(x, y, message):
+    """A plane whose entries span many decades, whose adapted basis
+    complete_basis cannot complete or Metric.orthonormalizing rejects,
+    raises WitnessSearchError, not a broadcast error or MetricError."""
+    with pytest.raises(WitnessSearchError) as raised:
+        adapted_metric_family(build("L52"), np.array(x), np.array(y))
+    assert str(raised.value) == message

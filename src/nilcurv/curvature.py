@@ -9,6 +9,7 @@ transpose of the lower Cholesky factor of the Gram matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +185,11 @@ def sectional_K(algebra: NilpotentAlgebra, metric: Metric, x, y
     K = |U(x,y)|^2 - <U(x,x), U(y,y)> - (3/4)|[x,y]|^2
         - (1/2)<[x,[x,y]], y> - (1/2)<[y,[y,x]], x>.
     Vectors x, y of shape (n,) give a float; arrays of shape (N, n) give
-    the N curvatures of the planes (x[r], y[r]). With the ad-images
-    A_v = (rows [v, e_m]) every term is a batched matmul:
-    <U(v, w), e_m> = -(1/2)(A_w G v + A_v G w)_m, [x, y] = y A_x,
+    the N curvatures of the planes (x[r], y[r]). A stacked metric, Gram
+    matrices of shape (..., n, n), gives shape (...) for one plane and
+    (..., N) for N planes, each row its single-metric call to the bit.
+    With the ad-images A_v = (rows [v, e_m]) every term is a batched
+    matmul: <U(v, w), e_m> = -(1/2)(A_w G v + A_v G w)_m, [x, y] = y A_x,
     <[x, [x, y]], y> = [x, y] . A_x G y and <[y, [y, x]], x> =
     -[x, y] . A_y G x.
     """
@@ -198,22 +201,31 @@ def sectional_K(algebra: NilpotentAlgebra, metric: Metric, x, y
         raise ValueError("vector length must equal algebra dimension")
     c = algebra.structure_tensor()
     g, ginv = metric.gram, metric._inv
-    out = np.empty(len(xs))
-    for s in range(0, len(xs), _CHUNK):
-        x, y = xs[s:s + _CHUNK], ys[s:s + _CHUNK]
+    batch = g.shape[:-2]
+    out = np.empty(batch + (len(xs),))
+    # the metric rows share each block of planes, which shrinks with them
+    # so the temporaries stay about _CHUNK planes. A block of one plane
+    # takes numpy's vector-matrix product, which rounds unlike the matrix
+    # one, so a lone last plane joins the block before it
+    chunk = max(2, _CHUNK // math.prod(batch))
+    stops = [*range(chunk, len(xs) - 1, chunk), len(xs)]
+    for s, stop in zip([0, *stops], stops):
+        x, y = xs[s:stop], ys[s:stop]
         ax, ay = ad_images(c, x), ad_images(c, y)
-        gxy = np.stack([x @ g, y @ g], axis=2)
+        gxy = np.stack([x @ g, y @ g], axis=-1)
         px, py = ax @ gxy, ay @ gxy        # [..., 0]: A G x, [..., 1]: A G y
         fxy = -0.5 * (py[..., 0] + px[..., 1])
         fxx, fyy = -px[..., 0], -py[..., 1]
         bxy = np.matmul(y[:, None, :], ax)[:, 0, :]
-        out[s:s + len(x)] = (
-            np.sum(fxy @ ginv * fxy, axis=1)
-            - np.sum(fxx @ ginv * fyy, axis=1)
-            - 0.75 * np.sum(bxy @ g * bxy, axis=1)
-            - 0.5 * np.sum(bxy * px[..., 1], axis=1)
-            + 0.5 * np.sum(bxy * py[..., 0], axis=1))
-    return float(out[0]) if single else out
+        out[..., s:stop] = (
+            np.sum(fxy @ ginv * fxy, axis=-1)
+            - np.sum(fxx @ ginv * fyy, axis=-1)
+            - 0.75 * np.sum(bxy @ g * bxy, axis=-1)
+            - 0.5 * np.sum(bxy * px[..., 1], axis=-1)
+            + 0.5 * np.sum(bxy * py[..., 0], axis=-1))
+    if not single:
+        return out
+    return float(out[0]) if not batch else out[..., 0]
 
 
 def sectional_kappa(algebra: NilpotentAlgebra, metric: Metric, x, y) -> float:

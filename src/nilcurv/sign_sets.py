@@ -120,8 +120,9 @@ def plane_labels(algebra: NilpotentAlgebra, xs, ys) -> dict:
 
     No label changes when the bracket or a vector is scaled, so the
     structure constants are scaled by the lcm of their denominators. The
-    arithmetic is int64 when its largest value, at most
-    n^8 (max|c| max|x, y|)^4, stays below 2^62, and Python ints otherwise.
+    arithmetic is int64 when n^8 (max(1, max|c|) max|x, y|)^4, a bound on
+    its largest value and on the entries of x and y themselves (all c may
+    be 0), stays below 2^62, and Python ints otherwise.
     """
     n = algebra.n
     scale = math.lcm(*(c.denominator for comps in algebra.brackets.values()
@@ -131,7 +132,7 @@ def plane_labels(algebra: NilpotentAlgebra, xs, ys) -> dict:
         for k, c in comps.items():
             ci[i, j, k], ci[j, i, k] = int(c * scale), -int(c * scale)
     xs, ys = np.asarray(xs), np.asarray(ys)
-    top = int(np.abs(ci).max(initial=0)) * int(max(
+    top = max(1, int(np.abs(ci).max(initial=0))) * int(max(
         np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
     dtype = np.int64 if n ** 8 * top ** 4 < 2 ** 62 else object
     ci, xs, ys = ci.astype(dtype), xs.astype(dtype), ys.astype(dtype)
@@ -714,20 +715,23 @@ def find_negative_K_witness(algebra: NilpotentAlgebra, x, y) -> SignWitness:
     """A metric with sectional_K(x, y) < 0; the plane must lie outside the
     nonnegative-sign set.
 
-    The plane-adapted metrics of adapted_metric_family first; on an
-    abelian plane that none of them witnesses, the deformation of
-    _pencil_failure_witness. x and y are first scaled by powers of two
-    to max |x_i|, max |y_i| in [1, 2) (`_binary_shift`), and the witness
-    is for that pair."""
+    The plane-adapted metrics of adapted_metric_family first, in one
+    stacked sectional_K call whose first row below K_NEGATIVE_MAX is the
+    witness; on an abelian plane that none of them witnesses, the
+    deformation of _pencil_failure_witness. x and y are first scaled by
+    powers of two to max |x_i|, max |y_i| in [1, 2) (`_binary_shift`),
+    and the witness is for that pair."""
     xf, yf = (np.ldexp(v, _binary_shift(v))
               for v in (np.asarray(x, float), np.asarray(y, float)))
-    for metric in adapted_metric_family(algebra, xf, yf):
-        val = sectional_K(algebra, metric, xf, yf)
-        if val < K_NEGATIVE_MAX:
-            return SignWitness(kind="K_negative", gram=metric.gram.copy(),
-                               value=val,
-                               target=[list(map(float, xf)),
-                                       list(map(float, yf))])
+    metrics = adapted_metric_family(algebra, xf, yf)
+    vals = sectional_K(algebra, metrics, xf, yf)
+    below = vals < K_NEGATIVE_MAX
+    if below.any():
+        r = int(np.argmax(below))
+        return SignWitness(kind="K_negative", gram=metrics.gram[r].copy(),
+                           value=float(vals[r]),
+                           target=[list(map(float, xf)),
+                                   list(map(float, yf))])
     if np.linalg.norm(algebra.bracket_float(xf, yf)) < 1e-12:
         witness = _pencil_failure_witness(algebra, xf, yf)
         if witness is not None:

@@ -328,9 +328,10 @@ def check_ric_witnesses(seed: int = 0) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _grid_planes(n: int) -> tuple:
+def _grid_planes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct planes spanned by pairs of {-1,0,1}^n vectors, each as the
-    first pair of directions (in enumeration order) that spans it.
+    first pair of directions (in enumeration order) that spans it, as
+    read-only int64 arrays (xs, ys) of shape (planes, n).
 
     Two pairs span the same plane iff their integer Plücker coordinates
     a_i b_j - a_j b_i (i < j) agree once divided by their gcd and signed
@@ -359,7 +360,9 @@ def _grid_planes(n: int) -> tuple:
     pl *= np.sign(lead)[:, None]
     _, first = np.unique(pl, axis=0, return_index=True)
     first.sort()
-    return tuple((vecs[ia[i]], vecs[ib[i]]) for i in first)
+    xs, ys = dirs[ia[first]], dirs[ib[first]]
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def _meets_center(alg, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -381,6 +384,39 @@ def _meets_center(alg, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 BULK_WITNESS_METRICS = 400
 
 
+def _witness_in_blocks(alg, rng: np.random.Generator, xs: np.ndarray,
+                       ys: np.ndarray, ceiling: float) -> np.ndarray:
+    """Indices of the planes (xs[r], ys[r]) that no random metric gives
+    K < ceiling, for up to BULK_WITNESS_METRICS metrics of
+    Metric.random(n, rng) drawn one after another until every plane has
+    a witness.
+
+    The metrics are drawn in doubling blocks of 1, 2, 4, ... rows, each
+    one stacked call on the planes still unwitnessed. When a block
+    witnesses the last plane at row k, rng is put back to its state
+    before the block and k + 1 factors are drawn again, so rng ends as
+    it would after exactly the metrics used one at a time.
+    """
+    n = alg.n
+    left = np.arange(len(xs))
+    drawn, size = 0, 1
+    while len(left) and drawn < BULK_WITNESS_METRICS:
+        size = min(size, BULK_WITNESS_METRICS - drawn)
+        state = rng.bit_generator.state
+        metrics = Metric.from_factor(rng.uniform(-1.0, 1.0,
+                                                 size=(size, n, n)))
+        hit = sectional_K(alg, metrics, xs[left], ys[left]) < ceiling
+        witnessed = hit.any(axis=0)
+        if witnessed.all():
+            # the row at which the last plane got its first witness
+            rng.bit_generator.state = state
+            rng.uniform(-1.0, 1.0, size=(hit.argmax(axis=0).max() + 1, n, n))
+        left = left[~witnessed]
+        drawn += size
+        size *= 2
+    return left
+
+
 def check_sectional_planes(seed: int = 0) -> dict:
     """Exhaustive {-1,0,1} planes: the metric-independent nonnegative set
     must equal G1 u G2, with sign witnesses on both sides.
@@ -390,11 +426,12 @@ def check_sectional_planes(seed: int = 0) -> dict:
     and, off the center, G2. G1 is cross-checked by a second exact
     computation against the center basis (`_meets_center`); a non-abelian
     plane can carry none of the labels (a central vector in it would force
-    it abelian). G_geq planes
-    must have K >= 0 under 50 random metrics. Every other plane needs a
-    negative-K witness: random metrics are evaluated in bulk, each one
-    only on the planes still unwitnessed, for up to BULK_WITNESS_METRICS
-    metrics; find_negative_K_witness runs on the few planes left.
+    it abelian). G_geq planes must have K >= 0 under 50 random metrics,
+    one stacked call. Every other plane needs a negative-K witness:
+    random metrics in doubling blocks on the planes still unwitnessed
+    (`_witness_in_blocks`), drawing from the seed exactly the metrics a
+    one-at-a-time search would, up to BULK_WITNESS_METRICS of them;
+    find_negative_K_witness runs on the few planes left.
     """
     t0 = time.perf_counter()
     nonneg_floor, neg_ceiling = -1e-12, -1e-9
@@ -414,9 +451,11 @@ def check_sectional_planes(seed: int = 0) -> dict:
             stats[alg.name] = {"same_as": structure_seen[sig]}
             continue
         structure_seen[sig] = alg.name
-        planes = _grid_planes(n)
-        xs_all = np.array([p[0] for p in planes], dtype=np.int64)
-        ys_all = np.array([p[1] for p in planes], dtype=np.int64)
+        xs_all, ys_all = _grid_planes(n)
+
+        def plane(idx):
+            return [xs_all[idx].tolist(), ys_all[idx].tolist()]
+
         labels = ss.plane_labels(alg, xs_all, ys_all)
         abelian, g1 = labels["abelian"], labels["G1"]
         in_geq = labels["G_geq"]
@@ -425,53 +464,43 @@ def check_sectional_planes(seed: int = 0) -> dict:
         bad = (~abelian & g1) | (abelian & (in_geq != in_union)) \
             | g1_mismatch
         for idx in np.nonzero(bad)[0]:
-            plane = list(planes[idx])
             if not abelian[idx] and g1[idx]:
-                failures.append({"algebra": alg.name, "plane": plane,
+                failures.append({"algebra": alg.name, "plane": plane(idx),
                                  "issue": "non-abelian plane meets "
                                           "center"})
             if abelian[idx] and in_geq[idx] != in_union[idx]:
-                failures.append({"algebra": alg.name, "plane": plane,
+                failures.append({"algebra": alg.name, "plane": plane(idx),
                                  "labels": sorted(
                                      name for name in ("G1", "G2", "G_geq")
                                      if labels[name][idx]),
                                  "issue": "G_geq != G1 u G2"})
             if g1_mismatch[idx]:
-                failures.append({"algebra": alg.name, "plane": plane,
+                failures.append({"algebra": alg.name, "plane": plane(idx),
                                  "issue": "G1 flag mismatch"})
         geq_idx = np.nonzero(in_geq)[0]
         other_idx = np.nonzero(~in_geq)[0]
-        stats[alg.name] = {"planes": len(planes),
+        stats[alg.name] = {"planes": len(xs_all),
                            "abelian": int(abelian.sum()),
                            "G_geq": len(geq_idx)}
+        xs, ys = xs_all.astype(float), ys_all.astype(float)
         if len(geq_idx):
-            xs = xs_all[geq_idx].astype(float)
-            ys = ys_all[geq_idx].astype(float)
-            for _ in range(50):
-                metric = Metric.random(n, rng)
-                vals = sectional_K(alg, metric, xs, ys)
-                bad = np.nonzero(vals < nonneg_floor)[0]
-                for i in bad[:3]:
+            metrics = Metric.from_factor(rng.uniform(-1.0, 1.0,
+                                                     size=(50, n, n)))
+            vals = sectional_K(alg, metrics, xs[geq_idx], ys[geq_idx])
+            for row in vals:
+                for i in np.nonzero(row < nonneg_floor)[0][:3]:
                     failures.append({"algebra": alg.name,
-                                     "plane": list(planes[geq_idx[i]]),
+                                     "plane": plane(geq_idx[i]),
                                      "issue": "negative K on G_geq plane",
-                                     "K": float(vals[i])})
-        # shrinking bulk stage: each metric sees only unwitnessed planes
-        for _ in range(BULK_WITNESS_METRICS):
-            if not len(other_idx):
-                break
-            metric = Metric.random(n, rng)
-            vals = sectional_K(alg, metric, xs_all[other_idx].astype(float),
-                               ys_all[other_idx].astype(float))
-            other_idx = other_idx[~(vals < neg_ceiling)]
-        for idx in other_idx:
-            a, b = planes[idx]
+                                     "K": float(row[i])})
+        left = other_idx[_witness_in_blocks(alg, rng, xs[other_idx],
+                                            ys[other_idx], neg_ceiling)]
+        for idx in left:
             try:
-                ss.find_negative_K_witness(alg, np.array(a, float),
-                                           np.array(b, float))
+                ss.find_negative_K_witness(alg, xs[idx], ys[idx])
             except ss.WitnessSearchError as exc:
                 failures.append({"algebra": alg.name,
-                                 "plane": [a, b],
+                                 "plane": plane(idx),
                                  "issue": "no negative witness",
                                  "error": str(exc)})
     return _result("sectional-sign-planes", not failures, t0,

@@ -15,7 +15,7 @@ BUDGETS_S = {
     "deformation-limit": 30.0,
     "extremal-convergence": 10.0,
     "ric-sign-witnesses": 60.0,
-    "sectional-sign-planes": 120.0,
+    "sectional-sign-planes": 20.0,
     "closure-dichotomy": 120.0,
     "coverage": 120.0,
 }

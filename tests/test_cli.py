@@ -517,3 +517,16 @@ def test_signsets_plane_of_many_decades_reports_witness_error(tmp_path,
                          "0,-1e-08,10,0,-1;-1000,0,0,0,1000", "--json")
     assert code == 1 and err == ""
     assert json.loads(out)["witness_error"].startswith("adapted basis")
+
+
+def test_signsets_plane_of_many_decades_on_an_abelian_algebra(tmp_path,
+                                                             capsys):
+    """With every structure constant 0 the exact plane labels still
+    choose Python ints for vectors too large for int64."""
+    path = tmp_path / "abelian_n3.json"
+    save_algebra(build("abelian", n=3), path)
+    code, out, err = run(capsys, "signsets", str(path), "--plane",
+                         "1e-08,10.0,0.0;1e-09,9.313225746154785e-10,1000.0",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["labels"] == ["G1", "G_geq", "G_zero"]

@@ -565,8 +565,7 @@ def test_pencil_witness_deforms_along_first_exact_e(key):
     eye = np.eye(n, dtype=int)
     pool = [eye[i] for i in range(n)] + [
         eye[i] + eye[j] for i, j in itertools.combinations(range(n), 2)]
-    grid = np.array(_grid_planes(n))
-    xs, ys = grid[:, 0], grid[:, 1]
+    xs, ys = _grid_planes(n)
     labels = plane_labels(a, xs, ys)
     planes = np.nonzero(labels["abelian"] & ~labels["G_geq"])[0]
     assert len(planes) > 0
@@ -597,8 +596,7 @@ def _negative_K_witness_loop(algebra, x, y):
 def _pencil_planes(key):
     """The abelian {-1,0,1} planes outside G_geq."""
     a = build(key)
-    grid = np.array(_grid_planes(a.n))
-    xs, ys = grid[:, 0], grid[:, 1]
+    xs, ys = _grid_planes(a.n)
     labels = plane_labels(a, xs, ys)
     return a, [(xs[i].astype(float), ys[i].astype(float)) for i in
                np.nonzero(labels["abelian"] & ~labels["G_geq"])[0]]
@@ -655,8 +653,7 @@ def test_witnesses_need_no_random_stage(monkeypatch):
             e[i] + e[j] for i, j in itertools.combinations(range(a.n), 2)]
         planes = []
         if a.n <= 6:
-            grid = np.array(_grid_planes(a.n))
-            xs, ys = grid[:, 0], grid[:, 1]
+            xs, ys = _grid_planes(a.n)
             outside = np.nonzero(~plane_labels(a, xs, ys)["G_geq"])[0]
             if a.n > 4:
                 outside = rng.choice(outside, size=30, replace=False)

@@ -1,9 +1,9 @@
 """Bulk kernels behind the sectional-sign-planes, coverage,
 deformation-limit and ric-sign-witnesses checks: the plane grid, the
-exact plane labels, the batched sectional curvature, the stacked coverage
-candidates, the stacked scaled limits and the stacked witness searches,
-each against the exact, brute-force or scalar construction it
-replaces."""
+exact plane labels, the batched and metric-stacked sectional curvature,
+the doubling witness blocks, the stacked coverage candidates, the stacked
+scaled limits and the stacked witness searches, each against the exact,
+brute-force or scalar construction it replaces."""
 
 import itertools
 import json
@@ -64,18 +64,11 @@ def _rref_grid_planes(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_grid_planes_match_rref_construction(n):
-    got = _grid_planes(n)
-    want = _rref_grid_planes(n)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == w
-
-
-def _grid(n):
-    planes = _grid_planes(n)
-    xs = np.array([p[0] for p in planes], dtype=np.int64)
-    ys = np.array([p[1] for p in planes], dtype=np.int64)
-    return planes, xs, ys
+    xs, ys = _grid_planes(n)
+    assert xs.dtype == ys.dtype == np.int64
+    assert not xs.flags.writeable and not ys.flags.writeable
+    got = tuple(zip(map(tuple, xs.tolist()), map(tuple, ys.tolist())))
+    assert got == _rref_grid_planes(n)
 
 
 def _g2_by_search(alg, x, y) -> bool:
@@ -109,7 +102,8 @@ def test_bulk_labels_agree_with_classify_plane(alg):
     against the bulk labels and G2 against a brute search of its
     definition, on a seeded sample of the abelian grid planes that meet
     the center and of those that miss it."""
-    planes, xs, ys = _grid(alg.n)
+    xs, ys = _grid_planes(alg.n)
+    planes = list(zip(xs.tolist(), ys.tolist()))
     labels = plane_labels(alg, xs, ys)
     assert np.array_equal(labels["G1"], _meets_center(alg, xs, ys))
     abelian = np.nonzero(labels["abelian"])[0]
@@ -129,7 +123,7 @@ def test_bulk_labels_agree_with_classify_plane(alg):
 def test_plane_labels_int64_and_python_int_agree(alg):
     """Scaling a spanning vector changes no label; scaled by 7 the labels
     stay in int64, scaled by 10^13 they are computed in Python ints."""
-    _, xs, ys = _grid(alg.n)
+    xs, ys = _grid_planes(alg.n)
     want = plane_labels(alg, xs, ys)
     for factor in (7, 10 ** 13):
         got = plane_labels(alg, xs.astype(object) * factor, ys)
@@ -163,7 +157,7 @@ def _reference_K(alg, metric, x, y):
 def test_batch_K_matches_scalar_sectional_K(alg, monkeypatch):
     monkeypatch.setattr(curvature, "_CHUNK", 16)    # several blocks per call
     rng = np.random.default_rng(alg.n)
-    _, xs, ys = _grid(alg.n)
+    xs, ys = _grid_planes(alg.n)
     pick = rng.choice(len(xs), size=min(60, len(xs)), replace=False)
     xs, ys = xs[pick].astype(float), ys[pick].astype(float)
     for _ in range(3):
@@ -176,6 +170,77 @@ def test_batch_K_matches_scalar_sectional_K(alg, monkeypatch):
         one = sectional_K(alg, metric, xs[0], ys[0])
         assert isinstance(one, float)
         assert abs(one - want[0]) <= 1e-8 * abs(want[0]) + 1e-10 * scale
+
+
+@pytest.mark.parametrize("chunk", [4096, 16, 5, 2])
+@pytest.mark.parametrize("alg", SMALL, ids=lambda a: a.name)
+def test_stacked_K_rows_are_their_single_metric_calls(alg, chunk,
+                                                     monkeypatch):
+    """Each row of sectional_K on a stack of 7 metrics is its
+    single-metric call to the bit, at plane counts on and off the block
+    boundaries of both calls (_CHUNK // 7 and _CHUNK planes)."""
+    monkeypatch.setattr(curvature, "_CHUNK", chunk)
+    rng = np.random.default_rng(alg.n + chunk)
+    xs, ys = _grid_planes(alg.n)
+    factors = rng.uniform(-1.0, 1.0, size=(7, alg.n, alg.n))
+    stack = Metric.from_factor(factors)
+    for size in (2, 3, 17, 33, 100):
+        pick = rng.choice(len(xs), size=min(size, len(xs)), replace=False)
+        x, y = xs[pick].astype(float), ys[pick].astype(float)
+        got = sectional_K(alg, stack, x, y)
+        assert got.shape == (7, len(x))
+        for row, b in zip(got, factors):
+            assert np.array_equal(
+                row, sectional_K(alg, Metric.from_factor(b), x, y))
+
+
+def test_one_plane_against_a_stack_gives_one_value_per_metric():
+    alg = build("filiform4")
+    factors = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 3, 4, 4))
+    x, y = np.array([1.0, 0, 1, 0]), np.array([0, 1.0, 0, -1])
+    got = sectional_K(alg, Metric.from_factor(factors), x, y)
+    assert got.shape == (2, 3)
+    assert sectional_K(alg, Metric.from_factor(factors[0]), x, y).shape \
+        == (3,)
+    for i, j in itertools.product(range(2), range(3)):
+        assert got[i, j] == sectional_K(
+            alg, Metric.from_factor(factors[i, j]), x, y)
+
+
+BENCH_SECT = ("abelian3", "heisenberg3", "h3xA1", "filiform4", "L5_lemma7a")
+
+
+def _witness_one_at_a_time(alg, rng, xs, ys, ceiling):
+    """Reference: the bulk witness stage one Metric.random at a time, each
+    on the planes no earlier metric witnessed."""
+    left = np.arange(len(xs))
+    for _ in range(verify.BULK_WITNESS_METRICS):
+        if not len(left):
+            break
+        metric = Metric.random(alg.n, rng)
+        left = left[~(sectional_K(alg, metric, xs[left], ys[left])
+                      < ceiling)]
+    return left
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_witness_blocks_match_the_one_at_a_time_loop(seed):
+    """On the benchmark's sectional sub-catalog, in catalog order and with
+    one rng per side, the doubling blocks leave the same unwitnessed
+    planes and the same rng state as the loop. The last plane is
+    witnessed inside a block on heisenberg3 (metric 67 at seed 0), and at
+    seed 0 L5_lemma7a keeps 5 planes past all BULK_WITNESS_METRICS."""
+    algebras = [e.build() for e in list_catalog() if e.label in BENCH_SECT]
+    assert [a.name for a in algebras] == list(BENCH_SECT)
+    loop, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+    for alg in algebras:
+        xs, ys = _grid_planes(alg.n)
+        outside = ~plane_labels(alg, xs, ys)["G_geq"]
+        xs, ys = xs[outside].astype(float), ys[outside].astype(float)
+        want = _witness_one_at_a_time(alg, loop, xs, ys, -1e-9)
+        got = verify._witness_in_blocks(alg, blocks, xs, ys, -1e-9)
+        assert np.array_equal(got, want), alg.name
+        assert blocks.bit_generator.state == loop.bit_generator.state
 
 
 def _filiform4_loop():

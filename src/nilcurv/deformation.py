@@ -63,10 +63,14 @@ class CandidateError(ValueError):
 
 @dataclass
 class DeformationSpec:
-    """One exponent pattern `lambdas`, of shape (n,), on a metric `base`
-    and a g-orthonormal `frame` (columns), or on each row of a stacked
-    base with its (..., n, n) stack of frames. The frame of a row that
-    is not orthonormal raises the ValueError of that row's single spec."""
+    """An exponent pattern `lambdas` on a metric `base` and a
+    g-orthonormal `frame` (columns), or on each row of a stacked base
+    with its (..., n, n) stack of frames. `lambdas` is one pattern of
+    shape (n,), shared by the rows, or one pattern per row, of shape
+    (..., n) for the batch shape (...) of the base and frames. The frame
+    of a row that is not orthonormal raises the ValueError of that row's
+    single spec; `spec[rows]` takes rows of the checked frames as they
+    are."""
     base: Metric
     lambdas: np.ndarray
     frame: np.ndarray | None = None  # columns; defaults to base.frame
@@ -77,15 +81,26 @@ class DeformationSpec:
             self.frame = self.base.frame
         self.frame = np.asarray(self.frame, dtype=float)
         n = self.base.n
-        if self.lambdas.shape != (n,):
+        if self.lambdas.shape[-1:] != (n,):
             raise ValueError("lambdas must have length n")
         if not np.all(np.isfinite(self.lambdas)):
             raise ValueError("lambdas must be finite")
         gram_err = np.abs(self.frame.mT @ self.base.gram @ self.frame
                           - np.eye(n)).max(axis=(-2, -1))
+        if self.lambdas.ndim > 1 and self.lambdas.shape[:-1] \
+                != gram_err.shape:
+            raise ValueError("lambdas must have one row per row of the base")
         raise_first_failure(ValueError, [
             (gram_err > orthonormal_tol(self.base),
              "frame not orthonormal for base ({:.2e})", gram_err)])
+
+    def __getitem__(self, rows) -> "DeformationSpec":
+        view = DeformationSpec.__new__(DeformationSpec)
+        view.base = self.base[rows]     # a single base raises TypeError
+        view.lambdas = self.lambdas[rows] if self.lambdas.ndim > 1 \
+            else self.lambdas
+        view.frame = self.frame[rows] if self.frame.ndim > 2 else self.frame
+        return view
 
     @property
     def n(self) -> int:
@@ -93,20 +108,24 @@ class DeformationSpec:
 
 
 def _check_t(spec: DeformationSpec, t) -> None:
-    top = np.abs(t).max(initial=0.0)    # NaN or inf if a t is not finite
-    if not np.isfinite(top):
+    """OverflowGuardError unless every t, one per row or one for all, is
+    finite and keeps |lambda_i * t| of its rows within OVERFLOW_LIMIT."""
+    t = np.abs(t)
+    if not np.isfinite(t.max(initial=0.0)):    # NaN or inf if one is not
         raise OverflowGuardError("t must be finite")
-    if np.abs(spec.lambdas).max(initial=0.0) * top > OVERFLOW_LIMIT:
+    top = np.abs(spec.lambdas).max(axis=-1, initial=0.0)
+    if (top * t).max(initial=0.0) > OVERFLOW_LIMIT:
         raise OverflowGuardError(f"|lambda_i * t| exceeds {OVERFLOW_LIMIT}")
 
 
 def deformed_metric(spec: DeformationSpec, t: float) -> Metric:
     """Gram matrix of g_t in the original basis: the direct reference
     for `deformed_ricci` in the tests and in the curvature-sweep
-    benchmark check (perfbench/workloads.py)."""
+    benchmark check (perfbench/workloads.py); one t or one per row."""
     _check_t(spec, t)
     finv = np.linalg.inv(spec.frame)
-    gram = finv.mT @ np.diag(np.exp(spec.lambdas * t)) @ finv
+    scale = np.exp(spec.lambdas * np.asarray(t, float)[..., None])
+    gram = finv.mT @ (scale[..., None] * np.eye(spec.n)) @ finv
     return Metric(0.5 * (gram + gram.mT))
 
 
@@ -114,25 +133,27 @@ def exponent_tensor(lambdas) -> np.ndarray:
     """x[i, j, k] = lambda_k - lambda_i - lambda_j: the g_t-orthonormal
     frame E_i = exp(-lambda_i t / 2) e_i has the structure constants
     c_ijk exp(x[i, j, k] t / 2), and the Ricci form in the coordinates of
-    e has the weights exp(x[i, j, k] t)."""
+    e has the weights exp(x[i, j, k] t). Patterns (..., n) give
+    (..., n, n, n)."""
     lam = np.asarray(lambdas, float)
-    return lam[None, None, :] - lam[:, None, None] - lam[None, :, None]
+    return (lam[..., None, None, :] - lam[..., :, None, None]
+            - lam[..., None, :, None])
 
 
 def deformed_ricci_frame(spec: DeformationSpec, algebra: NilpotentAlgebra,
-                         t: float) -> np.ndarray:
+                         t) -> np.ndarray:
     """Matrix of ric_t in the coordinates of the (undeformed) frame:
     ricci_frame of the base frame structure constants with the weights
     exp(x t) of `exponent_tensor`; a (..., n, n) stack for a stacked
-    spec."""
+    spec, at one t or at one t per row."""
     return _ricci_frame_at(spec, frame_structure(algebra, spec.base,
                                                  spec.frame), t)
 
 
-def _ricci_frame_at(spec: DeformationSpec, c: np.ndarray, t: float
-                    ) -> np.ndarray:
+def _ricci_frame_at(spec: DeformationSpec, c: np.ndarray, t) -> np.ndarray:
     """deformed_ricci_frame of spec at t from its frame tensor c."""
     _check_t(spec, t)
+    t = np.asarray(t, float)[..., None, None, None]
     return ricci_frame(c, np.exp(exponent_tensor(spec.lambdas) * t))
 
 
@@ -172,19 +193,36 @@ def deformed_ricci(spec: DeformationSpec, algebra: NilpotentAlgebra,
 
 @dataclass
 class ScaledRicciLimit:
-    """The limit of one spec. d, Lambda, gap, p and q belong to the
-    exponent pattern, so they are shared by the rows of a stacked spec;
-    phi0, c, A and each J_k have the spec's leading batch axes."""
+    """The limit of one spec; phi0, c and the mask of Lambda have the
+    spec's leading batch axes. With one exponent pattern (lambdas of
+    shape (n,)) d, Lambda, gap, p and q belong to it and are shared by
+    the rows, and A and each J_k are stacks. With one pattern per row d
+    and gap are per row, and Lambda, p, q, J and A, which need a single
+    pattern, are left unset: `limit[rows]` of rows that share one
+    pattern is the limit of those rows with them set."""
     spec: DeformationSpec
-    d: float
-    Lambda: list[tuple[int, int, int]]      # (i, j, k), i > j, 0-based
+    d: float | np.ndarray
+    Lambda: list[tuple[int, int, int]] | None  # (i, j, k), i > j, 0-based
     phi0: np.ndarray                        # frame coordinates
-    gap: float                              # d minus second-largest exponent
+    gap: float | np.ndarray                 # d minus second-largest exponent
     c: np.ndarray                           # frame structure tensor
     p: int | None = None
     q: int | None = None
     J: list[np.ndarray] = field(default_factory=list)   # J_k, k < p
     A: np.ndarray | None = None
+    mask: np.ndarray | None = None          # 0/1 weights of Lambda, [i, j, k]
+
+    def __getitem__(self, rows) -> "ScaledRicciLimit":
+        spec = self.spec[rows]
+        lam = spec.lambdas.reshape(-1, spec.n)
+        if not (lam == lam[0]).all():
+            raise ValueError("the rows must share one exponent pattern")
+        spec.lambdas = lam[0]
+        d, gap, mask = (x[rows] if np.ndim(x) > k else x for x, k in (
+            (self.d, 0), (self.gap, 0), (self.mask, 3)))
+        return _with_blocks(ScaledRicciLimit(
+            spec=spec, d=d, Lambda=None, phi0=self.phi0[rows], gap=gap,
+            c=self.c[rows], mask=mask))
 
     @property
     def has_block_structure(self) -> bool:
@@ -193,9 +231,9 @@ class ScaledRicciLimit:
     def sum_J_squared(self) -> np.ndarray:
         return sum(j @ j for j in self.J)
 
-    def deformed_ricci_frame(self, t: float) -> np.ndarray:
-        """deformed_ricci_frame(spec, algebra, t), from the frame tensor c
-        that the limit holds."""
+    def deformed_ricci_frame(self, t) -> np.ndarray:
+        """deformed_ricci_frame(spec, algebra, t), at one t or at one t
+        per row, from the frame tensor c that the limit holds."""
         return _ricci_frame_at(self.spec, self.c, t)
 
     def phi0_eigenvalues(self) -> np.ndarray:
@@ -208,25 +246,31 @@ def _lambda_triples(lam: np.ndarray) -> tuple[float, np.ndarray, float]:
     """d, the (n, n, n) mask of the maximizing set Lambda and the gap to
     the runner-up, off `exponent_tensor` at the triples (i, j, k) with
     i > j (the others take -inf); n < 2 leaves none and raises ValueError.
+    Patterns (..., n) give them per row, each its single call's.
 
     Ties are decided with the tolerance 1e-12 (max |lambda_i| + 1), since
     membership in Lambda changes the limit discontinuously. On integer
     exponents the float sums are exact, so ties are too.
     """
-    expo = np.where(np.tri(len(lam), k=-1, dtype=bool)[:, :, None],
+    axes = (-3, -2, -1)
+    expo = np.where(np.tri(lam.shape[-1], k=-1, dtype=bool)[:, :, None],
                     exponent_tensor(lam), -np.inf)
-    d = expo.max()
-    if d == -np.inf:
+    d = expo.max(axis=axes)
+    if (d == -np.inf).any():
         raise ValueError("the scaled Ricci limit needs dimension >= 2")
-    mask = expo >= d - 1e-12 * (np.abs(lam).max() + 1.0)
-    return d, mask, d - expo[~mask].max()
+    tol = 1e-12 * (np.abs(lam).max(axis=-1) + 1.0)
+    mask = expo >= (d - tol)[..., None, None, None]
+    return d, mask, d - np.where(mask, -np.inf, expo).max(axis=axes)
 
 
 def _detect_pq(lam: np.ndarray) -> tuple[int, int] | None:
     """(p, q) if lambdas are (+1 x p, 0 x (n-p-q), -1 x q) in frame order."""
-    p = int(np.cumprod(np.abs(lam - 1.0) < 1e-12).sum())
-    q = int(np.cumprod(np.abs(lam[::-1] + 1.0) < 1e-12).sum())
-    if p < 1 or q < 2 or not np.all(np.abs(lam[p:len(lam) - q]) < 1e-12):
+    lam = lam.tolist()
+    n = len(lam)
+    p = next((i for i, x in enumerate(lam) if not abs(x - 1.0) < 1e-12), n)
+    q = next((i for i, x in enumerate(lam[::-1]) if not abs(x + 1.0) < 1e-12),
+             n)
+    if p < 1 or q < 2 or not all(abs(x) < 1e-12 for x in lam[p:n - q]):
         return None
     return p, q
 
@@ -239,13 +283,27 @@ def scaled_ricci_limit(spec: DeformationSpec,
 
     A stacked spec gives one limit whose phi0, c, A and J_k are stacks,
     each row its single spec's to the bit; d, Lambda, gap, p and q depend
-    on the lambdas only."""
+    on the lambdas only. With one pattern per row, d, the gap and the mask
+    of Lambda are per row, phi0 comes from one ricci_frame with the rows'
+    masks, and each row of them and of `limit[rows]` is its single
+    spec's to the bit."""
     d, mask, gap = _lambda_triples(spec.lambdas)
     c = frame_structure(algebra, spec.base, spec.frame)
-    limit = ScaledRicciLimit(
-        spec=spec, d=d, Lambda=[tuple(t) for t in np.argwhere(mask).tolist()],
-        phi0=2.0 * ricci_frame(c, mask), gap=gap, c=c)
-    pq = _detect_pq(spec.lambdas)
+    return _with_blocks(ScaledRicciLimit(
+        spec=spec, d=d, Lambda=None, phi0=2.0 * ricci_frame(c, mask),
+        gap=gap, c=c, mask=mask))
+
+
+def _with_blocks(limit: ScaledRicciLimit) -> ScaledRicciLimit:
+    """limit, with Lambda and, for the (p, q) pattern, p, q, J_k and A
+    set if its spec has one exponent pattern."""
+    lam = limit.spec.lambdas
+    if lam.ndim > 1:
+        return limit
+    n, c = len(lam), limit.c
+    limit.Lambda = [tuple(t) for t in np.argwhere(
+        limit.mask.reshape(-1, n, n, n)[0]).tolist()]
+    pq = _detect_pq(lam)
     if pq is not None:
         p, q = pq
         # [..., k, r, s] = J_k[r, s]
@@ -417,12 +475,20 @@ def candidate_T1_T2(algebra: NilpotentAlgebra, metric: Metric, e1, e2, u1,
 def complement_frame(metric: Metric, vectors) -> np.ndarray:
     """g-orthonormal basis (columns) of the g-orthogonal complement of
     span(vectors): the null space of V^T G from its SVD, made
-    g-orthonormal through the Cholesky factor of its Gram matrix."""
-    w = np.asarray(vectors, float).reshape(-1, metric.n)
+    g-orthonormal through the Cholesky factor of its Gram matrix. Vectors
+    (..., n) and a stacked metric give one basis per row, each its single
+    call's, if all rows have the same rank."""
+    w = np.asarray(vectors, float)
+    w = np.ascontiguousarray(np.moveaxis(w, 0, -2)) if w.ndim > 2 \
+        else w.reshape(-1, metric.n)
     _, s, vt = np.linalg.svd(w @ metric.gram)
-    rank = int(np.sum(s > 1e-12 * max(s.max(initial=0.0), 1.0)))
-    b = vt[rank:].T
-    return b @ np.linalg.inv(np.linalg.cholesky(b.T @ metric.gram @ b)).T
+    # s descends, so s[..., :1] is its largest value (none for no vectors)
+    ranks = np.sum(s > 1e-12 * np.maximum(s[..., :1], 1.0), axis=-1)
+    rank = int(ranks.flat[0])
+    if (ranks != rank).any():
+        raise ValueError("the rows of vectors span different dimensions")
+    b = vt[..., rank:, :].mT
+    return b @ np.linalg.inv(np.linalg.cholesky(b.mT @ metric.gram @ b)).mT
 
 
 def two_step_deformation(algebra: NilpotentAlgebra, metric: Metric, e
@@ -459,14 +525,17 @@ def spec_for_pattern(algebra: NilpotentAlgebra, metric: Metric,
     """DeformationSpec with exponents +1 on `plus`, -1 on `minus` and 0 on
     their complement frame; the given vectors must be g-orthonormal. The
     middle block has one exponent, so g_t does not depend on the basis
-    chosen inside it."""
+    chosen inside it. Vectors of one shape (..., n) and a metric stacked
+    alike give the stacked spec whose rows are their single specs to the
+    bit."""
     n = algebra.n
     p, q = len(plus), len(minus)
     chosen = [np.asarray(v, float) for v in plus + minus]
     raise_first_failure(CandidateError, _orthonormal_checks(
         metric, chosen, [f"v{i}" for i in range(len(chosen))]))
     middle = complement_frame(metric, chosen)
-    frame = np.column_stack(chosen[:p] + [middle] + chosen[p:])
+    v = np.stack(chosen, axis=-1)
+    frame = np.concatenate([v[..., :p], middle, v[..., p:]], axis=-1)
     lam = np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
     return DeformationSpec(base=metric, lambdas=lam, frame=frame)
 

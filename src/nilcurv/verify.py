@@ -98,15 +98,14 @@ def check_filiform4_spectrum(seed: int = 0) -> dict:
     alg = build("filiform4")
     rng = np.random.default_rng(seed)
     expected = np.array([-1.0, -0.5, 0.0, 0.5])
-    failures = []
-    for _ in range(10):
-        a, b, c = rng.uniform(-2.0, 2.0, size=3)
-        basis = np.eye(4)
-        basis[:, 0] = np.array([1.0, a, b, c])  # E1 = W + aX + bY + cZ
-        metric = Metric.orthonormalizing(basis)
-        spec = ricci_operator(alg, metric).eigenvalues
-        if np.abs(spec - expected).max() > tol:
-            failures.append({"abc": [a, b, c], "spectrum": spec.tolist()})
+    abc = rng.uniform(-2.0, 2.0, size=(10, 3))
+    bases = np.tile(np.eye(4), (10, 1, 1))
+    bases[:, 1:, 0] = abc                   # E1 = W + aX + bY + cZ
+    spectra = ricci_operator(alg, Metric.orthonormalizing(bases)).eigenvalues
+    failures = [{"abc": row, "spectrum": spec}
+                for row, spec, bad in zip(
+                    abc.tolist(), spectra.tolist(),
+                    np.abs(spectra - expected).max(axis=-1) > tol) if bad]
     return _result("filiform4-spectrum", not failures, t0,
                    {"failures": failures}, {"spectrum_abs": tol})
 
@@ -119,8 +118,10 @@ def check_deformation_limit(seed: int = 0) -> dict:
     """The scaled Ricci limit phi0 against 2 exp(-t d) ric_t at a large t,
     and its spectrum against the blocks (A, 0, sum_k J_k^2), for 10 random
     (metric, exponent pattern) draws per catalog algebra with n <= 7. The
-    draws of one algebra with one pattern are one stacked spec; failures
-    are listed in draw order."""
+    draws of one algebra are one stacked spec with one pattern per row,
+    whose limit gives phi0 and the deformed operator at each row's own t
+    in one pass; A and J_k come from its view `limit[rows]` of the rows of
+    one (p, q). Failures are listed in draw order."""
     t0 = time.perf_counter()
     mat_tol, eig_tol = 1e-6, 1e-9
     rng = np.random.default_rng(seed)
@@ -137,24 +138,23 @@ def check_deformation_limit(seed: int = 0) -> dict:
             p = int(rng.integers(1, max(2, n - 2)))
             q = int(rng.integers(2, max(3, n - p + 1)))
             patterns.append((1, 2) if p + q > n else (p, q))
-        metrics = Metric.from_factor(factors)
-        diffs, eig_diffs = np.empty(10), np.empty(10)
+        lams = [np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
+                for p, q in patterns]
+        limit = scaled_ricci_limit(DeformationSpec(
+            base=Metric.from_factor(factors), lambdas=lams), alg)
+        t = np.where(np.isfinite(limit.gap), 40.0 / limit.gap, 5.0)
+        diffs = np.abs((2.0 * np.exp(-limit.d * t))[:, None, None]
+                       * limit.deformed_ricci_frame(t)
+                       - limit.phi0).max(axis=(-2, -1))
+        ev, eig_diffs = limit.phi0_eigenvalues(), np.empty(10)
         for p, q in dict.fromkeys(patterns):
             rows = [i for i, pq in enumerate(patterns) if pq == (p, q)]
-            lam = np.concatenate([np.ones(p), np.zeros(n - p - q),
-                                  -np.ones(q)])
-            spec = DeformationSpec(base=metrics[rows], lambdas=lam)
-            limit = scaled_ricci_limit(spec, alg)
-            t = 40.0 / limit.gap if np.isfinite(limit.gap) else 5.0
-            diffs[rows] = np.abs(2.0 * np.exp(-limit.d * t)
-                                 * limit.deformed_ricci_frame(t)
-                                 - limit.phi0).max(axis=(-2, -1))
+            group = limit[rows]
             block_ev = np.sort(np.concatenate(
-                [np.linalg.eigvalsh(limit.A),
+                [np.linalg.eigvalsh(group.A),
                  np.zeros((len(rows), n - p - q)),
-                 np.linalg.eigvalsh(limit.sum_J_squared())], axis=-1))
-            eig_diffs[rows] = np.abs(limit.phi0_eigenvalues()
-                                     - block_ev).max(axis=-1)
+                 np.linalg.eigvalsh(group.sum_J_squared())], axis=-1))
+            eig_diffs[rows] = np.abs(ev[rows] - block_ev).max(axis=-1)
         for (p, q), diff, eig_diff in zip(patterns, diffs.tolist(),
                                           eig_diffs.tolist()):
             worst_mat = max(worst_mat, diff)
@@ -335,8 +335,11 @@ def _grid_planes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Two pairs span the same plane iff their integer Plücker coordinates
     a_i b_j - a_j b_i (i < j) agree once divided by their gcd and signed
-    so that the first nonzero one is positive.
+    so that the first nonzero one is positive. These lie in [-2, 2], so
+    each row is one base-5 integer key, which fits in int64 for n <= 7.
     """
+    if n > 7:
+        raise ValueError("the plane keys fit in int64 for n <= 7 only")
     vecs = []
     seen_dirs = set()
     for v in itertools.product((-1, 0, 1), repeat=n):
@@ -358,7 +361,8 @@ def _grid_planes(n: int) -> tuple[np.ndarray, np.ndarray]:
     pl //= np.gcd.reduce(pl, axis=1)[:, None]
     lead = pl[np.arange(len(pl)), np.argmax(pl != 0, axis=1)]
     pl *= np.sign(lead)[:, None]
-    _, first = np.unique(pl, axis=0, return_index=True)
+    key = (pl + 2) @ 5 ** np.arange(pl.shape[1], dtype=np.int64)
+    _, first = np.unique(key, return_index=True)
     first.sort()
     xs, ys = dirs[ia[first]], dirs[ib[first]]
     xs.flags.writeable = ys.flags.writeable = False

@@ -769,7 +769,125 @@ def test_stacked_spec_fails_like_the_scalar_specs():
     assert _raised(DeformationSpec, metrics, lam, frames) == want
     frames[3] = metrics.frame[3]
     assert _raised(DeformationSpec, metrics, lam, frames)[1] != want[1]
-    for bad in (np.ones(n - 1), np.ones((len(metrics), n)), np.ones(n + 1)):
+    for bad in (np.ones(n - 1), np.ones((len(metrics), n + 1)),
+                np.ones(n + 1)):
         assert _raised(DeformationSpec, metrics, bad) \
             == _raised(DeformationSpec, metrics[0], bad) \
             == (ValueError, "lambdas must have length n")
+
+
+def _check_draws(n, rng, count=10):
+    """(p, q) draws as check_deformation_limit makes them, p + q > n
+    falling back to (1, 2)."""
+    draws = []
+    for _ in range(count):
+        p = int(rng.integers(1, max(2, n - 2)))
+        q = int(rng.integers(2, max(3, n - p + 1)))
+        draws.append((1, 2) if p + q > n else (p, q))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in list_catalog() if e.build().n <= 7],
+    ids=lambda e: e.label)
+def test_per_row_patterns_match_single_pattern_limits(entry):
+    """A spec with one exponent pattern per row, the check's draws, every
+    (p, q) and one pattern without blocks, gives per row the d, gap and
+    phi0 of its single-pattern spec, deformed_ricci_frame at that row's
+    own t and deformed_metric at a fraction of it; `limit[rows]` of the rows of one pattern gives its
+    Lambda, p, q, A and sum_k J_k^2 to the bit."""
+    alg = entry.build()
+    n = alg.n
+    rng = np.random.default_rng(sum(map(ord, entry.label)))
+    pqs = _check_draws(n, rng) + _patterns(n)
+    lams = [_pattern(n, p, q) for p, q in pqs] + [np.linspace(-1.0, 2.0, n)]
+    factors = rng.uniform(-1.0, 1.0, size=(len(lams), n, n))
+    limit = scaled_ricci_limit(DeformationSpec(
+        base=Metric.from_factor(factors), lambdas=lams), alg)
+    assert limit.Lambda is None and not limit.has_block_structure
+    t = np.where(np.isfinite(limit.gap), 40.0 / limit.gap, 5.0)
+    deformed, ev = limit.deformed_ricci_frame(t), limit.phi0_eigenvalues()
+    metrics = deformed_metric(limit.spec, t / 40.0)   # cond(G) stays small
+    for i, lam in enumerate(lams):
+        one = scaled_ricci_limit(DeformationSpec(
+            base=Metric.from_factor(factors[i]), lambdas=lam), alg)
+        for got, want in ((limit.d[i], one.d), (limit.gap[i], one.gap),
+                          (limit.phi0[i], one.phi0), (limit.c[i], one.c),
+                          (ev[i], one.phi0_eigenvalues()),
+                          (deformed[i], one.deformed_ricci_frame(t[i])),
+                          (metrics.gram[i], deformed_metric(
+                              one.spec, t[i] / 40.0).gram)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        rows = [k for k, other in enumerate(lams)
+                if np.array_equal(other, lam)]
+        group = limit[rows]
+        assert np.array_equal(group.spec.lambdas, lam)
+        assert (group.Lambda, group.p, group.q) == (one.Lambda, one.p, one.q)
+        assert len(group.J) == len(one.J)
+        if one.has_block_structure:
+            row = rows.index(i)
+            assert group.A[row].tobytes() == one.A.tobytes()
+            assert group.sum_J_squared()[row].tobytes() \
+                == one.sum_J_squared().tobytes()
+
+
+def test_a_limit_view_needs_one_pattern():
+    """limit[rows] of rows with two exponent patterns raises ValueError,
+    and a view of one row of a one-pattern stack is that row's limit."""
+    alg = build("filiform_standard", n=6)
+    rng = np.random.default_rng(28)
+    metrics = Metric.from_factor(rng.uniform(-1.0, 1.0, size=(3, 6, 6)))
+    mixed = scaled_ricci_limit(DeformationSpec(base=metrics, lambdas=[
+        _pattern(6, 1, 2), _pattern(6, 2, 3), _pattern(6, 1, 2)]), alg)
+    assert mixed[[0, 2]].p == 1
+    with pytest.raises(ValueError, match="share one exponent pattern"):
+        mixed[[0, 1]]
+    shared = scaled_ricci_limit(DeformationSpec(
+        base=metrics, lambdas=_pattern(6, 2, 3)), alg)
+    view, one = shared[[1]], scaled_ricci_limit(DeformationSpec(
+        base=metrics[1], lambdas=_pattern(6, 2, 3)), alg)
+    assert (view.d, view.gap, view.Lambda) == (one.d, one.gap, one.Lambda)
+    assert view.A[0].tobytes() == one.A.tobytes()
+
+
+def test_per_row_lambdas_fail_like_the_single_specs():
+    """Per-row lambdas of the wrong length, with a row that is not finite,
+    or with a row count other than the base's raise the ValueError and
+    message of the single spec with those lambdas; a row whose t
+    overflows raises OverflowGuardError."""
+    rng = np.random.default_rng(29)
+    n = 5
+    metrics = Metric.from_factor(rng.uniform(-1.0, 1.0, size=(4, n, n)))
+    lams = np.array([_pattern(n, 1, 2), _pattern(n, 2, 2),
+                     _pattern(n, 1, 3), _pattern(n, 1, 2)])
+    not_finite = lams.copy()
+    not_finite[2, 1] = np.inf
+    for bad, message in ((np.ones((4, n - 1)), "lambdas must have length n"),
+                         (not_finite, "lambdas must be finite"),
+                         (lams[:3], "lambdas must have one row per row of "
+                                    "the base")):
+        assert _raised(DeformationSpec, metrics, bad) \
+            == _raised(DeformationSpec, metrics[0], bad) \
+            == (ValueError, message)
+    assert _raised(DeformationSpec, metrics[2], not_finite[2]) \
+        == (ValueError, "lambdas must be finite")
+    spec = DeformationSpec(base=metrics, lambdas=lams * [[1], [1], [10], [1]])
+    limit = scaled_ricci_limit(spec, build("filiform_standard", n=5))
+    limit.deformed_ricci_frame(np.array([71.0, 71.0, 20.0, 71.0]))
+    with pytest.raises(OverflowGuardError):
+        limit.deformed_ricci_frame(np.array([1.0, 1.0, 71.0, 1.0]))
+
+
+def test_stacked_normal_form_frame_spec_is_the_single_frames():
+    """spec() of one stacked normal_form_frame over three L5_lemma7a
+    alphas has, per row, the Gram matrix, frame and pattern of that row's
+    single frame spec, to the bit."""
+    from nilcurv import normal_form_frame
+    alphas = np.array([[1.0, 2.0, -0.5], [0.3, -1.2, 2.5], [-2.0, 0.7, 1.1]])
+    spec = normal_form_frame("L5_lemma7a", alphas).spec()
+    assert spec.frame.shape == (3, 5, 5)
+    for i, a in enumerate(alphas):
+        one = normal_form_frame("L5_lemma7a", a).spec()
+        assert spec.base.gram[i].tobytes() == one.base.gram.tobytes()
+        assert spec.frame[i].tobytes() == one.frame.tobytes()
+        assert np.array_equal(spec.lambdas, one.lambdas)

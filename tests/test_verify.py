@@ -281,6 +281,29 @@ def test_filiform4_coverage_stack_matches_the_loop():
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_filiform4_spectrum_stack_is_the_scalar_rounds(seed, monkeypatch):
+    """The one stacked Ricci operator of filiform4-spectrum has, per row,
+    the spectrum of that draw's scalar round to the bit, so its report is
+    the loop's."""
+    reports = []
+
+    def kept(alg, metric):
+        reports.append(curvature.ricci_operator(alg, metric))
+        return reports[-1]
+    monkeypatch.setattr(verify, "ricci_operator", kept)
+    assert verify.check_filiform4_spectrum(seed)["passed"]
+    (report,) = reports
+    spectra = report.eigenvalues
+    assert spectra.shape == (10, 4)
+    alg, rng = build("filiform4"), np.random.default_rng(seed)
+    for row in spectra:
+        basis = np.eye(4)
+        basis[1:, 0] = rng.uniform(-2.0, 2.0, size=3)
+        want = curvature.ricci_operator(alg, Metric.orthonormalizing(basis))
+        assert row.tobytes() == want.eigenvalues.tobytes()
+
+
 def _deformation_limit_loop(seed):
     """Reference: the deformation-limit report, without its runtime, one
     (metric, pattern) draw at a time through scalar specs."""
@@ -334,27 +357,24 @@ def test_deformation_limit_report_is_the_loop_report(seed):
     assert json.dumps(got) == json.dumps(_deformation_limit_loop(seed))
 
 
-def test_deformation_limit_takes_one_limit_per_pattern(monkeypatch):
-    """check_deformation_limit calls scaled_ricci_limit once per
-    (algebra, p, q) group of its draws, on a stack of that group's rows,
-    not once per draw."""
+def test_deformation_limit_takes_one_limit_per_algebra(monkeypatch):
+    """check_deformation_limit calls scaled_ricci_limit once per catalog
+    algebra with n <= 7, on one spec of all its 10 draws with one
+    exponent pattern per row."""
     calls = []
 
     def counted(spec, alg):
-        calls.append(((alg.name, *spec.lambdas.tolist()), len(spec.base)))
+        calls.append((alg.name, len(spec.base), spec.lambdas.shape))
         return scaled_ricci_limit(spec, alg)
     monkeypatch.setattr(verify, "scaled_ricci_limit", counted)
     verify.check_deformation_limit(seed=0)
-    draws = 10 * sum(e.build().n <= 7 for e in list_catalog())
-    groups = [key for key, _ in calls]
-    assert len(set(groups)) == len(groups)
-    assert sum(rows for _, rows in calls) == draws
-    assert len(calls) < draws / 2
+    algebras = [e.build() for e in list_catalog()]
+    assert calls == [(a.name, 10, (10, a.n)) for a in algebras if a.n <= 7]
 
 
 def test_deformation_limit_builds_each_frame_tensor_once(monkeypatch):
-    """check_deformation_limit computes one frame tensor per (algebra, p,
-    q) group: the deformed operator reuses the limit's."""
+    """check_deformation_limit computes one frame tensor per limit, that
+    is per algebra: the deformed operator reuses the limit's."""
     limits, tensors = [], []
 
     def counted(calls, fn):

@@ -9,6 +9,7 @@ such as "is this bracket zero" are decided exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -19,6 +20,7 @@ from .rational import (
     Matrix,
     as_fraction,
     identity,
+    integer_row,
     nullspace,
     rref,
 )
@@ -43,7 +45,7 @@ class Subspace:
 
     def __init__(self, vectors: Sequence[VectorLike], n: int):
         self.n = n
-        self.basis: Matrix = rref([exact_vector(v) for v in vectors])
+        self.basis: Matrix = rref(vectors)
         # pivot column of each RREF row
         self.pivots = [next(j for j, x in enumerate(row) if x != 0)
                        for row in self.basis]
@@ -137,8 +139,8 @@ class NilpotentAlgebra:
         for (i, j), comps in self.brackets.items():
             if not (0 <= i < j < self.n):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0<=i<j<n")
-            entry = {k: as_fraction(c) for k, c in comps.items()
-                     if as_fraction(c) != 0}
+            entry = {k: f for k, c in comps.items()
+                     if (f := as_fraction(c)) != 0}
             for k in entry:
                 if not 0 <= k < self.n:
                     raise ValueError(f"target index {k} out of range")
@@ -146,8 +148,10 @@ class NilpotentAlgebra:
                 clean[(i, j)] = entry
         self.brackets = clean
         self._structure_float: np.ndarray | None = None
+        self._structure_int: tuple[dict, int] | None = None
         self._center: Subspace | None = None
         self._derived: Subspace | None = None
+        self._series: list[Subspace] | None = None
         self._word_basis: NilpotentAlgebra | None = None
 
     # -- bracket ---------------------------------------------------------
@@ -163,19 +167,35 @@ class NilpotentAlgebra:
             out[k] = sign * c
         return out
 
+    def integer_constants(self) -> tuple[dict, int]:
+        """The structure constants over their least common denominator D:
+        (i, j) -> [(k, D c_ij^k)] for i < j, and D."""
+        if self._structure_int is None:
+            den = math.lcm(*[c.denominator for comps in
+                             self.brackets.values() for c in comps.values()])
+            self._structure_int = ({key: [(k, c.numerator
+                                           * (den // c.denominator))
+                                          for k, c in comps.items()]
+                                    for key, comps in self.brackets.items()},
+                                   den)
+        return self._structure_int
+
     def bracket(self, x: VectorLike, y: VectorLike) -> list[Fraction]:
-        """[x, y] in exact arithmetic (floats are rationalized first)."""
+        """[x, y] in exact arithmetic (floats are rationalized first), summed
+        in integers: x = X/dx, y = Y/dy and c = C/D give
+        [x, y]_k = sum_{i<j} (X_i Y_j - X_j Y_i) C_ij^k / (dx dy D)."""
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vector length must equal algebra dimension")
-        xv, yv = exact_vector(x), exact_vector(y)
-        out = [Fraction(0)] * self.n
-        for (i, j), comps in self.brackets.items():
+        (xv, dx), (yv, dy) = integer_row(x), integer_row(y)
+        consts, den = self.integer_constants()
+        out = [0] * self.n
+        for (i, j), comps in consts.items():
             coef = xv[i] * yv[j] - xv[j] * yv[i]
-            if coef == 0:
-                continue
-            for k, c in comps.items():
-                out[k] += coef * c
-        return out
+            if coef:
+                for k, c in comps:
+                    out[k] += coef * c
+        den *= dx * dy
+        return [Fraction(v, den) for v in out]
 
     def structure_tensor(self) -> np.ndarray:
         """Dense float tensor C with [e_i,e_j] = sum_k C[i,j,k] e_k."""
@@ -213,23 +233,27 @@ class NilpotentAlgebra:
         return self._derived
 
     def lower_central_series(self) -> list[Subspace]:
-        """g = g^0 >= g^1 >= ... strictly decreasing to zero."""
-        series = [Subspace(identity(self.n), self.n)]
-        current = series[0]
-        while current.dim > 0:
-            gens = []
-            for i in range(self.n):
-                ei = basis_vector(self.n, i)
-                for v in current.basis:
-                    w = self.bracket(ei, v)
-                    if any(x != 0 for x in w):
-                        gens.append(w)
-            nxt = Subspace(gens, self.n)
-            series.append(nxt)
-            if nxt.dim >= current.dim:   # not nilpotent: series stalled
-                return series
-            current = nxt
-        return series
+        """g = g^0 >= g^1 >= ... strictly decreasing to zero, or up to the
+        first term that does not shrink when g is not nilpotent. Built
+        once per algebra; each call returns a fresh list."""
+        if self._series is None:
+            series = [Subspace(identity(self.n), self.n)]
+            current = series[0]
+            while current.dim > 0:
+                gens = []
+                for i in range(self.n):
+                    ei = basis_vector(self.n, i)
+                    for v in current.basis:
+                        w = self.bracket(ei, v)
+                        if any(x != 0 for x in w):
+                            gens.append(w)
+                nxt = Subspace(gens, self.n)
+                series.append(nxt)
+                if nxt.dim >= current.dim:   # not nilpotent: series stalled
+                    break
+                current = nxt
+            self._series = series
+        return list(self._series)
 
     def is_nilpotent(self) -> bool:
         series = self.lower_central_series()
@@ -288,19 +312,25 @@ class NilpotentAlgebra:
         return self.center().contains_subspace(self.derived_algebra())
 
     def jacobi_failures(self) -> list[tuple[int, int, int]]:
+        """The triples i < j < k, in lexicographic order, on which the
+        Jacobi identity fails: some component l of
+        [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], that is
+        sum_m (c_jk^m c_im^l + c_ki^m c_jm^l + c_ij^m c_km^l), is nonzero.
+        Summed in integers over the sparse constants of
+        `integer_constants` (scaling every c by D scales the sum by D^2)."""
+        skew: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (i, j), comps in self.integer_constants()[0].items():
+            skew[(i, j)] = comps
+            skew[(j, i)] = [(k, -c) for k, c in comps]
         bad = []
-        for i in range(self.n):
-            ei = basis_vector(self.n, i)
-            for j in range(i + 1, self.n):
-                ej = basis_vector(self.n, j)
-                for k in range(j + 1, self.n):
-                    ek = basis_vector(self.n, k)
-                    s = [a + b + c for a, b, c in zip(
-                        self.bracket(ei, self.bracket(ej, ek)),
-                        self.bracket(ej, self.bracket(ek, ei)),
-                        self.bracket(ek, self.bracket(ei, ej)))]
-                    if any(x != 0 for x in s):
-                        bad.append((i, j, k))
+        for i, j, k in itertools.combinations(range(self.n), 3):
+            s = [0] * self.n
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, u in skew.get((b, c), ()):
+                    for l, v in skew.get((a, m), ()):
+                        s[l] += u * v
+            if any(s):
+                bad.append((i, j, k))
         return bad
 
     def validate(self) -> ValidationReport:

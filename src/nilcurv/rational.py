@@ -3,10 +3,17 @@
 Matrices are lists of lists of Fraction; all routines are pure and return
 fresh objects. Used for every structural predicate in the package, where
 floating tolerances would turn exact dichotomies into guesses.
+
+Inside, the elimination runs on integer rows: each row read is scaled by
+its least common denominator (`integer_row`) and kept primitive (gcd 1),
+rows are combined by integer cross-multiplication, and Fractions are made
+only for the result, entry / pivot. The RREF is unique, so the result is
+the one a Fraction elimination gives.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -34,6 +41,20 @@ def as_matrix(rows: Iterable[Sequence]) -> Matrix:
     return [[as_fraction(x) for x in row] for row in rows]
 
 
+def integer_row(values: Iterable) -> tuple[list[int], int]:
+    """Integers v and the least common denominator d > 0 of the values,
+    with values = v / d; each value is coerced through `as_fraction`."""
+    xs = [x if type(x) is int else as_fraction(x) for x in values]
+    d = math.lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The nonzero integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
 def rref(rows: Iterable[Sequence]) -> Matrix:
     """Reduced row echelon form; zero rows dropped, pivots normalized to 1.
 
@@ -43,30 +64,36 @@ def rref(rows: Iterable[Sequence]) -> Matrix:
     unique, so this gives the same rows as a column sweep. Rows are read
     lazily, and reading stops once every column has a pivot: the RREF is
     then the identity, whatever rows remain.
+
+    Each basis row b is a primitive integer row with b[p] != 0 at its
+    pivot p; it reduces a row r as b[p] r - r[p] b, and its row of the
+    result is b / b[p].
     """
-    basis: dict[int, Row] = {}
+    basis: dict[int, list[int]] = {}
     ncols = None
     for raw in rows:
-        row = [as_fraction(x) for x in raw]
+        row = integer_row(raw)[0]
         if ncols is None:
             ncols = len(row)
         for p, b in basis.items():
             f = row[p]
             if f:
-                row = [a - f * v if v else a for a, v in zip(row, b)]
+                d = b[p]
+                row = [d * a - f * v for a, v in zip(row, b)]
         piv = next((j for j, x in enumerate(row) if x), None)
         if piv is None:
             continue
+        row = _primitive(row)
         pv = row[piv]
-        row = [x / pv for x in row]
         for p, b in basis.items():
             f = b[piv]
             if f:
-                basis[p] = [a - f * v if v else a for a, v in zip(b, row)]
+                basis[p] = _primitive([pv * a - f * v
+                                       for a, v in zip(b, row)])
         basis[piv] = row
         if len(basis) == ncols:
             break
-    return [basis[p] for p in sorted(basis)]
+    return [[Fraction(x, b[p]) for x in b] for p, b in sorted(basis.items())]
 
 
 def rank(rows: Iterable[Sequence]) -> int:

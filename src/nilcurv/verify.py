@@ -137,7 +137,7 @@ def check_deformation_limit(seed: int = 0) -> dict:
             factors.append(rng.uniform(-1.0, 1.0, size=(n, n)))
             p = int(rng.integers(1, max(2, n - 2)))
             q = int(rng.integers(2, max(3, n - p + 1)))
-            patterns.append((1, 2) if p + q > n else (p, q))
+            patterns.append((p, q))
         lams = [np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
                 for p, q in patterns]
         limit = scaled_ricci_limit(DeformationSpec(

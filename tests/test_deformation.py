@@ -777,13 +777,12 @@ def test_stacked_spec_fails_like_the_scalar_specs():
 
 
 def _check_draws(n, rng, count=10):
-    """(p, q) draws as check_deformation_limit makes them, p + q > n
-    falling back to (1, 2)."""
+    """(p, q) draws as check_deformation_limit makes them."""
     draws = []
     for _ in range(count):
         p = int(rng.integers(1, max(2, n - 2)))
         q = int(rng.integers(2, max(3, n - p + 1)))
-        draws.append((1, 2) if p + q > n else (p, q))
+        draws.append((p, q))
     return draws
 
 

@@ -320,8 +320,6 @@ def _deformation_limit_loop(seed):
             metric = Metric.random(n, rng)
             p = int(rng.integers(1, max(2, n - 2)))
             q = int(rng.integers(2, max(3, n - p + 1)))
-            if p + q > n:
-                p, q = 1, 2
             lam = np.concatenate([np.ones(p), np.zeros(n - p - q),
                                   -np.ones(q)])
             spec = DeformationSpec(base=metric, lambdas=lam)
@@ -345,6 +343,19 @@ def _deformation_limit_loop(seed):
             "details": {"failures": failures, "worst_matrix_diff": worst_mat,
                         "worst_eig_diff": worst_eig},
             "tolerances": {"matrix_sup": mat_tol, "eigenvalue_abs": eig_tol}}
+
+
+def test_deformation_limit_draws_fit_every_catalog_n():
+    """Every (p, q) the draw rule of check_deformation_limit can give, p
+    from integers(1, max(2, n - 2)) and then q from
+    integers(2, max(3, n - p + 1)), has p + q <= n, for every catalog
+    n <= 7, so a draw needs no fallback pattern."""
+    dims = sorted({e.build().n for e in list_catalog()} & set(range(8)))
+    assert dims and dims[0] >= 3
+    for n in dims:
+        draws = [(p, q) for p in range(1, max(2, n - 2))
+                 for q in range(2, max(3, n - p + 1))]
+        assert draws and all(p + q <= n for p, q in draws), (n, draws)
 
 
 @pytest.mark.parametrize("seed", range(10))

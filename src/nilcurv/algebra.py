@@ -9,7 +9,6 @@ such as "is this bracket zero" are decided exactly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -168,14 +167,14 @@ class NilpotentAlgebra:
         return out
 
     def integer_constants(self) -> tuple[dict, int]:
-        """The structure constants over their least common denominator D:
-        (i, j) -> [(k, D c_ij^k)] for i < j, and D."""
+        """The structure constants over their least common denominator D,
+        one `integer_row` of all of them: (i, j) -> [(k, D c_ij^k)] for
+        i < j, and D."""
         if self._structure_int is None:
-            den = math.lcm(*[c.denominator for comps in
-                             self.brackets.values() for c in comps.values()])
-            self._structure_int = ({key: [(k, c.numerator
-                                           * (den // c.denominator))
-                                          for k, c in comps.items()]
+            nums, den = integer_row(c for comps in self.brackets.values()
+                                    for c in comps.values())
+            it = iter(nums)
+            self._structure_int = ({key: [(k, next(it)) for k in comps]
                                     for key, comps in self.brackets.items()},
                                    den)
         return self._structure_int

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import NilpotentAlgebra, Subspace
 from .catalog import build
-from .rational import Matrix, identity, nullspace, rank
+from .rational import Matrix, identity, integer_row, nullspace, rank
 
 
 class ClassificationError(ValueError):
@@ -144,14 +144,15 @@ def _poly_det(rows: list[list[dict]]) -> dict:
     return out
 
 
-def _poly_bracket(a: NilpotentAlgebra, scale: int, x: list[dict],
+def _poly_bracket(a: NilpotentAlgebra, x: list[dict],
                   y: list[dict]) -> list[dict]:
-    """scale [x, y] for vectors of polynomials, scale an integer."""
+    """D [x, y] for vectors of polynomials, summed over the integer
+    constants of `a.integer_constants()`, D their common denominator."""
     out: list[dict] = [{} for _ in range(a.n)]
-    for (i, j), comps in a.brackets.items():
+    for (i, j), comps in a.integer_constants()[0].items():
         coef = _poly_add(_poly_mul(x[i], y[j]), _poly_mul(x[j], y[i]), -1)
-        for k, c in comps.items():
-            out[k] = _poly_add(out[k], coef, int(c * scale))
+        for k, c in comps:
+            out[k] = _poly_add(out[k], coef, c)
     return out
 
 
@@ -162,17 +163,15 @@ def _schur_complement(a: NilpotentAlgebra, k: int,
     (s < 2) or 2 (n-2) + i: the other rows are (C | B) in the columns
     (first 2 | rest), the rows X_0, X_1 (I | Y)."""
     n = a.n
-    # integer coefficients: a scaled bracket scales each word by a power
-    # of the scale, which keeps the rank
-    scale = math.lcm(*(c.denominator for comps in a.brackets.values()
-                       for c in comps.values()))
+    # integer coefficients: the bracket D [x, y] of _poly_bracket scales
+    # each word by a power of D, which keeps the rank
     xs = [[{0: 1} if j == s else
            {16 ** (s * (n - 2) + j - 2): 1} if j >= 2 else {}
            for j in range(n)] for s in range(2)]
     xs += [[{16 ** (2 * (n - 2) + (s - 2) * n + j): 1} for j in range(n)]
            for s in range(2, k)]
     s_rows = []
-    for w in _eval_words(lambda x, y: _poly_bracket(a, scale, x, y), xs,
+    for w in _eval_words(lambda x, y: _poly_bracket(a, x, y), xs,
                          words)[2:]:
         for r in range(2):   # w - w_r X_r is 0 in column r
             w = [_poly_add(p, _poly_mul(w[r], x), -1)
@@ -440,13 +439,13 @@ def cocycle_class_certificate(a: NilpotentAlgebra) -> dict | None:
                 q_brackets[(i, j)] = entry
     quotient = NilpotentAlgebra(m, q_brackets, name=f"{a.name}/c")
 
-    # B over Q(X), X_i the variable 16^i, with integer coefficients; at a
-    # point x, whose coordinates are constants, the walk is the rank of B(x)
-    scale = math.lcm(*(v.denominator for comps in q_brackets.values()
-                       for v in comps.values()),
-                     *(w.denominator for row in omega for w in row))
-    entries = [(i, j, int(w * scale)) for i, row in enumerate(omega)
-               for j, w in enumerate(row) if w != 0]
+    # B over Q(X), X_i the variable 16^i, with integer coefficients: omega
+    # and the quotient bracket each over its own common denominator, which
+    # scales B and keeps its rank; at a point x, whose coordinates are
+    # constants, the walk is the rank of B(x)
+    ints = integer_row([w for row in omega for w in row])[0]
+    entries = [(i, j, w) for (i, j), w in
+               zip(itertools.product(range(m), repeat=2), ints) if w]
     es = [[{0: 1} if k == j else {} for k in range(m)] for j in range(m)]
 
     def om(u, v):
@@ -457,7 +456,7 @@ def cocycle_class_certificate(a: NilpotentAlgebra) -> dict | None:
         return out
 
     def bordered(x):
-        x_es = [_poly_bracket(quotient, scale, x, e) for e in es]
+        x_es = [_poly_bracket(quotient, x, e) for e in es]
         lin = [om(x, v) for v in x_es]
         return [[_poly_add(om(es[p], x_es[q]), om(es[q], x_es[p]))
                  for q in range(m)] + [lin[p]]

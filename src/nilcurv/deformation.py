@@ -407,14 +407,14 @@ def lemma5a_deformation(algebra: NilpotentAlgebra, metric: Metric,
     Ricci eigendirection in the limit: exponent +1 on e, -1 on u1, u2.
 
     Requires <e, [u1, u2]> != 0, which makes the top limit eigenvalue
-    simple; otherwise, or for a zero T, it raises CandidateError.
+    simple; otherwise, or for a zero T, it raises CandidateError (for
+    stacked rows, the first bad row's).
     """
     cand = candidate_e1u2(algebra, metric, e, u1, u2)
-    if cand.is_zero:
-        raise CandidateError("candidate vector T is zero")
-    if not cand.simple:
-        raise CandidateError("<e, [u1, u2]> = 0: the top limit eigenvalue "
-                             "is not simple")
+    raise_first_failure(CandidateError, [
+        (cand.is_zero, "candidate vector T is zero"),
+        (~np.asarray(cand.simple), "<e, [u1, u2]> = 0: the top limit "
+                                   "eigenvalue is not simple")])
     return spec_for_pattern(algebra, metric, [e], [u1, u2]), cand
 
 

@@ -131,13 +131,6 @@ def identity(n: int) -> Matrix:
             for i in range(n)]
 
 
-def in_row_space(rows: Iterable[Sequence], v: Sequence) -> bool:
-    base = [list(r) for r in as_matrix(rows)]
-    r0 = rank(base)
-    base.append([as_fraction(x) for x in v])
-    return rank(base) == r0
-
-
 def solve(a: Iterable[Sequence], b: Sequence) -> Row | None:
     """One exact solution of A x = b, or None if inconsistent."""
     m = as_matrix(a)

@@ -34,7 +34,6 @@ stack with one witness or error per row.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -63,12 +62,15 @@ from .deformation import (
     complete_basis,
     exponent_tensor,
 )
-from .rational import nullspace, rank
+from .rational import integer_row, nullspace, rank
 
 # A witness value must clear these bounds; reports print the same values.
 RIC_POSITIVE_MIN = 1e-9
 RIC_NEGATIVE_MAX = -1e-9
 K_NEGATIVE_MAX = -1e-9
+# a positive Ricci witness on a deformation path also has its scaled value
+# within this share of its scaled-limit target
+SCALED_LIMIT_REL = 0.05
 # adapted_metric_family scales one adapted direction by 10^(+-k) for these k
 ADAPTED_DECADES = (1, 2, 3, 4)
 
@@ -119,18 +121,17 @@ def plane_labels(algebra: NilpotentAlgebra, xs, ys) -> dict:
     False on planes that meet the center, which classify_plane decides.
 
     No label changes when the bracket or a vector is scaled, so the
-    structure constants are scaled by the lcm of their denominators. The
-    arithmetic is int64 when n^8 (max(1, max|c|) max|x, y|)^4, a bound on
-    its largest value and on the entries of x and y themselves (all c may
-    be 0), stays below 2^62, and Python ints otherwise.
+    bracket is the integer one of `algebra.integer_constants()`, D times
+    the true one. The arithmetic is int64 when
+    n^8 (max(1, max|c|) max|x, y|)^4, a bound on its largest value and on
+    the entries of x and y themselves (all c may be 0), stays below 2^62,
+    and Python ints otherwise.
     """
     n = algebra.n
-    scale = math.lcm(*(c.denominator for comps in algebra.brackets.values()
-                       for c in comps.values()))
     ci = np.zeros((n, n, n), dtype=object)
-    for (i, j), comps in algebra.brackets.items():
-        for k, c in comps.items():
-            ci[i, j, k], ci[j, i, k] = int(c * scale), -int(c * scale)
+    for (i, j), comps in algebra.integer_constants()[0].items():
+        for k, c in comps:
+            ci[i, j, k], ci[j, i, k] = c, -c
     xs, ys = np.asarray(xs), np.asarray(ys)
     top = max(1, int(np.abs(ci).max(initial=0))) * int(max(
         np.abs(xs).max(initial=0), np.abs(ys).max(initial=0)))
@@ -235,8 +236,8 @@ def classify_plane(algebra: NilpotentAlgebra, x, y) -> set[str]:
     if sigma.dim != 2:
         raise PreconditionError("vectors do not span a two-plane")
     bx, by = sigma.basis
-    xs, ys = (np.array([[int(v * math.lcm(*(w.denominator for w in row)))
-                         for v in row]], dtype=object) for row in (bx, by))
+    xs, ys = (np.array([integer_row(row)[0]], dtype=object)
+              for row in (bx, by))
     bulk = plane_labels(algebra, xs, ys)
     labels = {name for name in ("G1", "G_geq", "G2") if bulk[name][0]}
     if "G1" not in labels:
@@ -490,11 +491,8 @@ def find_positive_ric_witness(algebra: NilpotentAlgebra, z):
                 and algebra.center().contains(ze):
             central.append(r)
         else:
-            try:
-                pairs.append(_independent_pair_for(algebra, ze))
-                deform.append(r)
-            except WitnessSearchError as exc:
-                out[r] = exc
+            pairs.append(_independent_pair_for(algebra, ze))
+            deform.append(r)
     if central:
         # central derived vector: any metric seeing a bracket works
         metric = Metric.identity(n)
@@ -535,7 +533,8 @@ def _positive_deformation(algebra: NilpotentAlgebra, zv: np.ndarray,
     hits = _climb(_scaled_ric_ladder(algebra, metric, basis, lam, 0),
                   len(zv), [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
                   lambda r, val, full: (val > RIC_POSITIVE_MIN)
-                  & (np.abs(val - target[r]) <= 0.05 * target[r]))
+                  & (np.abs(val - target[r])
+                     <= SCALED_LIMIT_REL * target[r]))
     return [SignWitness(kind="ric_positive", gram=metric.gram[r].copy(),
                         value=float(hits[r][2]),
                         target=list(map(float, zv[r])), lambdas=lam.copy(),

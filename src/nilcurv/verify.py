@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +38,7 @@ from .deformation import (
     worst_gap,
 )
 from .frames import FRAME_KEYS, normal_form_frame
-from .rational import nullspace, rank
+from .rational import integer_row, nullspace, rank
 
 
 def _result(name: str, passed: bool, t0: float, details: dict,
@@ -241,16 +240,16 @@ def _random_central_derived(inter, rng):
 def _ric_witness_error(w) -> str | None:
     """Why one row of a Ricci witness search fails ric-sign-witnesses, or
     None: the error the row got, a value of the wrong sign, or a scaled
-    limit more than 5% off its target."""
+    limit off its target by more than sign_sets.SCALED_LIMIT_REL."""
     if isinstance(w, Exception):
         return str(w)
     if w.kind == "ric_negative":
-        return "value not negative" if w.value >= -1e-9 else None
+        return "value not negative" if w.value >= ss.RIC_NEGATIVE_MAX else None
     if w.value <= 0:
         return "value not positive"
     if w.t is not None:
         rel = abs(w.scaled_value - w.scaled_target) / abs(w.scaled_target)
-        if rel > 0.05:
+        if rel > ss.SCALED_LIMIT_REL:
             return f"scaled limit off by {rel:.3f}"
     return None
 
@@ -319,8 +318,9 @@ def check_ric_witnesses(seed: int = 0) -> dict:
     return _result("ric-sign-witnesses", not failures, t0,
                    {"failures": failures[:20],
                     "failure_count": len(failures)},
-                   {"positive_floor": pos_tol, "negative_floor": -1e-9,
-                    "scaled_limit_rel": 0.05})
+                   {"positive_floor": pos_tol,
+                    "negative_floor": ss.RIC_NEGATIVE_MAX,
+                    "scaled_limit_rel": ss.SCALED_LIMIT_REL})
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +374,8 @@ def _meets_center(alg, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     images u = L x, v = L y in g/z are dependent, with L an integer basis
     of the annihilator of z, i.e. iff |u|^2 |v|^2 = (u.v)^2 (exact in
     int64)."""
-    ann = nullspace(alg.center().basis, alg.n)
-    rows = []
-    for row in ann:
-        scale = math.lcm(*(v.denominator for v in row))
-        rows.append([int(v * scale) for v in row])
+    rows = [integer_row(row)[0]
+            for row in nullspace(alg.center().basis, alg.n)]
     lmat = np.array(rows, dtype=np.int64).reshape(len(rows), alg.n)
     u, v = xs @ lmat.T, ys @ lmat.T
     return (np.sum(u * u, axis=1) * np.sum(v * v, axis=1)
@@ -438,7 +435,7 @@ def check_sectional_planes(seed: int = 0) -> dict:
     find_negative_K_witness runs on the few planes left.
     """
     t0 = time.perf_counter()
-    nonneg_floor, neg_ceiling = -1e-12, -1e-9
+    nonneg_floor, neg_ceiling = -1e-12, ss.K_NEGATIVE_MAX
     rng = np.random.default_rng(seed)
     failures = []
     stats = {}

@@ -200,6 +200,35 @@ def test_lemma5a_filiform4():
         lemma5a_deformation(alg, metric, z, w, x)
 
 
+def test_stacked_lemma5a_deformation_is_its_single_calls():
+    """Two filiform4 rows, u1 = e2 and 0.6 e2 + 0.8 e3 with u2 = e1: each
+    row of the stacked spec and candidate is its single call to the bit,
+    and a stack with a row where <e, [u1, u2]> = 0 raises that row's
+    single message."""
+    alg = build("filiform4")
+    eye = np.eye(4)
+    e = np.array([eye[2], [0.0, -0.8, 0.6, 0.0]])
+    u1 = np.array([eye[1], [0.0, 0.6, 0.8, 0.0]])
+    u2 = np.array([eye[0], eye[0]])
+    metric = Metric(np.stack([eye, eye]))
+    spec, cand = lemma5a_deformation(alg, metric, e, u1, u2)
+    for r in range(2):
+        one_spec, one = lemma5a_deformation(alg, Metric.identity(4), e[r],
+                                            u1[r], u2[r])
+        assert spec.frame[r].tobytes() == one_spec.frame.tobytes()
+        assert np.array_equal(spec.lambdas, one_spec.lambdas)
+        assert cand.T[r].tobytes() == one.T.tobytes()
+        assert cand.lambda_extreme[r] == one.lambda_extreme
+        assert cand.simple[r] == one.simple
+    bad = np.array([eye[2], eye[3]])       # <e4, [e3, e1]> = 0 in row 1
+    with pytest.raises(CandidateError) as single:
+        lemma5a_deformation(alg, Metric.identity(4), bad[1], u1[0], u2[0])
+    with pytest.raises(CandidateError) as stacked:
+        lemma5a_deformation(alg, metric, bad, u1[[0, 0]], u2)
+    assert str(stacked.value) == str(single.value)
+    assert "not simple" in str(single.value)
+
+
 def _model_filiform(n):
     """m0(n): [X1, Xi] = X(i+1) for 2 <= i < n."""
     return NilpotentAlgebra(n, {(0, i): {i + 1: Fraction(1)}

@@ -4,8 +4,9 @@ where listed as lazy, no library module other than the package's
 `__init__` imports a name it never reads, floats are rounded to
 Fractions and bases turned into metrics only at the listed sites, neither
 sign_sets nor the CLI draws at random, pyproject.toml declares exactly
-the third-party packages the library imports, and every exported name is
-used by the library itself, except where listed."""
+the third-party packages the library imports, denominators are cleared
+only in `rational.integer_row`, and every exported name is used by the
+library itself, except where listed."""
 
 import ast
 import re
@@ -242,6 +243,39 @@ def test_no_new_rounding_sites():
              for p in sorted(SRC.glob("*.py"))
              for fn in rounding_sites(p.read_text())}
     assert found == ROUNDING_SITES
+
+
+# (module file, function): the one place denominators are cleared; every
+# integer view of exact data goes through rational.integer_row
+LCM_SITES = {("rational.py", "integer_row")}
+
+
+def lcm_sites(source: str) -> list[str]:
+    """Where `lcm` is referenced, as a name or an attribute."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "lcm")
+        or (isinstance(node, ast.Name) and node.id == "lcm"))
+
+
+def test_checker_flags_lcm_sites():
+    source = ("import math\n"
+              "from math import lcm\n"
+              "import numpy as np\n"
+              "D = math.lcm(2, 3)\n"
+              "def f(xs):\n"
+              "    def g(x):\n"
+              "        return lcm(*x)\n"
+              "    return [g(x) for x in xs], np.lcm.reduce(xs)\n"
+              "def h(xs):\n"
+              "    return math.gcd(*xs), xs.lcm_free\n")
+    assert sorted(lcm_sites(source)) == ["<module>", "f", "g"]
+
+
+def test_no_new_lcm_sites():
+    found = {(p.name, fn)
+             for p in sorted(SRC.glob("*.py"))
+             for fn in lcm_sites(p.read_text())}
+    assert found == LCM_SITES
 
 
 # (module file, function): the one place a metric is made from a basis it

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcurv.rational import (
+    as_fraction,
+    as_matrix,
     identity,
-    in_row_space,
     nullspace,
     rank,
     rref,
@@ -17,6 +18,14 @@ from nilcurv.rational import (
 )
 
 small_int = st.integers(min_value=-5, max_value=5)
+
+
+def in_row_space(rows, v) -> bool:
+    """Reference for Subspace.contains: v adds nothing to the rank."""
+    base = as_matrix(rows)
+    r0 = rank(base)
+    base.append([as_fraction(x) for x in v])
+    return rank(base) == r0
 
 
 def _matrices(max_rows=5, max_cols=5):

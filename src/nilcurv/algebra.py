@@ -3,14 +3,21 @@
 Structure constants are stored sparsely for i < j (0-based); skew-symmetry
 is implied by the storage convention. Every structural query (center,
 series, ideal search, rank) runs over the rationals so that predicates
-such as "is this bracket zero" are decided exactly.
+such as "is this bracket zero" are decided exactly. Inside, they run on
+integer rows: the structure constants over one denominator
+(`integer_constants`), brackets of integer vectors in integers
+(`integer_bracket`), and subspaces as primitive integer RREF rows
+(`Subspace.rows`). Fractions are made where a caller reads them:
+`bracket`, `Subspace.basis` and `Subspace.coordinates`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +25,9 @@ import numpy as np
 from .rational import (
     Matrix,
     as_fraction,
-    identity,
+    integer_nullspace,
     integer_row,
-    nullspace,
-    rref,
+    integer_rref,
 )
 
 VectorLike = Sequence
@@ -40,69 +46,106 @@ def basis_vector(n: int, i: int) -> list[Fraction]:
 
 
 class Subspace:
-    """Subspace of coordinate space, canonicalized as rational RREF rows."""
+    """Subspace of coordinate space, canonicalized by its RREF: `rows`
+    holds each RREF row scaled by its least common denominator, which is
+    the primitive integer row with a positive pivot, and `pivots` their
+    pivot columns. The Fraction rows `basis` and their float view
+    `float_basis` are made on first read; treat all three as read-only."""
 
     def __init__(self, vectors: Sequence[VectorLike], n: int):
         self.n = n
-        self.basis: Matrix = rref(vectors)
-        # pivot column of each RREF row
-        self.pivots = [next(j for j, x in enumerate(row) if x != 0)
-                       for row in self.basis]
+        self.rows, self.pivots = integer_rref(integer_row(v)[0]
+                                              for v in vectors)
+
+    @classmethod
+    def from_integer_rows(cls, rows, n: int) -> "Subspace":
+        """The span of integer rows of length n, each read as it is."""
+        s = cls.__new__(cls)
+        s.n = n
+        s.rows, s.pivots = integer_rref(rows)
+        return s
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The RREF rows, in Fractions."""
+        return [[Fraction(x, r[p]) for x in r]
+                for r, p in zip(self.rows, self.pivots)]
+
+    @cached_property
+    def float_basis(self) -> np.ndarray:
+        """The RREF rows in float, (dim, n), read-only."""
+        b = np.array([[x / r[p] for x in r]
+                      for r, p in zip(self.rows, self.pivots)],
+                     float).reshape(-1, self.n)
+        b.flags.writeable = False
+        return b
+
+    def _spans(self, v: list[int]) -> bool:
+        """Whether the integer row v lies in the subspace: each RREF row
+        is 0 at the other pivots, so v reduced as r[p] v - v[p] r by every
+        row r in turn is zero iff v is in the span."""
+        for r, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                d = r[p]
+                v = [d * a - f * b for a, b in zip(v, r)]
+        return not any(v)
 
     def coordinates(self, v: VectorLike) -> list[Fraction] | None:
         """The c with v = sum_i c_i basis_i, or None if v is not in the
         subspace. Row i of the RREF basis is 1 at pivot i and 0 at the
         other pivots, so c_i can only be v at pivot i."""
-        vv = exact_vector(v)
-        coords = [vv[p] for p in self.pivots]
-        terms = [(c, row) for c, row in zip(coords, self.basis) if c != 0]
-        if any(sum(c * row[j] for c, row in terms if row[j] != 0) != vv[j]
-               for j in range(self.n)):
+        vv, d = integer_row(v)
+        if not self._spans(vv):
             return None
-        return coords
+        return [Fraction(vv[p], d) for p in self.pivots]
 
     def contains(self, v: VectorLike) -> bool:
-        return self.coordinates(v) is not None
+        return self._spans(integer_row(v)[0])
 
     def contains_float(self, v) -> bool:
         """Membership of a float vector, up to a least-squares residual of
         FLOAT_MEMBERSHIP_REL |v|."""
         v = np.asarray(v, float)
-        b = np.array(self.basis, float).reshape(-1, self.n).T
+        b = self.float_basis.T
         resid = v - b @ np.linalg.lstsq(b, v, rcond=None)[0]
         return bool(np.linalg.norm(resid)
                     <= FLOAT_MEMBERSHIP_REL * np.linalg.norm(v))
+
+    def _complement_pivots(self) -> list[int]:
+        """The p of the e_p of `complement`."""
+        return integer_nullspace(self.rows, self.n)[1]
 
     def complement(self) -> list[list[Fraction]]:
         """The standard vectors e_p, p a pivot column of the RREF
         annihilator. Column i of the annihilator is the image of e_i in
         g/s, so these are the e_i that a scan e_0, ..., e_{n-1} keeps when
         each raises the dimension of s + span(kept)."""
-        annihilator = Subspace(nullspace(self.basis, self.n), self.n)
-        return [basis_vector(self.n, p) for p in annihilator.pivots]
+        return [basis_vector(self.n, p) for p in self._complement_pivots()]
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return all(self._spans(r) for r in other.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.n == other.n
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.n, tuple(tuple(r) for r in self.basis)))
+        return hash((self.n, tuple(tuple(r) for r in self.rows)))
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(list(self.basis) + list(other.basis), self.n)
+        return Subspace.from_integer_rows(self.rows + other.rows, self.n)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         # null space of the stacked annihilator conditions
-        ann_self = nullspace(self.basis, self.n)
-        ann_other = nullspace(other.basis, self.n)
-        return Subspace(nullspace(ann_self + ann_other, self.n), self.n)
+        n = self.n
+        ann = integer_nullspace(self.rows, n)[0] \
+            + integer_nullspace(other.rows, n)[0]
+        return Subspace.from_integer_rows(integer_nullspace(ann, n)[0], n)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.n})"
@@ -151,6 +194,7 @@ class NilpotentAlgebra:
         self._center: Subspace | None = None
         self._derived: Subspace | None = None
         self._series: list[Subspace] | None = None
+        self._two_step: bool | None = None
         self._word_basis: NilpotentAlgebra | None = None
 
     # -- bracket ---------------------------------------------------------
@@ -179,22 +223,25 @@ class NilpotentAlgebra:
                                    den)
         return self._structure_int
 
-    def bracket(self, x: VectorLike, y: VectorLike) -> list[Fraction]:
-        """[x, y] in exact arithmetic (floats are rationalized first), summed
-        in integers: x = X/dx, y = Y/dy and c = C/D give
-        [x, y]_k = sum_{i<j} (X_i Y_j - X_j Y_i) C_ij^k / (dx dy D)."""
-        if len(x) != self.n or len(y) != self.n:
-            raise ValueError("vector length must equal algebra dimension")
-        (xv, dx), (yv, dy) = integer_row(x), integer_row(y)
-        consts, den = self.integer_constants()
+    def integer_bracket(self, x: list[int], y: list[int]) -> list[int]:
+        """D [x, y] for integer vectors x and y, D the denominator of
+        `integer_constants`: sum_{i<j} (x_i y_j - x_j y_i) D c_ij^k."""
         out = [0] * self.n
-        for (i, j), comps in consts.items():
-            coef = xv[i] * yv[j] - xv[j] * yv[i]
+        for (i, j), comps in self.integer_constants()[0].items():
+            coef = x[i] * y[j] - x[j] * y[i]
             if coef:
                 for k, c in comps:
                     out[k] += coef * c
-        den *= dx * dy
-        return [Fraction(v, den) for v in out]
+        return out
+
+    def bracket(self, x: VectorLike, y: VectorLike) -> list[Fraction]:
+        """[x, y] in exact arithmetic (floats are rationalized first): with
+        x = X/dx and y = Y/dy, it is `integer_bracket`(X, Y) / (dx dy D)."""
+        if len(x) != self.n or len(y) != self.n:
+            raise ValueError("vector length must equal algebra dimension")
+        (xv, dx), (yv, dy) = integer_row(x), integer_row(y)
+        den = self.integer_constants()[1] * dx * dy
+        return [Fraction(v, den) for v in self.integer_bracket(xv, yv)]
 
     def structure_tensor(self) -> np.ndarray:
         """Dense float tensor C with [e_i,e_j] = sum_k C[i,j,k] e_k."""
@@ -226,27 +273,25 @@ class NilpotentAlgebra:
 
     def derived_algebra(self) -> Subspace:
         if self._derived is None:
-            gens = [self.basis_bracket(i, j)
-                    for (i, j) in self.brackets]
-            self._derived = Subspace(gens, self.n)
+            n = self.n
+            self._derived = Subspace.from_integer_rows(
+                [[dict(comps).get(k, 0) for k in range(n)]
+                 for comps in self.integer_constants()[0].values()], n)
         return self._derived
 
     def lower_central_series(self) -> list[Subspace]:
         """g = g^0 >= g^1 >= ... strictly decreasing to zero, or up to the
         first term that does not shrink when g is not nilpotent. Built
-        once per algebra; each call returns a fresh list."""
+        once per algebra, from the integer brackets [e_i, v] of the rows
+        v of each term; each call returns a fresh list."""
         if self._series is None:
-            series = [Subspace(identity(self.n), self.n)]
-            current = series[0]
+            n, units = self.n, np.eye(self.n, dtype=int).tolist()
+            current = Subspace.from_integer_rows(units, n)
+            series = [current]
             while current.dim > 0:
-                gens = []
-                for i in range(self.n):
-                    ei = basis_vector(self.n, i)
-                    for v in current.basis:
-                        w = self.bracket(ei, v)
-                        if any(x != 0 for x in w):
-                            gens.append(w)
-                nxt = Subspace(gens, self.n)
+                nxt = Subspace.from_integer_rows(
+                    [self.integer_bracket(e, v)
+                     for e in units for v in current.rows], n)
                 series.append(nxt)
                 if nxt.dim >= current.dim:   # not nilpotent: series stalled
                     break
@@ -266,49 +311,62 @@ class NilpotentAlgebra:
 
     def center(self) -> Subspace:
         """Exact null space of the stacked ad-matrices of the basis: row
-        (i, k) holds the e_k-components of [e_i, e_j] over j."""
+        (i, k) holds the e_k-components of [e_i, e_j] over j, here D times
+        them, from `integer_constants`."""
         if self._center is None:
             n = self.n
-            stacked: Matrix = [[Fraction(0)] * n for _ in range(n * n)]
-            for (i, j), comps in self.brackets.items():
-                for k, c in comps.items():
-                    stacked[i * n + k][j] = c
-                    stacked[j * n + k][i] = -c
-            self._center = Subspace(nullspace(stacked, n), n)
+            stacked: dict[tuple[int, int], list[int]] = {}
+            for (i, j), comps in self.integer_constants()[0].items():
+                for k, c in comps:
+                    stacked.setdefault((i, k), [0] * n)[j] = c
+                    stacked.setdefault((j, k), [0] * n)[i] = -c
+            self._center = Subspace.from_integer_rows(
+                integer_nullspace(stacked.values(), n)[0], n)
         return self._center
 
     def word_basis(self) -> "NilpotentAlgebra":
         """The algebra in a basis P of bracket words, sparse in any input
         basis: the generators `derived_algebra().complement()`, layer by
         layer each [generator, word] independent of the words so far, then
-        the complement of their span. Its brackets are P^-1 [P_i, P_j]."""
+        the complement of their span. Its brackets are P^-1 [P_i, P_j].
+        The words are those of `integer_bracket`, each word of depth d
+        D^d times the word of `bracket`."""
         if self._word_basis is None:
-            n, gens = self.n, self.derived_algebra().complement()
-            words, span = list(gens), Subspace(gens, n)
+            n, den = self.n, self.integer_constants()[1]
+            units = np.eye(n, dtype=int).tolist()
+            gens = [units[p]
+                    for p in self.derived_algebra()._complement_pivots()]
+            words, span = list(gens), Subspace.from_integer_rows(gens, n)
             for v in words:   # read while it grows, so layer by layer
-                for w in [self.bracket(g, v) for g in gens]:
-                    if not span.contains(w):
+                for w in [self.integer_bracket(g, v) for g in gens]:
+                    if not span._spans(w):
                         words.append(w)
-                        span = Subspace(span.basis + [w], n)
-            words += span.complement()
-            # row k of inv is e_k in the coordinates of the words
-            inv = [row[n:] for row in rref(
-                [w + basis_vector(n, i) for i, w in enumerate(words)])]
+                        span = Subspace.from_integer_rows(span.rows + [w], n)
+            words += [units[p] for p in span._complement_pivots()]
+            # row k of [P^T | I] reduced is b_k, with
+            # e_k = sum_c (b_k[n + c] / b_k[k]) P_c
+            inv = integer_rref([w + e for w, e in zip(words, units)])[0]
+            big = math.prod(b[k] for k, b in enumerate(inv))
             brackets = {}
             for i, j in itertools.combinations(range(n), 2):
-                w = self.bracket(words[i], words[j])
+                w = self.integer_bracket(words[i], words[j])   # D [P_i, P_j]
                 if any(w):
-                    brackets[(i, j)] = {c: sum(v * r[c] for v, r in zip(
-                        w, inv) if v) for c in range(n)}
+                    brackets[(i, j)] = {c: Fraction(sum(
+                        v * b[n + c] * (big // b[k])
+                        for k, (v, b) in enumerate(zip(w, inv)) if v),
+                        big * den) for c in range(n)}
             self._word_basis = NilpotentAlgebra(n, brackets,
                                                 name=f"{self.name}|words")
         return self._word_basis
 
-
     def is_two_step(self) -> bool:
         """True iff g' lies in the center, that is [g, [g, g]] = 0
-        (abelian counts as degenerate two-step)."""
-        return self.center().contains_subspace(self.derived_algebra())
+        (abelian counts as degenerate two-step). Decided once per
+        algebra."""
+        if self._two_step is None:
+            self._two_step = self.center().contains_subspace(
+                self.derived_algebra())
+        return self._two_step
 
     def jacobi_failures(self) -> list[tuple[int, int, int]]:
         """The triples i < j < k, in lexicographic order, on which the
@@ -366,22 +424,25 @@ class NilpotentAlgebra:
             if self.n == 0:
                 return None
             # canonical choice: drop the last coordinate
-            return Subspace([basis_vector(self.n, i)
-                             for i in range(self.n - 1)], self.n)
-        n, w = self.n, self.brackets
-        rows: Matrix = list(self.derived_algebra().basis)
+            return Subspace.from_integer_rows(
+                np.eye(self.n, dtype=int).tolist()[:-1], self.n)
+        n = self.n
+        w = {key: dict(comps)
+             for key, comps in self.integer_constants()[0].items()}
+        rows = list(self.derived_algebra().rows)
         for a, b, c in itertools.combinations(range(n), 3):
             for k in range(n):
-                row = [Fraction(0)] * n
+                row = [0] * n
                 row[a] = w.get((b, c), {}).get(k, 0)
                 row[b] = -w.get((a, c), {}).get(k, 0)
                 row[c] = w.get((a, b), {}).get(k, 0)
                 if any(row):
                     rows.append(row)
-        phis = nullspace(rows, n)
+        phis = integer_nullspace(rows, n)[0]
         if not phis:
             return None
-        return Subspace(nullspace(phis[:1], n), n)
+        return Subspace.from_integer_rows(
+            integer_nullspace(phis[:1], n)[0], n)
 
     def __repr__(self):
         label = self.name or "algebra"

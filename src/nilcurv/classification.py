@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import NilpotentAlgebra, Subspace
 from .catalog import build
-from .rational import Matrix, identity, integer_row, nullspace, rank
+from .rational import identity, integer_nullspace, integer_row, integer_rref
 
 
 class ClassificationError(ValueError):
@@ -54,12 +54,11 @@ def _eval_words(bracket, xs: list, words) -> list:
 def _grid_points(k: int, n: int):
     """Seeded integer k-tuples from {-2..2}^(k n), the box growing by one
     every 8 points, so that a nonzero polynomial is eventually nonzero at
-    one of them (Schwartz-Zippel)."""
+    one of them (Schwartz-Zippel), as lists of int."""
     rng = np.random.default_rng(0)
     for t in itertools.count():
         r = 2 + t // 8
-        yield [[Fraction(int(v)) for v in row]
-               for row in rng.integers(-r, r + 1, size=(k, n))]
+        yield rng.integers(-r, r + 1, size=(k, n)).tolist()
 
 
 def _generic_rank(a: NilpotentAlgebra, k: int,
@@ -74,15 +73,20 @@ def _generic_rank(a: NilpotentAlgebra, k: int,
     the rank is reached at X_s = e_s + sum_{i>=2} y_(s,i) e_i, s = 0, 1,
     X3 free, where it is 2 + rank S over Q(y) (`_schur_complement`), which
     `_minor_rank` decides. The rank does not depend on the basis: the walk
-    runs in the sparse `a.word_basis()`, the witness is drawn in a's.
+    runs in the sparse `a.word_basis()`, the witness is drawn in a's. The
+    points are tested with the integer bracket, which scales each word by
+    a power of D and so keeps the rank; only the witness returned is made
+    of Fractions.
     """
     cap = min(k + len(words), a.n)
     # k >= n vectors span g at a generic point
     generic = (cap if cap <= k else 2 + _minor_rank(
         _schur_complement(a.word_basis(), k, words), cap - 2))
     wit = next(xs for xs in _grid_points(k, a.n)
-               if rank(_eval_words(a.bracket, xs, words)) == generic)
-    return generic, wit
+               if len(integer_rref(_eval_words(
+                   a.integer_bracket, [integer_row(x)[0] for x in xs],
+                   words))[0]) == generic)
+    return generic, [[Fraction(v) for v in x] for x in wit]
 
 
 def _minor_rank(mat: list[list[dict]], cap: int) -> int:
@@ -271,41 +275,52 @@ def lemma6_classify(a: NilpotentAlgebra) -> dict:
 
 def restrict(a: NilpotentAlgebra, s: Subspace) -> NilpotentAlgebra | None:
     """The bracket restricted to a subalgebra, in the RREF basis of s;
-    None if s is not closed under the bracket."""
-    bs = s.basis
-    m = len(bs)
+    None if s is not closed under the bracket. The RREF row b_i is
+    r_i / r_i[p_i], r_i the integer row of s, so [b_i, b_j] is
+    `integer_bracket`(r_i, r_j) / (D r_i[p_i] r_j[p_j]), and coordinate k
+    of it is its entry at the pivot p_k."""
+    rs, ps, den = s.rows, s.pivots, a.integer_constants()[1]
+    m = len(rs)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            coords = s.coordinates(a.bracket(bs[i], bs[j]))
-            if coords is None:
-                return None
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                brackets[(i, j)] = entry
+    for i, j in itertools.combinations(range(m), 2):
+        w = a.integer_bracket(rs[i], rs[j])
+        if not s.contains(w):
+            return None
+        d = den * rs[i][ps[i]] * rs[j][ps[j]]
+        entry = {k: Fraction(w[p], d) for k, p in enumerate(ps) if w[p]}
+        if entry:
+            brackets[(i, j)] = entry
     return NilpotentAlgebra(m, brackets, name=f"{a.name}|sub{m}")
 
 
 def derivation_dimension(a: NilpotentAlgebra) -> int:
     """dim of the derivation algebra, by exact linear algebra.
 
-    Unknowns d[m][k] with D e_k = sum_m d[m][k] e_m; one equation per
-    (i < j, component m)."""
+    Unknowns d[m][k] with D e_k = sum_m d[m][k] e_m, at column m n + k;
+    one equation per (i < j, component m):
+    sum_k c_ij^k d[m][k] - sum_p (c_pj^m d[p][i] + c_ip^m d[p][j]) = 0,
+    built from the sparse integer constants (the common denominator
+    scales every equation alike)."""
     n = a.n
-    rows: Matrix = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = a.basis_bracket(i, j)
-            for m in range(n):
-                row = [Fraction(0)] * (n * n)   # d[r][c] at r n + c
-                for k in range(n):
-                    row[m * n + k] += cij[k]
-                for p in range(n):
-                    row[p * n + i] -= a.basis_bracket(p, j)[m]
-                    row[p * n + j] -= a.basis_bracket(i, p)[m]
-                if any(v != 0 for v in row):
-                    rows.append(row)
-    return n * n - (rank(rows) if rows else 0)
+    consts = a.integer_constants()[0]
+    into = defaultdict(list)   # (j, m) -> (p, c) for each c = c_pj^m != 0
+    for (i, j), comps in consts.items():
+        for m, c in comps:
+            into[j, m].append((i, c))
+            into[i, m].append((j, -c))
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        for m in range(n):
+            row = [0] * (n * n)
+            for k, c in consts.get((i, j), ()):
+                row[m * n + k] += c
+            for p, c in into.get((j, m), ()):
+                row[p * n + i] -= c
+            for p, c in into.get((i, m), ()):   # c_ip^m = -c_pi^m
+                row[p * n + j] += c
+            if any(row):
+                rows.append(row)
+    return n * n - len(integer_rref(rows)[0])
 
 
 def invariant_tuple(a: NilpotentAlgebra) -> tuple:
@@ -344,11 +359,15 @@ def derivation_class_certificate(a: NilpotentAlgebra) -> dict | None:
     is two-step and every h >= g' qualifies. An irrational phi has no
     rational certificate; then every entry form is a multiple of one
     binary form with irrational roots, and None is returned.
+
+    The entry forms are built from the integer constants: the common
+    denominator scales them all by D^2, which keeps their spans, their
+    roots and where they vanish.
     """
     n, gp = a.n, a.derived_algebra()
     adj: list[list] = [[] for _ in range(n)]  # (u, m, c): [e_u, e_k]_m = c
-    for (i, j), comps in a.brackets.items():
-        for m, c in comps.items():
+    for (i, j), comps in a.integer_constants()[0].items():
+        for m, c in comps:
             adj[j].append((i, m, c))
             adj[i].append((j, m, -c))
     # twice the matrix of the (m, b) entry of ad_X^2, the quadratic form
@@ -361,23 +380,26 @@ def derivation_class_certificate(a: NilpotentAlgebra) -> dict | None:
                 forms[m, b][v, u] += c1 * c2
     nonzero = [f for _, f in sorted(forms.items()) if any(f.values())]
     if not nonzero:
-        phis = nullspace(gp.basis, n)[:1]
+        phis = integer_nullspace(gp.rows, n)[0][:1]
     else:
         form = nonzero[0]
-        span = Subspace([[form[u, v] for v in range(n)] for u in range(n)], n)
-        phis = span.basis if span.dim == 1 else []
+        span = Subspace.from_integer_rows(
+            [[form[u, v] for v in range(n)] for u in range(n)], n)
+        phis = span.rows if span.dim == 1 else []
         if span.dim == 2:
-            (p1, p2), (r1, r2) = span.pivots, span.basis
-            phis = [[y2 * x - y1 * z for x, z in zip(r1, r2)]
+            # y2 b1 - y1 b2 for the RREF rows b_i = r_i / r_i[p_i]
+            (p1, p2), (r1, r2) = span.pivots, span.rows
+            phis = [integer_row([y2 * r2[p2] * x - y1 * r1[p1] * z
+                                 for x, z in zip(r1, r2)])[0]
                     for y1, y2 in _rational_roots(
                         form[p1, p1], form[p1, p2], form[p2, p2])]
     for phi in phis:
-        h = Subspace(nullspace([phi], n), n)
+        h = Subspace.from_integer_rows(integer_nullspace([phi], n)[0], n)
         # the (m, b) entries of ad_x ad_y + ad_y ad_x on basis pairs
         if not h.contains_subspace(gp) or any(
                 sum(w * x[u] * y[v] for (u, v), w in f.items()) != 0
-                for f in nonzero for i, x in enumerate(h.basis)
-                for y in h.basis[i:]):
+                for f in nonzero for i, x in enumerate(h.rows)
+                for y in h.rows[i:]):
             continue
         c = h.complement()[0]
         # h >= g' is an ideal, so every [c, v] has coordinates in h. D is
@@ -467,11 +489,12 @@ def cocycle_class_certificate(a: NilpotentAlgebra) -> dict | None:
         return None
 
     def qualifies(x) -> bool:
-        b = bordered([{0: int(v)} if v else {} for v in x])  # integer x
+        b = bordered([{0: v} if v else {} for v in x])  # integer x
         return any(b[-1]) and _minor_rank(b, 3) == 3
 
     x = next(filter(qualifies, (pt[0] for pt in _grid_points(1, m))))
-    return {"c": c, "quotient": quotient, "omega": omega, "x": x}
+    return {"c": c, "quotient": quotient, "omega": omega,
+            "x": [Fraction(v) for v in x]}
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +518,23 @@ def _l6_shape(sub: NilpotentAlgebra) -> str | None:
     cert = derivation_class_certificate(sub)
     if cert is None:
         return None
-    hb = cert["h"].basis
-    k = len(hb)
+    # each test below holds for vectors iff it holds for nonzero multiples
+    # of them, so all run on integer rows
+    h = cert["h"]
+    hr, big = h.rows, math.prod(r[p] for r, p in zip(h.rows, h.pivots))
     # V = z(m): the center of the restricted bracket, in the coordinates
-    # of the RREF basis of m, mapped back
-    v_basis = [[sum(cf * bv[t] for cf, bv in zip(kv, hb))
-                for t in range(sub.n)] for kv in cert["sub"].center().basis]
-    m_prime_gens = [sub.bracket(hb[i], hb[j])
-                    for i in range(k) for j in range(i + 1, k)]
-    m_prime = Subspace(m_prime_gens, sub.n)
-    c = cert["c"]
-    dv = [sub.bracket(c, v) for v in v_basis]
+    # of the RREF basis r_i / r_i[p_i] of m, mapped back (times big)
+    scale = [big // r[p] for r, p in zip(hr, h.pivots)]
+    v_basis = [[sum(cf * s * r[t] for cf, s, r in zip(kv, scale, hr))
+                for t in range(sub.n)] for kv in cert["sub"].center().rows]
+    m_prime = Subspace.from_integer_rows(
+        [sub.integer_bracket(x, y)
+         for x, y in itertools.combinations(hr, 2)], sub.n)
+    c = integer_row(cert["c"])[0]
+    dv = [sub.integer_bracket(c, v) for v in v_basis]
     if all(m_prime.contains(x) for x in dv):
         return "dimsix2"
-    d2 = [sub.bracket(c, x) for x in dv]
-    if all(all(t == 0 for t in x) for x in d2):
+    if not any(any(sub.integer_bracket(c, x)) for x in dv):
         return "dimsix1"
     return "dimsix3"
 
@@ -520,7 +545,9 @@ def shape_of_L(a: NilpotentAlgebra, triple) -> tuple[int, str | None]:
     N = 5 is matched against the five-dimensional normal form by
     invariants; N = 6 against the three six-dimensional forms by the
     derivation-action criterion plus invariant confirmation."""
-    sp = Subspace(_eval_words(a.bracket, triple, _DIML_WORDS), a.n)
+    sp = Subspace.from_integer_rows(_eval_words(
+        a.integer_bracket, [integer_row(x)[0] for x in triple],
+        _DIML_WORDS), a.n)
     n_dim = sp.dim
     sub = restrict(a, sp)
     if sub is None:

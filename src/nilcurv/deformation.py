@@ -510,7 +510,7 @@ def two_step_deformation(algebra: NilpotentAlgebra, metric: Metric, e
         raise CandidateError("e must lie in the derived algebra")
     if abs(metric.norm2(e) - 1.0) > orthonormal_tol(metric):
         raise CandidateError("e must be a unit vector")
-    u = complement_frame(metric, np.array(gp.basis, float)).T
+    u = complement_frame(metric, gp.float_basis).T
     uij = algebra.bracket_float(u[:, None], u[None, :])
     coef = uij @ metric.gram @ e
     cand = ExtremalCandidate(T=np.tensordot(coef, uij, 2),
@@ -619,7 +619,7 @@ def sphere_grid(subspace: Subspace, resolution: float) -> np.ndarray:
         theta = np.pi * (1.0 + 5 ** 0.5) * idx
         coords = np.column_stack([np.cos(theta) * np.sin(phi),
                                   np.sin(theta) * np.sin(phi), np.cos(phi)])
-    return coords @ np.array(subspace.basis, float)
+    return coords @ subspace.float_basis
 
 
 # singular values at or below this count as zero in complete_basis
@@ -701,7 +701,7 @@ def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int
     notes = []
     out = []
     if algebra.is_two_step():
-        gp = np.array(algebra.derived_algebra().basis, float)
+        gp = algebra.derived_algebra().float_basis
         for k in range(samples):
             metric = Metric.random(algebra.n, rng)
             e = rng.uniform(-1.0, 1.0, size=gp.shape[0]) @ gp
@@ -724,7 +724,7 @@ def lemma5_candidates(algebra: NilpotentAlgebra, seed: int, samples: int
         notes.append("no closed-form construction for this structure; "
                      "reporting the expected subspace only")
         return out, notes
-    a_basis = np.array(ideal.basis, float)
+    a_basis = ideal.float_basis
     c_vec = np.array(ideal.complement()[0], float)
     for k in range(samples):
         u1 = rng.uniform(-1.0, 1.0, size=a_basis.shape[0]) @ a_basis

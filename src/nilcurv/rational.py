@@ -4,11 +4,13 @@ Matrices are lists of lists of Fraction; all routines are pure and return
 fresh objects. Used for every structural predicate in the package, where
 floating tolerances would turn exact dichotomies into guesses.
 
-Inside, the elimination runs on integer rows: each row read is scaled by
-its least common denominator (`integer_row`) and kept primitive (gcd 1),
-rows are combined by integer cross-multiplication, and Fractions are made
-only for the result, entry / pivot. The RREF is unique, so the result is
-the one a Fraction elimination gives.
+The elimination runs on integer rows (`integer_rref`, `integer_nullspace`):
+rows are combined by integer cross-multiplication (fraction-free, after
+Bareiss) and kept primitive (gcd 1), and a row of the RREF is returned as
+its primitive integer multiple with a positive pivot. The RREF is unique,
+so that row is canonical. The Fraction routines read each row through
+`integer_row`, which scales it by its least common denominator, and make
+Fractions only for their result, entry / pivot.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ def integer_row(values: Iterable) -> tuple[list[int], int]:
     """Integers v and the least common denominator d > 0 of the values,
     with values = v / d; each value is coerced through `as_fraction`."""
     xs = [x if type(x) is int else as_fraction(x) for x in values]
+    if all(type(x) is int for x in xs):
+        return xs, 1
     d = math.lcm(*[x.denominator for x in xs])
     return [x.numerator * (d // x.denominator) for x in xs], d
 
@@ -55,8 +59,11 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g == 1 else [x // g for x in row]
 
 
-def rref(rows: Iterable[Sequence]) -> Matrix:
-    """Reduced row echelon form; zero rows dropped, pivots normalized to 1.
+def integer_rref(rows: Iterable[list[int]]
+                 ) -> tuple[list[list[int]], list[int]]:
+    """(rows, pivots): the rows of the reduced row echelon form of integer
+    rows, each as its primitive integer multiple with a positive pivot, in
+    pivot order, and their pivot columns; zero rows dropped.
 
     Built row by row: each row read is reduced by the basis so far (kept
     fully reduced, keyed by pivot column) and, if nonzero, becomes a new
@@ -66,13 +73,12 @@ def rref(rows: Iterable[Sequence]) -> Matrix:
     then the identity, whatever rows remain.
 
     Each basis row b is a primitive integer row with b[p] != 0 at its
-    pivot p; it reduces a row r as b[p] r - r[p] b, and its row of the
-    result is b / b[p].
+    pivot p; it reduces a row r as b[p] r - r[p] b, and its RREF row is
+    b / b[p].
     """
     basis: dict[int, list[int]] = {}
     ncols = None
-    for raw in rows:
-        row = integer_row(raw)[0]
+    for row in rows:
         if ncols is None:
             ncols = len(row)
         for p, b in basis.items():
@@ -93,7 +99,39 @@ def rref(rows: Iterable[Sequence]) -> Matrix:
         basis[piv] = row
         if len(basis) == ncols:
             break
-    return [[Fraction(x, b[p]) for x in b] for p, b in sorted(basis.items())]
+    pivots = sorted(basis)
+    return [basis[p] if basis[p][p] > 0 else [-x for x in basis[p]]
+            for p in pivots], pivots
+
+
+def integer_nullspace(rows: Iterable[list[int]], n: int
+                      ) -> tuple[list[list[int]], list[int]]:
+    """(rows, pivots): the `integer_rref` of the right null space of the
+    integer rows of length n. The free column j gives the solution that
+    is s at j and -b[j] s / b[p] at each pivot p, s the product of the
+    pivots b[p] of the rows b with b[j] != 0."""
+    red, pivots = integer_rref(rows)
+    pairs = list(zip(red, pivots))
+    basis = []
+    for j in sorted(set(range(n)) - set(pivots)):
+        s = math.prod(b[p] for b, p in pairs if b[j])
+        v = [0] * n
+        v[j] = s
+        for b, p in pairs:
+            if b[j]:
+                v[p] = -b[j] * s // b[p]
+        basis.append(v)
+    return integer_rref(basis)
+
+
+def _fractions(rows: list[list[int]], pivots: list[int]) -> Matrix:
+    return [[Fraction(x, b[p]) for x in b] for b, p in zip(rows, pivots)]
+
+
+def rref(rows: Iterable[Sequence]) -> Matrix:
+    """Reduced row echelon form; zero rows dropped, pivots normalized to 1
+    (`integer_rref` of the rows read through `integer_row`)."""
+    return _fractions(*integer_rref(integer_row(r)[0] for r in rows))
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -102,28 +140,11 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> Matrix:
     """Basis of the right null space of the matrix, as RREF rows."""
-    m = as_matrix(rows)
-    if not m:
-        if ncols is None:
-            return []
-        return identity(ncols)
-    n = len(m[0]) if ncols is None else ncols
-    red = rref(m)
-    pivots = []
-    for row in red:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(n) if j not in pivots]
-    basis: Matrix = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[j]
-        basis.append(v)
-    return rref(basis)
+    m = [integer_row(r)[0] for r in rows]
+    if not m and ncols is None:
+        return []
+    return _fractions(*integer_nullspace(m, len(m[0]) if ncols is None
+                                         else ncols))
 
 
 def identity(n: int) -> Matrix:

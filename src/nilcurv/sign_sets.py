@@ -34,6 +34,7 @@ stack with one witness or error per row.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -62,7 +63,7 @@ from .deformation import (
     complete_basis,
     exponent_tensor,
 )
-from .rational import integer_row, nullspace, rank
+from .rational import integer_nullspace, integer_row, integer_rref, rank
 
 # A witness value must clear these bounds; reports print the same values.
 RIC_POSITIVE_MIN = 1e-9
@@ -175,13 +176,93 @@ def plane_labels(algebra: NilpotentAlgebra, xs, ys) -> dict:
 
 
 def _brackets_into(algebra: NilpotentAlgebra, vectors) -> list:
-    """Rows whose null space is {v : [g, v] in span(vectors)}: each form f
-    of the annihilator of the span, applied to [e_m, v]."""
+    """Integer rows whose null space is {v : [g, v] in span(vectors)}:
+    each form f of the annihilator of the span, applied to [e_m, v], over
+    the integer constants (zero rows left out)."""
     n = algebra.n
-    ann = nullspace(vectors, n)
-    return [[sum(f[k] * ad[k][j] for k in range(n)) for j in range(n)]
-            for ad in (algebra.ad(basis_vector(n, m)) for m in range(n))
-            for f in ann]
+    ann = integer_nullspace([integer_row(v)[0] for v in vectors], n)[0]
+    rows: dict[tuple[int, int], list[int]] = {}
+    for (i, j), comps in algebra.integer_constants()[0].items():
+        for r, f in enumerate(ann):
+            s = sum(f[k] * c for k, c in comps)   # f([e_i, e_j])
+            if s:
+                rows.setdefault((i, r), [0] * n)[j] += s
+                rows.setdefault((j, r), [0] * n)[i] -= s
+    return list(rows.values())
+
+
+# univariate integer polynomials: coefficient lists, lowest degree first,
+# with no trailing zero ([] is the zero polynomial)
+
+def _upoly(coeffs) -> list[int]:
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _upoly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _upoly(out)
+
+
+def _upoly_rem(p: list[int], q: list[int]) -> list[int]:
+    """The remainder of c p on division by q, for a c > 0 that makes it
+    integral (a pseudo-remainder that keeps the sign), made primitive."""
+    lead = q[-1]
+    r = list(p)
+    while len(r) >= len(q):
+        f, shift = r[-1], len(r) - len(q)
+        r = [abs(lead) * x for x in r]
+        for i, y in enumerate(q):
+            r[shift + i] -= (f if lead > 0 else -f) * y
+        r = _upoly(r)
+    g = math.gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def _upoly_gcd(p: list[int], q: list[int]) -> list[int]:
+    """A gcd of p and q up to a nonzero constant, by the primitive
+    polynomial remainder sequence (Collins 1967; Brown 1971)."""
+    while q:
+        p, q = q, _upoly_rem(p, q)
+    return p
+
+
+def _real_root_count(p: list[int]) -> int:
+    """The number of distinct real roots of p != 0: the sign changes of
+    its Sturm sequence p, p', -rem, ... at -infinity less those at
+    +infinity (each term scaled by a positive constant, which keeps its
+    signs)."""
+    seq = [p, _upoly([i * c for i, c in enumerate(p)][1:])]
+    while seq[-1]:
+        seq.append([-x for x in _upoly_rem(seq[-2], seq[-1])])
+    seq.pop()
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    lead = [1 if q[-1] > 0 else -1 for q in seq]
+    return changes([s * (-1) ** (len(q) - 1) for s, q in zip(lead, seq)]) \
+        - changes(lead)
+
+
+def _pencil_minors(a: list[list[int]], b: list[list[int]], k: int):
+    """The k x k minors det(A - tB) of the integer n x k matrices A and
+    B, over every choice of k rows, by the Leibniz formula."""
+    perms = [(p, (-1) ** sum(x > y for x, y in itertools.combinations(p, 2)))
+             for p in itertools.permutations(range(k))]
+    for sel in itertools.combinations(range(len(a)), k):
+        out = [0] * (k + 1)
+        for perm, sign in perms:
+            term = [sign]
+            for r, c in zip(sel, perm):
+                term = _upoly_mul(term, [a[r][c], -b[r][c]])
+            for i, x in enumerate(term):
+                out[i] += x
+        yield _upoly(out)
 
 
 def _central_plane_g2(algebra: NilpotentAlgebra, sigma: Subspace,
@@ -196,30 +277,31 @@ def _central_plane_g2(algebra: NilpotentAlgebra, sigma: Subspace,
     [u_i, e_m], v = sum t_i u_i qualifies iff At and Bt are parallel, so
     iff the pencil aA + bB drops rank at some real (a : b): at (0 : 1) iff
     rank B < k, elsewhere at a real root of the gcd of the k x k minors
-    of A - tB (nonzero when rank B = k).
+    of A - tB (nonzero when rank B = k). All of it runs on integer rows:
+    the u_i are integer rows and the brackets integer ones, which scales
+    every column of A and B by one nonzero constant and so each minor by
+    their product.
     """
     n = algebra.n
     us, span = [], z
-    for v in nullspace(_brackets_into(algebra, sigma.basis), n):
+    for v in integer_nullspace(_brackets_into(algebra, sigma.rows), n)[0]:
         if not span.contains(v):
             us.append(v)
-            span = span.sum(Subspace([v], n))
+            span = span.sum(Subspace.from_integer_rows([v], n))
     k = len(us)
-    ab = [[sigma.coordinates(algebra.bracket(u, basis_vector(n, m)))
-           for u in us] for m in range(n)]
-    a, b = ([[c[i] for c in row] for row in ab] for i in (0, 1))
+    # a sigma-coordinate of a vector of sigma is its entry at that pivot
+    ab = [[algebra.integer_bracket(u, e) for u in us]
+          for e in np.eye(n, dtype=int).tolist()]
+    a, b = ([[w[p] for w in row] for row in ab] for p in sigma.pivots)
     if k <= 1:      # k = 1: Au parallel to Bu
-        return k == 1 and rank([[r[0] for r in a], [r[0] for r in b]]) == 1
-    if rank(b) < k:
+        return k == 1 and len(integer_rref(
+            [[r[0] for r in a], [r[0] for r in b]])[0]) == 1
+    if len(integer_rref(b)[0]) < k:
         return True
-    import sympy
-
-    t = sympy.Symbol("t")
-    pencil = sympy.Matrix(a) - t * sympy.Matrix(b)
-    gcd = sympy.Poly(0, t)
-    for sel in itertools.combinations(range(n), k):
-        gcd = gcd.gcd(sympy.Poly(pencil[list(sel), :].det(), t))
-    return gcd.count_roots() > 0
+    gcd: list[int] = []
+    for minor in _pencil_minors(a, b, k):
+        gcd = _upoly_gcd(gcd, minor)
+    return _real_root_count(gcd) > 0
 
 
 def classify_plane(algebra: NilpotentAlgebra, x, y) -> set[str]:
@@ -235,9 +317,8 @@ def classify_plane(algebra: NilpotentAlgebra, x, y) -> set[str]:
     sigma = Subspace([x, y], n)
     if sigma.dim != 2:
         raise PreconditionError("vectors do not span a two-plane")
-    bx, by = sigma.basis
-    xs, ys = (np.array([integer_row(row)[0]], dtype=object)
-              for row in (bx, by))
+    bx, by = sigma.rows
+    xs, ys = (np.array([row], dtype=object) for row in (bx, by))
     bulk = plane_labels(algebra, xs, ys)
     labels = {name for name in ("G1", "G_geq", "G2") if bulk[name][0]}
     if "G1" not in labels:
@@ -247,19 +328,22 @@ def classify_plane(algebra: NilpotentAlgebra, x, y) -> set[str]:
     if inter.dim == 2:
         return labels | {"G_zero"} | (
             {"G2"} if _central_plane_g2(algebra, sigma, z) else set())
-    x0 = inter.basis[0]
+    x0 = inter.rows[0]
     y0 = bx if not inter.contains(bx) else by
-    image = Subspace([algebra.bracket(y0, basis_vector(n, m))
-                      for m in range(n)], n)
+    units = np.eye(n, dtype=int).tolist()
+    image = Subspace.from_integer_rows(
+        [algebra.integer_bracket(y0, e) for e in units], n)
     # positivity: needs the central X in sigma to lie in [Y, g]
     if image.contains(x0):
         labels.add("G_pos")
     if image.dim == 1:
-        q = image.basis[0]
+        q = image.rows[0]
         if sigma.contains(q):
-            rows = _brackets_into(algebra, [q]) \
-                + [r for v in sigma.basis for r in algebra.ad(v)]
-            g2 = len(nullspace(rows, n)) > 2
+            # and the rows of ad_v, v in sigma: [v, e_j]_k over j
+            rows = _brackets_into(algebra, [q]) + [
+                list(col) for v in sigma.rows for col in zip(
+                    *(algebra.integer_bracket(v, e) for e in units))]
+            g2 = len(integer_nullspace(rows, n)[0]) > 2
         else:
             g2 = z.contains(q)
         if g2:

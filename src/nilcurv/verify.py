@@ -38,7 +38,7 @@ from .deformation import (
     worst_gap,
 )
 from .frames import FRAME_KEYS, normal_form_frame
-from .rational import integer_row, nullspace, rank
+from .rational import integer_nullspace, rank
 
 
 def _result(name: str, passed: bool, t0: float, details: dict,
@@ -374,8 +374,7 @@ def _meets_center(alg, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     images u = L x, v = L y in g/z are dependent, with L an integer basis
     of the annihilator of z, i.e. iff |u|^2 |v|^2 = (u.v)^2 (exact in
     int64)."""
-    rows = [integer_row(row)[0]
-            for row in nullspace(alg.center().basis, alg.n)]
+    rows = integer_nullspace(alg.center().rows, alg.n)[0]
     lmat = np.array(rows, dtype=np.int64).reshape(len(rows), alg.n)
     u, v = xs @ lmat.T, ys @ lmat.T
     return (np.sum(u * u, axis=1) * np.sum(v * v, axis=1)

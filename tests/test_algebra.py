@@ -1,5 +1,6 @@
 """Structural algebra operations: brackets, series, ideals, subspaces."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from nilcurv import NilpotentAlgebra, Subspace, build, list_catalog
 from nilcurv.algebra import basis_vector
-from nilcurv.rational import nullspace, rank, solve
+from nilcurv.rational import integer_row, nullspace, rank, solve
+from test_exact_oracles import fraction_rref
 from test_rational import in_row_space
 
 
@@ -144,6 +146,31 @@ def test_subspace_membership_and_coordinates(case):
     if coords is not None:
         assert [sum((c * r[j] for c, r in zip(coords, s.basis)), Fraction(0))
                 for j in range(s.n)] == v
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_and_vector())
+def test_subspace_rows_are_the_scaled_rref(case):
+    """Each integer row is the RREF row of the Fraction reference times
+    its least common denominator, primitive with a positive pivot; the
+    Fraction and float views are that RREF, the rows span the same
+    subspace, and the integer intersection has the dimension and
+    containments it must."""
+    rows, v = case
+    n = len(v)
+    s = Subspace(rows, n)
+    ref = fraction_rref(rows)
+    assert s.basis == ref
+    assert s.rows == [integer_row(r)[0] for r in ref]
+    assert all(math.gcd(*r) == 1 and r[p] > 0
+               for r, p in zip(s.rows, s.pivots))
+    assert np.array_equal(s.float_basis, np.array(ref, float).reshape(-1, n))
+    t = Subspace.from_integer_rows(s.rows, n)
+    assert t == s and hash(t) == hash(s)
+    line = Subspace([v], n)
+    both = s.intersection(line)
+    assert both.dim == s.dim + line.dim - s.sum(line).dim
+    assert s.contains_subspace(both) and line.contains_subspace(both)
 
 
 @settings(max_examples=150, deadline=None)

@@ -354,6 +354,83 @@ def test_derivation_dimension_oracle():
     assert derivation_dimension(build("heisenberg", m=1)) == 6
 
 
+def fraction_derivation_dimension(a):
+    """Reference: the dense Fraction system, one equation per (i < j,
+    component m) read off the basis brackets, for the unknowns d[m][k]
+    with D e_k = sum_m d[m][k] e_m at column m n + k."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = a.basis_bracket(i, j)
+            for m in range(n):
+                row = [Fraction(0)] * (n * n)
+                for k in range(n):
+                    row[m * n + k] += cij[k]
+                for p in range(n):
+                    row[p * n + i] -= a.basis_bracket(p, j)[m]
+                    row[p * n + j] -= a.basis_bracket(i, p)[m]
+                if any(v != 0 for v in row):
+                    rows.append(row)
+    return n * n - (rank(rows) if rows else 0)
+
+
+def _shape_subalgebras():
+    """The subalgebras `shape_of_L` restricts the catalog to: the
+    bracket closures of the Lemma 6 witness triples."""
+    subs = []
+    for e in list_catalog():
+        a = e.build()
+        v = classify(a)
+        if v.N is None:
+            continue
+        words = classification._eval_words(a.bracket, v.lemma6["witness"],
+                                           classification._DIML_WORDS)
+        sub = restrict(a, Subspace(words, a.n))
+        if sub is not None:
+            subs.append(sub)
+    return subs
+
+
+def test_derivation_dimension_matches_the_fraction_reference():
+    """On every catalog algebra and every subalgebra that shape_of_L
+    restricts to, in the catalog basis and in unimodular bases 1-3, where
+    dim Der must not change."""
+    subs = _shape_subalgebras()
+    assert len(subs) >= 4
+    for a in [e.build() for e in list_catalog()] + subs:
+        dim = fraction_derivation_dimension(a)
+        assert derivation_dimension(a) == dim, a.name
+        for seed in (1, 2, 3):
+            b = in_basis(a, unimodular(a.n, seed))
+            assert derivation_dimension(b) == dim, (a.name, seed)
+            assert fraction_derivation_dimension(b) == dim, (a.name, seed)
+
+
+def _exact_verdict(v):
+    """The fields of a classify verdict that no basis may change."""
+    return (v.rk5_holds, v.rk7_holds, v.two_step, v.lemma6["class"],
+            v.lemma6["max_dimL"], v.lemma7_classes, v.N, v.L_shape)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_verdicts_are_basis_independent(seed):
+    """The 17 non-abelian catalog algebras in a unimodular basis get the
+    exact verdict of their catalog basis, and theorem2_expected_M there is
+    the image of the catalog one."""
+    algebras = [a for a in (e.build() for e in list_catalog())
+                if not a.is_abelian()]
+    assert len(algebras) == 17
+    for a in algebras:
+        p = unimodular(a.n, seed)
+        b = in_basis(a, p)
+        assert _exact_verdict(classify(b)) == _exact_verdict(classify(a)), \
+            a.name
+        mapped = Subspace([solve(p, v) for v in theorem2_expected_M(a).basis],
+                          b.n)
+        assert theorem2_expected_M(b) == mapped, a.name
+
+
 def test_invariant_tuple_separates_L6_forms():
     ts = {key: invariant_tuple(build(key)) for key in ("L6_1", "L6_2",
                                                        "L6_3")}

@@ -251,8 +251,8 @@ def test_lower_central_series_is_built_once(monkeypatch, make):
     later call returns a fresh list of the cached terms, also when the
     series stalls."""
     calls = []
-    bracket = NilpotentAlgebra.bracket
-    monkeypatch.setattr(NilpotentAlgebra, "bracket",
+    bracket = NilpotentAlgebra.integer_bracket
+    monkeypatch.setattr(NilpotentAlgebra, "integer_bracket",
                         lambda self, x, y: calls.append(1) or bracket(
                             self, x, y))
     make().lower_central_series()

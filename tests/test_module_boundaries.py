@@ -164,8 +164,9 @@ def test_no_unread_imports():
     assert not any(unread.values()), unread
 
 
-# (module file, function, imported name): sympy stays off the cold start
-LAZY_IMPORTS = {("sign_sets.py", "_central_plane_g2", "sympy")}
+# (module file, function, imported name): the imports made inside a
+# function; none, so every import is paid at the cold start and visible
+LAZY_IMPORTS: set[tuple[str, str, str]] = set()
 
 
 def function_imports(source: str) -> list[tuple[str, str]]:

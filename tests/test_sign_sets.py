@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+import sympy
 
 from nilcurv import (
     DeformationSpec,
@@ -148,6 +149,127 @@ def test_G2_central_plane_extension_direction(c, g2):
         v = e[0] + np.sqrt(2.0) * e[1]
         images = np.array([a.bracket_float(v, w) for w in e])
         assert np.linalg.matrix_rank(images, tol=1e-12) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def _sympy_pencil_gcd(a, b, k):
+    """Reference: the gcd of the k x k minors of A - tB, by sympy."""
+    t = sympy.Symbol("t")
+    pencil = sympy.Matrix(a) - t * sympy.Matrix(b)
+    gcd = sympy.Poly(0, t)
+    for sel in itertools.combinations(range(len(a)), k):
+        gcd = gcd.gcd(sympy.Poly(pencil[list(sel), :].det(), t))
+    return gcd
+
+
+def _sympy_central_plane_g2(algebra, sigma, z):
+    """Reference: the G2 test of a central plane in Fractions, its pencil
+    decided by sympy: W = {v : [g, v] in sigma} from the ad-matrices, the
+    sigma-coordinates of [u_i, e_m], and the real roots of the gcd."""
+    n = algebra.n
+    ann = nullspace(sigma.basis, n)
+    rows = [[sum(f[k] * ad[k][j] for k in range(n)) for j in range(n)]
+            for ad in (algebra.ad(basis_vector(n, m)) for m in range(n))
+            for f in ann]
+    us, span = [], z
+    for v in nullspace(rows, n):
+        if not span.contains(v):
+            us.append(v)
+            span = span.sum(Subspace([v], n))
+    k = len(us)
+    ab = [[sigma.coordinates(algebra.bracket(u, basis_vector(n, m)))
+           for u in us] for m in range(n)]
+    a, b = ([[c[i] for c in row] for row in ab] for i in (0, 1))
+    if k <= 1:
+        return k == 1 and rank([[r[0] for r in a], [r[0] for r in b]]) == 1
+    if rank(b) < k:
+        return True
+    return _sympy_pencil_gcd(a, b, k).count_roots() > 0
+
+
+def _random_pencils(rng, count):
+    """Integer n x k pencils with rank B = k: half of them drawn entry by
+    entry, half as S (A0 - t B0) so that their minors share the factor
+    det(A0 - t B0)."""
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(2, 4))
+        n = int(rng.integers(k, 6))
+        if len(out) % 2:
+            s = rng.integers(-2, 3, size=(n, k))
+            a0, b0 = rng.integers(-3, 4, size=(2, k, k))
+            a, b = s @ a0, s @ b0
+        else:
+            a, b = rng.integers(-3, 4, size=(2, n, k))
+        if rank(b.tolist()) == k:
+            out.append((a.tolist(), b.tolist(), k))
+    return out
+
+
+def test_pencil_gcd_and_real_roots_match_sympy():
+    """The integer minors, their primitive-PRS gcd and its Sturm count of
+    real roots against sympy on random integer pencils, common factors
+    and multiple roots included."""
+    t = sympy.Symbol("t")
+    counts = set()
+    for a, b, k in _random_pencils(np.random.default_rng(5), 50):
+        minors = list(sign_sets._pencil_minors(a, b, k))
+        gcd = minors[0]
+        for m in minors[1:]:
+            gcd = sign_sets._upoly_gcd(gcd, m)
+        ref = _sympy_pencil_gcd(a, b, k)
+        assert sympy.Poly(gcd[::-1], t).monic() == ref.monic()
+        count = sign_sets._real_root_count(gcd)
+        assert count == ref.count_roots()
+        counts.add(count)
+    assert counts >= {0, 1, 2}
+    for p in ([-1, 0, 1], [1, 0, 1], [1, -2, 1], [0, 0, 0, 1], [-6, 11, -6, 1],
+              [4]):
+        ref = sympy.Poly(p[::-1], t)
+        assert sign_sets._real_root_count(p) == ref.count_roots(), p
+
+
+def _two_step_central_plane_algebras(rng, count):
+    """Two-step algebras on x1..x4, z1, z2 with [x_i, x_j] = w1_ij z1 +
+    w2_ij z2 for random integer skew forms, and h3 + h3 and the complex
+    Heisenberg algebra as a real one, so that the central plane
+    span(z1, z2) leaves a pencil of 4 x 4 skew matrices."""
+    algebras = [
+        NilpotentAlgebra(6, {(0, 1): {4: 1}, (2, 3): {5: 1}}, name="h3+h3"),
+        NilpotentAlgebra(6, {(0, 2): {4: 1}, (1, 3): {4: -1},
+                             (0, 3): {5: 1}, (1, 2): {5: 1}},
+                         name="complex h3")]
+    pairs = list(itertools.combinations(range(4), 2))
+    while len(algebras) < count:
+        w = rng.integers(-2, 3, size=(2, len(pairs)))
+        brackets = {p: {4 + s: int(w[s, i]) for s in (0, 1) if w[s, i]}
+                    for i, p in enumerate(pairs)}
+        algebras.append(NilpotentAlgebra(6, brackets, name="random"))
+    return algebras
+
+
+def test_central_plane_g2_matches_the_sympy_reference(monkeypatch):
+    """The integer G2 test of a central plane against its Fraction and
+    sympy reference, on planes of which most reach the pencil gcd."""
+    reached = []
+    count_roots = sign_sets._real_root_count
+    monkeypatch.setattr(sign_sets, "_real_root_count",
+                        lambda p: reached.append(1) or count_roots(p))
+    verdicts = set()
+    e = np.eye(6, dtype=int)
+    for a in _two_step_central_plane_algebras(np.random.default_rng(7), 16):
+        z = a.center()
+        sigma = Subspace([e[4], e[5]], 6)
+        if not z.contains_subspace(sigma):
+            continue
+        got = sign_sets._central_plane_g2(a, sigma, z)
+        assert got == _sympy_central_plane_g2(a, sigma, z), a.brackets
+        verdicts.add(got)
+    assert verdicts == {True, False} and len(reached) >= 10
+    assert "G2" in classify_plane(_two_step_central_plane_algebras(
+        None, 2)[0], e[4], e[5])
+    assert "G2" not in classify_plane(_two_step_central_plane_algebras(
+        None, 2)[1], e[4], e[5])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
